@@ -1,8 +1,8 @@
 """Log moment generating functions and the Cramer rate function.
 
 Per-unit summand: psi(theta) = log E exp(theta X).  Weighted-sum versions
-(psi_S(theta) = sum_i psi(a_i theta)) feed the Chernoff tilt used by the
-characteristic-function oracle and the importance sampler.
+(psi_S(theta) = sum_i psi(a_i theta)) feed the saddle point of the
+contour-inversion oracle and the Chernoff tilt of the importance sampler.
 """
 
 from __future__ import annotations
@@ -85,15 +85,22 @@ def sum_log_mgf_double_prime(d: Distribution, w: "WeightVector | Sequence[float]
 
 
 def _solve_psi_prime(d: Distribution, w: WeightVector, target: float) -> tuple[float, int]:
-    """Solve sum_i a_i psi'(a_i theta) = target for theta in (0, 1/a_max).
+    """Solve sum_i a_i psi'(a_i theta) = target for theta inside the MGF domain.
 
     Safeguarded Newton: every step stays inside a shrinking bisection
-    bracket.  The left derivative limit is the mean of S and the right limit
-    is +inf, so a root exists whenever target > mean.
+    bracket.  psi_S' increases through the mean of S at theta = 0 to +inf at
+    1/a_max, so targets above the mean have a root in (0, 1/a_max).  Below
+    the mean the root is negative: in (-1/a_max, 0) for Laplace, and in
+    (-n*shape/target, 0) for nonnegative laws, where psi_S'(theta) <
+    n*shape/|theta| (the target must be positive there).
     """
-    hi = (1.0 - 1e-12) / w.a_max
-    lo = 0.0
-    theta = min(0.5 / w.a_max, hi)
+    if target > d.mean * w.l1:
+        lo, hi = 0.0, (1.0 - 1e-12) / w.a_max
+        theta = min(0.5 / w.a_max, hi)
+    else:
+        lo = -len(w) * d.shape / target if d.nonnegative else -(1.0 - 1e-12) / w.a_max
+        hi = 0.0
+        theta = 0.5 * lo
     for it in range(1, _MAX_NEWTON_ITER + 1):
         g = sum_log_mgf_prime(d, w, theta) - target
         if g > 0.0:
@@ -104,7 +111,7 @@ def _solve_psi_prime(d: Distribution, w: WeightVector, target: float) -> tuple[f
         nxt = theta - step
         if not lo < nxt < hi:
             nxt = 0.5 * (lo + hi)
-        if abs(nxt - theta) <= _THETA_TOL:
+        if abs(nxt - theta) <= _THETA_TOL * max(1.0, abs(theta)):
             return nxt, it
         theta = nxt
     raise NumericFailureError(

@@ -6,6 +6,7 @@ import shutil
 import subprocess
 
 import pytest
+from scipy.special import gammaincc
 
 import exptails.cli as cli
 from exptails.core import NumericFailureError
@@ -126,6 +127,15 @@ class TestExactCommand:
             ["exact", "--dist", "gamma", "--shape", "2", "--weights", "2,1", "--t", "2"],
         )
         assert payload["rows"][0]["source"] == "cf_inversion"
+
+    def test_gamma_large_total_shape_at_the_mean(self, capsys):
+        # ten unit gamma(500) summands: P(S >= E S) = Q(5000, 5000), once printed as 1
+        payload = run_json(
+            capsys,
+            ["exact", "--dist", "gamma", "--shape", "500", "--weights", "1,1,1,1,1,1,1,1,1,1",
+             "--t", "1"],
+        )
+        assert abs(payload["rows"][0]["tail"] - gammaincc(5000.0, 5000.0)) <= 1e-9
 
 
 class TestSimulateCommand:

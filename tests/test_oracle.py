@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import gammaincc
 
 from exptails.core import Distribution, InvalidInputError
 from exptails.oracle import (
@@ -175,14 +176,14 @@ class TestCfInversion:
     """The inversion path must reproduce the closed forms it replaces."""
 
     def test_moderate_thresholds_absolute(self):
-        # real-axis path, absolute target 1e-9
+        # near the mean, absolute tolerance
         assert abs(cf_tail_inversion(EXP, [2.0, 1.0], 3.0) - HYPOEXP21_AT_3) <= 2e-9
         assert abs(cf_tail_inversion(LAP, [2.0, 1.0], 1.0) - LAPLACE21_AT_1) <= 2e-9
         assert abs(cf_tail_inversion(GAMMA2, [1.0, 1.0], 4.0) - GAMMA2_W11_AT_4) <= 2e-9
         assert abs(cf_tail_inversion(GAMMA2, [2.0, 1.0], 6.0) - GAMMA2_W21_AT_6) <= 2e-9
 
     def test_deep_thresholds_relative(self):
-        # saddle-tilted contour, relative target 1e-7
+        # deep thresholds, relative tolerance
         pairs = [
             (EXP, [2.0, 1.0], 6.0, HYPOEXP21_AT_6),
             (LAP, [2.0, 1.0], 2.0 * SIGMA21, LAPLACE21_AT_2SIGMA),
@@ -233,7 +234,6 @@ class TestFallbacks:
         assert abs(got - HYPOEXP_ILL_AT_5) <= 1e-8
 
     def test_laplace_tail_falls_back_to_inversion(self):
-        # deep-tail route, so the guarantee is relative (1e-7)
         got = laplace_tail(ILL_CONDITIONED, 3.0)
         assert abs(got - LAPLACE_ILL_AT_3) <= 2e-8
 
@@ -280,8 +280,14 @@ class TestLaplaceAbsMoment:
             want = 2.0 * sum(a * a for a in w)
             assert math.isclose(laplace_abs_moment(w, 2.0), want, rel_tol=1e-9)
 
+    def test_contour_fallback_fourth_moment(self):
+        # E S^4 = 24 sum a_i^4 + 12 sum_{i != j} a_i^2 a_j^2 for Laplace summands
+        sq = [a * a for a in ILL_CONDITIONED]
+        want = 24.0 * sum(s * s for s in sq) + 12.0 * (sum(sq) ** 2 - sum(s * s for s in sq))
+        assert math.isclose(laplace_abs_moment(ILL_CONDITIONED, 4.0), want, rel_tol=1e-9)
+
     def test_quadrature_fallback(self):
-        # tripped mixture -> tail quadrature; compare to E S^2 = 2 sum a_i^2
+        # tripped mixture -> contour inversion of the moment integral; E S^2 = 2 sum a_i^2
         want = 2.0 * sum(a * a for a in ILL_CONDITIONED)
         got = laplace_abs_moment(ILL_CONDITIONED, 2.0)
         assert math.isclose(got, want, rel_tol=1e-4)
@@ -290,6 +296,29 @@ class TestLaplaceAbsMoment:
         for bad in (0.0, -1.0, math.nan):
             with pytest.raises(InvalidInputError):
                 laplace_abs_moment([1.0], bad)
+
+
+class TestEqualWeightGamma:
+    """Equal weights have the closed form P(S > t) = Q(n * shape, t / a)."""
+
+    def test_repro_at_the_mean(self):
+        # total shape 5000 at its own mean, once clamped to 1.0
+        d, w = Distribution.gamma(500.0), [1.0] * 10
+        ref = gammaincc(5000.0, 5000.0)  # 0.49811936596618267
+        value, source = exact_tail(d, w, 5000.0)
+        assert source == "cf_inversion"
+        assert abs(value - ref) <= 1e-9 * ref
+        assert abs(p_ge_mean(d, w) - ref) <= 1e-9 * ref
+
+    @pytest.mark.parametrize("shape", [1e-3, 0.5, 2.0, 500.0, 8618.0])
+    @pytest.mark.parametrize("n", [1, 3, 6, 10])
+    @pytest.mark.parametrize("factor", [0.3, 0.97, 1.0, 2.0, 40.0])
+    def test_matches_closed_form(self, shape, n, factor):
+        a = 0.7
+        t = factor * n * shape * a
+        ref = gammaincc(n * shape, t / a)
+        got, _ = exact_tail(Distribution.gamma(shape), [a] * n, t)
+        assert abs(got - ref) <= 1e-9 * ref + 1e-300, (got, ref)
 
 
 class TestPGeMean:
