@@ -24,7 +24,7 @@ from .core import (
     as_weights,
 )
 from .legendre import rate_function
-from .special import h_closed, log_gamma_upper_tail
+from .special import h_closed
 
 _SQRT2E = math.sqrt(2.0 * math.e)
 MOMENT_CONSTANT_PAPER = _SQRT2E / (_SQRT2E + 1.0)
@@ -38,12 +38,7 @@ class BoundKind(str, enum.Enum):
     LAPLACE_LOWER = "laplace_lower"
     GENERIC_UPPER = "generic_upper"
     GENERIC_LOWER = "generic_lower"
-    GAMMA_UPPER = "gamma_upper"
-    GAMMA_LOWER = "gamma_lower"
     S_INEQ_UPPER = "s_ineq_upper"
-    MOMENT_UPPER = "moment_upper"
-    MOMENT_LOWER = "moment_lower"
-    PZ_LOWER = "pz_lower"
 
 
 @dataclass(frozen=True)
@@ -137,51 +132,6 @@ def r_function(d: Distribution, v: float) -> float:
     if not math.isfinite(v) or v <= 0.0:
         raise InvalidInputError(f"r_function needs v > 0, got {v!r}")
     return math.exp(_log_r_function(d, v))
-
-
-def r_infimum_numeric(d: Distribution, v: float, u_cap: float | None = None) -> float:
-    """Numeric inf_u P(X > u+v)/P(X > u) over u in (0, u_cap], in log space.
-
-    Grid scan plus golden-section refinement around the best grid point.
-    Always at least r_function(d, v) up to roundoff (that bound is valid for
-    every u, so the infimum cannot drop below it).
-    """
-    _require_nonnegative(d, "r_infimum_numeric")
-    v = float(v)
-    if not math.isfinite(v) or v <= 0.0:
-        raise InvalidInputError(f"r_infimum_numeric needs v > 0, got {v!r}")
-    if d.kind is LawKind.EXPONENTIAL:
-        return math.exp(-v)
-    g = d.shape
-    if u_cap is None:
-        u_cap = max(100.0, 20.0 * (g + v))
-
-    def log_ratio(u: float) -> float:
-        return log_gamma_upper_tail(g, u + v) - log_gamma_upper_tail(g, u)
-
-    n_grid = 200
-    lo_u = 1e-6 * min(1.0, g)
-    grid = [lo_u * (u_cap / lo_u) ** (i / (n_grid - 1)) for i in range(n_grid)]
-    values = [log_ratio(u) for u in grid]
-    best = min(range(n_grid), key=values.__getitem__)
-    lo = grid[max(best - 1, 0)]
-    hi = grid[min(best + 1, n_grid - 1)]
-    golden = (math.sqrt(5.0) - 1.0) / 2.0
-    c = hi - golden * (hi - lo)
-    e = lo + golden * (hi - lo)
-    fc, fe = log_ratio(c), log_ratio(e)
-    for _ in range(200):
-        if hi - lo <= 1e-10 * (1.0 + hi):
-            break
-        if fc <= fe:
-            hi, e, fe = e, c, fc
-            c = hi - golden * (hi - lo)
-            fc = log_ratio(c)
-        else:
-            lo, c, fc = c, e, fe
-            e = lo + golden * (hi - lo)
-            fe = log_ratio(e)
-    return math.exp(min(values[best], fc, fe))
 
 
 def generic_lower(

@@ -13,7 +13,7 @@ import csv
 import io
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
 
 from .bounds import (
@@ -76,26 +76,8 @@ class RunConfig:
     method: "str | None" = None
     instances: "int | None" = None
     seed: int = 0
-    fmt: str = "json"
+    format: str = "json"
     out: "str | None" = None
-
-    def as_dict(self) -> dict:
-        return {
-            "subcommand": self.subcommand,
-            "dist": self.dist,
-            "shape": self.shape,
-            "weights": None if self.weights is None else list(self.weights),
-            "t": None if self.t is None else list(self.t),
-            "threshold": None if self.threshold is None else list(self.threshold),
-            "p": None if self.p is None else list(self.p),
-            "mode": self.mode,
-            "samples": self.samples,
-            "method": self.method,
-            "instances": self.instances,
-            "seed": self.seed,
-            "format": self.fmt,
-            "out": self.out,
-        }
 
 
 class _Parser(argparse.ArgumentParser):
@@ -131,7 +113,7 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--weights", required=True,
                            help="comma-separated positive weights, e.g. 2,1")
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--format", dest="fmt", choices=("json", "csv"), default="json")
+        p.add_argument("--format", choices=("json", "csv"), default="json")
         p.add_argument("--out", default=None, help="output path (default: stdout)")
 
     def add_threshold_group(p: argparse.ArgumentParser) -> None:
@@ -185,15 +167,13 @@ def _unit(d: Distribution, stats: WeightStats) -> float:
 
 
 def _resolve_thresholds(
-    args: argparse.Namespace, d: Distribution, stats: WeightStats
-) -> tuple["tuple[float, ...] | None", "tuple[float, ...] | None", list[tuple[float, float]]]:
-    """(t option, threshold option, [(relative, absolute)] pairs)."""
+    config: RunConfig, d: Distribution, stats: WeightStats
+) -> list[tuple[float, float]]:
+    """[(relative, absolute)] threshold pairs."""
     unit = _unit(d, stats)
-    if args.t is not None:
-        rel = _parse_float_list(args.t, "--t")
-        return rel, None, [(t, t * unit) for t in rel]
-    raw = _parse_float_list(args.threshold, "--threshold")
-    return None, raw, [(x / unit, x) for x in raw]
+    if config.t is not None:
+        return [(t, t * unit) for t in config.t]
+    return [(x / unit, x) for x in config.threshold]
 
 
 def _bound_rows(d: Distribution, w: WeightVector, pairs: list[tuple[float, float]]) -> list[dict]:
@@ -262,15 +242,14 @@ def _simulate_rows(
     return rows
 
 
-def _moment_rows(d: Distribution, w: WeightVector, args: argparse.Namespace) -> list[dict]:
+def _moment_rows(d: Distribution, w: WeightVector, config: RunConfig) -> list[dict]:
     if d.kind is not LawKind.LAPLACE:
         raise InvalidInputError("moments requires --dist laplace")
-    orders = _parse_float_list(args.p, "--p")
     rows = []
-    for p in orders:
-        lower, upper = moment_bounds(p, w, mode=args.mode)
+    for p in config.p:
+        lower, upper = moment_bounds(p, w, mode=config.mode)
         exact = laplace_abs_moment(w, p) ** (1.0 / p)
-        rows.append({"p": p, "lower": lower, "exact": exact, "upper": upper, "mode": args.mode})
+        rows.append({"p": p, "lower": lower, "exact": exact, "upper": upper, "mode": config.mode})
     return rows
 
 
@@ -295,7 +274,7 @@ def _csv_cell(value) -> str:
 
 def _meta(config: RunConfig) -> dict:
     stamp = datetime.now(timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
-    return {"config": config.as_dict(), "generated_at": stamp}
+    return {"config": asdict(config), "generated_at": stamp}
 
 
 def _emit(text: str, out: "str | None") -> None:
@@ -311,39 +290,43 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
         subcommand=args.subcommand,
         dist=args.dist,
         shape=args.shape,
-        weights=parse_weights(args.weights).values if getattr(args, "weights", None) else None,
-        t=_parse_float_list(args.t, "--t") if getattr(args, "t", None) else None,
-        threshold=(
-            _parse_float_list(args.threshold, "--threshold")
-            if getattr(args, "threshold", None)
+        weights=(
+            parse_weights(args.weights).values
+            if getattr(args, "weights", None) is not None
             else None
         ),
-        p=_parse_float_list(args.p, "--p") if getattr(args, "p", None) else None,
+        t=_parse_float_list(args.t, "--t") if getattr(args, "t", None) is not None else None,
+        threshold=(
+            _parse_float_list(args.threshold, "--threshold")
+            if getattr(args, "threshold", None) is not None
+            else None
+        ),
+        p=_parse_float_list(args.p, "--p") if getattr(args, "p", None) is not None else None,
         mode=getattr(args, "mode", None),
         samples=getattr(args, "samples", None),
         method=getattr(args, "method", None),
         instances=getattr(args, "instances", None),
         seed=args.seed,
-        fmt=args.fmt,
+        format=args.format,
         out=args.out,
     )
 
 
 def _run_table_subcommand(args: argparse.Namespace, config: RunConfig) -> int:
     d = _make_distribution(args)
-    w = parse_weights(args.weights)
+    w = WeightVector(config.weights)
     if args.subcommand == "moments":
-        rows = _moment_rows(d, w, args)
+        rows = _moment_rows(d, w, config)
     else:
         stats = weight_stats(w, d)
-        _, _, pairs = _resolve_thresholds(args, d, stats)
+        pairs = _resolve_thresholds(config, d, stats)
         if args.subcommand == "bounds":
             rows = _bound_rows(d, w, pairs)
         elif args.subcommand == "exact":
             rows = _exact_rows(d, w, pairs)
         else:
             rows = _simulate_rows(d, w, pairs, args)
-    if args.fmt == "json":
+    if args.format == "json":
         text = json_dumps({"meta": _meta(config), "rows": rows}, indent=2) + "\n"
     else:
         meta = _meta(config)
@@ -359,15 +342,15 @@ def _run_table_subcommand(args: argparse.Namespace, config: RunConfig) -> int:
 def _run_verify(args: argparse.Namespace, config: RunConfig) -> int:
     d = _make_distribution(args)
     kwargs = {}
-    if args.t is not None:
-        kwargs["t_grid"] = _parse_float_list(args.t, "--t")
+    if config.t is not None:
+        kwargs["t_grid"] = config.t
     sandwich_config = SandwichConfig(
         distribution=d, instances=args.instances, seed=args.seed, **kwargs
     )
     rows = sandwich_report(sandwich_config)
     suite = property_suite(args.seed)
     all_pass = all(r.passed for r in rows) and suite.passed
-    if args.fmt == "json":
+    if args.format == "json":
         payload = {
             "meta": _meta(config),
             "sandwich": [r.as_dict() for r in rows],

@@ -16,6 +16,7 @@ from .core import (
     InvalidInputError,
     LawKind,
     NumericFailureError,
+    UnsupportedLawError,
     WeightVector,
     as_weights,
 )
@@ -134,18 +135,16 @@ def chernoff_tilt(d: Distribution, w: "WeightVector | Sequence[float]", target: 
 def rate_function(d: Distribution, t: float) -> LegendreResult:
     """Cramer rate I(t) = sup_{theta>0} (t*theta - psi(theta)) for one summand.
 
-    Closed forms for exponential and gamma; numeric supremum for Laplace.
-    ``t`` is in absolute units (t > mean of the summand).
+    Closed form t - g - g log(t/g), attained at theta* = 1 - g/t, for
+    gamma(g); exponential is g = 1.  ``t`` is in absolute units (t > mean
+    of the summand).  Laplace summands raise UnsupportedLawError.
     """
+    if not d.nonnegative:
+        raise UnsupportedLawError(
+            f"rate_function applies to nonnegative summands, not {d.kind.value}"
+        )
     t = float(t)
-    mean = d.mean
-    if not t > mean:
-        raise InvalidInputError(f"rate_function needs t > {mean} (the summand mean), got {t}")
-    if d.kind is LawKind.EXPONENTIAL:
-        return LegendreResult(t - 1.0 - math.log(t), 1.0 - 1.0 / t, True, 0)
-    if d.kind is LawKind.GAMMA:
-        g = d.shape
-        return LegendreResult(t - g - g * math.log(t / g), 1.0 - g / t, True, 0)
-    theta, iters = _solve_psi_prime(d, WeightVector((1.0,)), t)
-    value = t * theta - log_mgf(d, theta)
-    return LegendreResult(value, theta, True, iters)
+    g = d.shape
+    if not t > g:
+        raise InvalidInputError(f"rate_function needs t > {g} (the summand mean), got {t}")
+    return LegendreResult(t - g - g * math.log(t / g), 1.0 - g / t, True, 0)

@@ -13,8 +13,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtri
-from scipy.stats import beta as _beta
+from scipy.special import betaincinv, ndtri
 
 from .core import (
     Distribution,
@@ -150,8 +149,8 @@ def _binomial_interval(hits: int, n: int) -> tuple[float, float, float]:
     p = hits / n
     stderr = math.sqrt(p * (1.0 - p) / n)
     if hits < _CP_HIT_CUTOFF:
-        lo = 0.0 if hits == 0 else float(_beta.ppf(0.025, hits, n - hits + 1))
-        hi = 1.0 if hits == n else float(_beta.ppf(0.975, hits + 1, n - hits))
+        lo = 0.0 if hits == 0 else float(betaincinv(hits, n - hits + 1, 0.025))
+        hi = 1.0 if hits == n else float(betaincinv(hits + 1, n - hits, 0.975))
         return stderr, lo, hi
     lo = max(0.0, p - _Z95 * stderr)
     hi = min(1.0, p + _Z95 * stderr)

@@ -17,10 +17,12 @@ from __future__ import annotations
 
 import enum
 import math
+import sys
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
+from scipy.special import gammaincc
 
 from .core import (
     Distribution,
@@ -32,7 +34,6 @@ from .core import (
     as_weights,
 )
 from .legendre import _solve_psi_prime, sum_log_mgf, sum_log_mgf_double_prime, sum_log_mgf_prime
-from .special import gamma_upper_tail
 
 # Scales closer than this merge into one pole: raw partial fractions lose
 # ~eps/gap^2 of absolute coefficient accuracy, so below 1e-5 the merged
@@ -48,6 +49,8 @@ _INV_RTOL = 1e-12
 _U_MAX = 30.0
 _MAX_HALVINGS = 10
 _BLOCK = 1 << 13
+# Rounding error of a trapezoid sum, relative to h * sum |terms|.
+_ROUNDING = 4.0 * sys.float_info.epsilon
 
 
 class MixtureSide(str, enum.Enum):
@@ -91,14 +94,14 @@ class ExpMixture:
             if t < 0.0:
                 return 1.0 - self.tail(-t)
             half = 0.5 * math.fsum(
-                term.coef * gamma_upper_tail(term.power + 1, t / term.scale)
+                term.coef * gammaincc(term.power + 1, t / term.scale)
                 for term in self.terms
             )
             return min(1.0, max(0.0, half))
         if t <= 0.0:
             return 1.0
         total = math.fsum(
-            term.coef * gamma_upper_tail(term.power + 1, t / term.scale)
+            term.coef * gammaincc(term.power + 1, t / term.scale)
             for term in self.terms
         )
         return min(1.0, max(0.0, total))
@@ -284,8 +287,9 @@ def _bromwich(d: Distribution, w: WeightVector, theta: float, t: float, p: float
     and is analytic in a strip of half-width about pi/4 around the real u
     axis, so the trapezoid rule converges geometrically.  The step halves
     from 1/2 until two successive sums agree to _INV_RTOL relative; that
-    difference is the error estimate.  Nodes are evaluated in blocks of at
-    most _BLOCK complex entries, so memory stays bounded for any n.
+    difference, or the sum's rounding error if larger, is the error
+    estimate.  Nodes are evaluated in blocks of at most _BLOCK complex
+    entries, so memory stays bounded for any n.
     """
     a = np.array(w.values)
     laplace = d.kind is LawKind.LAPLACE
@@ -320,12 +324,13 @@ def _bromwich(d: Distribution, w: WeightVector, theta: float, t: float, p: float
 
     # Half-line trapezoid sum (the integrand is conjugate-symmetric in u);
     # the first pass walks out until the terms are negligible.
-    h, nodes, total = 0.5, 0, 0.0
+    h, nodes, total, mass = 0.5, 0, 0.0, 0.0
     while True:
         f = integrand(h * np.arange(nodes, nodes + 4))
         if nodes == 0:
             f[0] *= 0.5
         total += f.imag.sum()
+        mass += np.abs(f.imag).sum()
         nodes += 4
         if np.abs(f[-2:]).max() <= 1e-16 * abs(total):
             break
@@ -335,12 +340,16 @@ def _bromwich(d: Distribution, w: WeightVector, theta: float, t: float, p: float
             )
     estimate = h * total
     for _ in range(_MAX_HALVINGS):
-        total += integrand(h * (np.arange(nodes) + 0.5)).imag.sum()
+        f = integrand(h * (np.arange(nodes) + 0.5)).imag
+        total += f.sum()
+        mass += np.abs(f).sum()
         h, nodes = 0.5 * h, 2 * nodes
         err = abs(h * total - estimate)
         estimate = h * total
         if err <= _INV_RTOL * abs(estimate):
-            return estimate / math.pi, err / math.pi
+            # successive sums can agree bit for bit; the sum's own rounding
+            # is then the error
+            return estimate / math.pi, max(err, _ROUNDING * h * mass) / math.pi
     raise NumericFailureError(
         f"contour inversion did not converge: successive sums differ by {err:.3e}",
         achieved=estimate / math.pi,
@@ -358,9 +367,10 @@ def cf_tail_inversion(d: Distribution, w: "WeightVector | Sequence[float]", t: f
     scaled by M(theta) e^{-theta t} and the answer assembled in log space,
     so tails far below the scale keep their relative accuracy (about 1e-12).
 
-    Raises NumericFailureError if the trapezoid sums do not converge or the
-    tail leaves [-err, 1 + err] for the error estimate err; the value is
-    never clamped into [0, 1].
+    Raises NumericFailureError if the trapezoid sums do not converge, the
+    saddle is out of float range, or the tail leaves the law's range at t
+    ([0, 1], or [0, 1/2] for Laplace at t > 0) by more than the error
+    estimate err.  A value within err of a range end is that end.
     """
     w = as_weights(w)
     t = float(t)
@@ -369,32 +379,45 @@ def cf_tail_inversion(d: Distribution, w: "WeightVector | Sequence[float]", t: f
     if d.nonnegative:
         if t <= 0.0:
             return 1.0
+        top = 1.0
     else:
         if t < 0.0:
             return 1.0 - cf_tail_inversion(d, w, -t)
         if t == 0.0:
             return 0.5
+        top = 0.5
     above = t >= d.mean * w.l1
+    # P(S <= t) <= prod_i P(a_i X_i <= t) <= prod_i (t/a_i)^shape / Gamma(shape+1);
+    # below eps/4 the tail rounds to 1
+    if d.nonnegative and not above:
+        log_lower = d.shape * math.fsum(math.log(t / a) for a in w)
+        log_lower -= len(w) * math.lgamma(d.shape + 1.0)
+        if log_lower < math.log(0.25 * sys.float_info.epsilon):
+            return 1.0
     hold = 1.0 / (math.sqrt(d.variance) * w.l2)
     hold = min(hold, 0.5 / w.a_max) if above else -hold
-    # psi_S' increases, so the saddle lies between 0 and the hold exactly
-    # when psi_S'(hold) is at or past t; the solve is skipped then
-    if (sum_log_mgf_prime(d, w, hold) >= t) == above:
-        theta = hold
-    else:
-        theta, _ = _solve_psi_prime(d, w, t)
-    integral, err = _bromwich(d, w, theta, t, 0.0)
+    try:
+        # psi_S' increases, so the saddle lies between 0 and the hold exactly
+        # when psi_S'(hold) is at or past t; the solve is skipped then
+        if (sum_log_mgf_prime(d, w, hold) >= t) == above:
+            theta = hold
+        else:
+            theta, _ = _solve_psi_prime(d, w, t)
+        integral, err = _bromwich(d, w, theta, t, 0.0)
+    except (OverflowError, ZeroDivisionError) as exc:
+        # far below the scale the saddle, near -n*shape/t, squares past float range
+        raise NumericFailureError(f"saddle point out of float range at threshold {t!r}") from exc
     # integral * M(theta) e^{-theta t} in log space; a part above e is out of
     # range whatever its error, so the exponent stops there (no overflow)
     log_part = sum_log_mgf(d, w, theta) - theta * t + math.log(abs(integral))
     part = math.copysign(math.exp(min(log_part, 1.0)), integral)
     err *= abs(part / integral)
     tail = part if theta > 0.0 else 1.0 + part
-    if not -err <= tail <= 1.0 + err:
+    if not -err <= tail <= top + err:
         raise NumericFailureError(
-            f"contour inversion left [0, 1]: tail {tail!r}, error {err:.3e}", achieved=tail
+            f"contour inversion left [0, {top}]: tail {tail!r}, error {err:.3e}", achieved=tail
         )
-    return tail
+    return min(max(tail, 0.0), top)
 
 
 def exact_tail(d: Distribution, w: "WeightVector | Sequence[float]", threshold: float) -> tuple[float, str]:

@@ -1,14 +1,15 @@
-"""Scalar special functions shared by the bounds and the exact oracles."""
+"""Scalar special functions of the bounds and the harness: the Laplace rate
+shape h and the standard normal tail with its lower bound.
+
+The incomplete gamma and beta functions (Erlang tails of the mixture oracle,
+Clopper-Pearson quantiles) come from scipy.special.
+"""
 
 from __future__ import annotations
 
 import math
 
-from .core import InvalidInputError, NumericFailureError
-
-_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
-_SERIES_MAX_TERMS = 10000
-_CF_MAX_ITER = 10000
+from .core import InvalidInputError
 
 
 def h_closed(u: float) -> float:
@@ -24,44 +25,6 @@ def h_closed(u: float) -> float:
     return d - math.log1p(0.5 * d)
 
 
-def _h_objective(theta: float, u: float) -> float:
-    return theta * u + math.log1p(-theta * theta)
-
-
-def h_sup(u: float, tol: float = 1e-14, max_iter: int = 200) -> tuple[float, float]:
-    """Maximize theta*u + log(1-theta^2) over theta in (0,1).
-
-    Returns (value, argmax).  Golden-section search on the open unit
-    interval; the bracket collapses below ``tol`` well inside ``max_iter``.
-    """
-    u = float(u)
-    if not math.isfinite(u) or u < 0.0:
-        raise InvalidInputError(f"h_sup is defined for u >= 0, got {u!r}")
-    lo, hi = 0.0, 1.0
-    c = hi - _GOLDEN * (hi - lo)
-    d = lo + _GOLDEN * (hi - lo)
-    gc = _h_objective(c, u)
-    gd = _h_objective(d, u)
-    for _ in range(max_iter):
-        if hi - lo <= tol:
-            break
-        if gc >= gd:
-            hi, d, gd = d, c, gc
-            c = hi - _GOLDEN * (hi - lo)
-            gc = _h_objective(c, u)
-        else:
-            lo, c, gc = c, d, gd
-            d = lo + _GOLDEN * (hi - lo)
-            gd = _h_objective(d, u)
-    else:
-        raise NumericFailureError(
-            f"h_sup bracket still {hi - lo:.3e} wide after {max_iter} iterations",
-            achieved=0.5 * (lo + hi),
-        )
-    theta = c if gc >= gd else d
-    return _h_objective(theta, u), theta
-
-
 def gaussian_tail(u: float) -> float:
     """Exact standard normal tail P(G > u) via erfc."""
     return 0.5 * math.erfc(float(u) / math.sqrt(2.0))
@@ -73,80 +36,3 @@ def gaussian_tail_lower(u: float) -> float:
     if not math.isfinite(u) or u <= 0.0:
         raise InvalidInputError(f"gaussian_tail_lower needs u > 0, got {u!r}")
     return u / (u * u + 1.0) * math.exp(-0.5 * u * u) / math.sqrt(2.0 * math.pi)
-
-
-def _check_gamma_args(shape: float, x: float) -> tuple[float, float]:
-    shape = float(shape)
-    x = float(x)
-    if not math.isfinite(shape) or shape <= 0.0:
-        raise InvalidInputError(f"gamma shape must be positive and finite, got {shape!r}")
-    if not math.isfinite(x) or x < 0.0:
-        raise InvalidInputError(f"gamma tail argument must be >= 0, got {x!r}")
-    return shape, x
-
-
-def _lower_series(shape: float, x: float) -> float:
-    """Regularized lower incomplete gamma P(shape, x) by power series (x < shape+1)."""
-    term = 1.0 / shape
-    total = term
-    k = shape
-    for _ in range(_SERIES_MAX_TERMS):
-        k += 1.0
-        term *= x / k
-        total += term
-        if abs(term) < abs(total) * 1e-17:
-            break
-    else:
-        raise NumericFailureError(f"incomplete gamma series stalled at shape={shape}, x={x}")
-    return total * math.exp(shape * math.log(x) - x - math.lgamma(shape))
-
-
-def _log_upper_cf(shape: float, x: float) -> float:
-    """log Q(shape, x) by modified Lentz continued fraction (x >= shape+1)."""
-    tiny = 1e-300
-    b = x + 1.0 - shape
-    c = 1.0 / tiny
-    d = 1.0 / b if b != 0.0 else 1.0 / tiny
-    f = d
-    for i in range(1, _CF_MAX_ITER):
-        an = -i * (i - shape)
-        b += 2.0
-        d = an * d + b
-        if abs(d) < tiny:
-            d = tiny
-        c = b + an / c
-        if abs(c) < tiny:
-            c = tiny
-        d = 1.0 / d
-        delta = d * c
-        f *= delta
-        if abs(delta - 1.0) < 3e-16:
-            break
-    else:
-        raise NumericFailureError(f"incomplete gamma continued fraction stalled at shape={shape}, x={x}")
-    return shape * math.log(x) - x - math.lgamma(shape) + math.log(f)
-
-
-def gamma_upper_tail(shape: float, x: float) -> float:
-    """Regularized upper incomplete gamma Q(shape, x).
-
-    Power series below the x = shape+1 split, Lentz continued fraction above.
-    Underflows to 0.0 for very large x; use log_gamma_upper_tail there.
-    """
-    shape, x = _check_gamma_args(shape, x)
-    if x == 0.0:
-        return 1.0
-    if x < shape + 1.0:
-        return min(1.0, max(0.0, 1.0 - _lower_series(shape, x)))
-    log_q = _log_upper_cf(shape, x)
-    return math.exp(log_q) if log_q > -745.0 else 0.0
-
-
-def log_gamma_upper_tail(shape: float, x: float) -> float:
-    """log Q(shape, x), finite for arbitrarily large x (no underflow)."""
-    shape, x = _check_gamma_args(shape, x)
-    if x == 0.0:
-        return 0.0
-    if x < shape + 1.0:
-        return math.log1p(-_lower_series(shape, x))
-    return _log_upper_cf(shape, x)

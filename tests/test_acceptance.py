@@ -11,6 +11,7 @@ import time
 
 import numpy as np
 from scipy.stats import ks_2samp
+from verifiers import h_sup
 
 from exptails.bounds import janson_lower, janson_upper, moment_bounds, pz_bound, s_inequality_upper
 from exptails.core import Distribution, WeightVector, weight_stats
@@ -25,7 +26,7 @@ from exptails.oracle import (
     laplace_tail,
     p_ge_mean,
 )
-from exptails.special import h_closed, h_sup
+from exptails.special import h_closed
 
 EXP = Distribution.exponential()
 LAP = Distribution.laplace()

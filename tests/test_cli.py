@@ -4,6 +4,8 @@ import json
 import math
 import shutil
 import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from scipy.special import gammaincc
@@ -104,6 +106,16 @@ class TestBoundsCommand:
         cells = lines[4].split(",")
         assert math.isclose(float(cells[3]), LAPLACE_UPPER_T2, rel_tol=1e-9)
 
+    def test_csv_config_header_bytes(self, capsys):
+        argv = ["bounds", "--dist", "laplace", "--weights", "2,1", "--t", "1.5,2",
+                "--format", "csv"]
+        assert run(argv) == 0
+        assert capsys.readouterr().out.splitlines()[1] == (
+            '# config={"subcommand":"bounds","dist":"laplace","shape":null,"weights":[2,1],'
+            '"t":[1.5,2],"threshold":null,"p":null,"mode":null,"samples":null,"method":null,'
+            '"instances":null,"seed":0,"format":"csv","out":null}'
+        )
+
 
 class TestExactCommand:
     def test_absolute_threshold(self, capsys):
@@ -136,6 +148,15 @@ class TestExactCommand:
              "--t", "1"],
         )
         assert abs(payload["rows"][0]["tail"] - gammaincc(5000.0, 5000.0)) <= 1e-9
+
+    def test_gamma_threshold_far_below_the_scale(self, capsys):
+        # P(S <= t) <= (t/a)^2 here, so the tail is 1 to double precision
+        payload = run_json(
+            capsys,
+            ["exact", "--dist", "gamma", "--shape", "1", "--weights", "1,1",
+             "--threshold", "1e-160"],
+        )
+        assert payload["rows"][0]["tail"] == 1.0
 
 
 class TestSimulateCommand:
@@ -267,6 +288,17 @@ class TestVerifyCommand:
         argv = ["verify", "--dist", "laplace", "--instances", "1", "--t", "0.5"]
         assert run(argv) == 1
         capsys.readouterr()
+
+
+def test_cli_import_leaves_scipy_stats_out():
+    src = str(Path(cli.__file__).parents[1])
+    code = (
+        f"import sys; sys.path.insert(0, {src!r}); import exptails.cli; "
+        "print('scipy.stats' in sys.modules)"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 def test_console_script_entry_point(tmp_path):

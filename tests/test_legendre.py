@@ -4,8 +4,9 @@ import math
 
 import numpy as np
 import pytest
+from verifiers import h_sup
 
-from exptails.core import Distribution, InvalidInputError
+from exptails.core import Distribution, InvalidInputError, UnsupportedLawError
 from exptails.legendre import (
     chernoff_tilt,
     log_mgf,
@@ -113,11 +114,12 @@ class TestRateFunction:
         assert math.isclose(res.value, 0.613705638880109381166, rel_tol=1e-14)
 
     def test_laplace_equals_h(self):
-        """The numeric Laplace rate is h(t): same supremum, two routes."""
+        """The Laplace rate t theta* - psi(theta*) is h(t); rate_function has no Laplace form."""
         for t in (0.5, 1.0, 3.0, 10.0):
-            res = rate_function(LAP, t)
-            assert math.isclose(res.value, h_closed(t), rel_tol=1e-10)
-            assert res.converged
+            _, theta = h_sup(t)
+            assert math.isclose(t * theta - log_mgf(LAP, theta), h_closed(t), rel_tol=1e-10)
+            with pytest.raises(UnsupportedLawError):
+                rate_function(LAP, t)
 
     def test_domain(self):
         with pytest.raises(InvalidInputError):

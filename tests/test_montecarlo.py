@@ -4,11 +4,12 @@ import math
 
 import numpy as np
 import pytest
-from scipy.stats import ks_2samp
+from scipy.stats import beta, ks_2samp
 
 from exptails.core import Distribution, InvalidInputError
 from exptails.legendre import sum_log_mgf
 from exptails.montecarlo import (
+    _binomial_interval,
     _check_seed,
     _chunks,
     _substream,
@@ -106,6 +107,13 @@ class TestMcTail:
         truth = hypoexp_tail([2.0, 1.0], 20.0)
         assert est.ci_low <= truth <= est.ci_high
         assert est.ci_low > 0.0
+
+    def test_clopper_pearson_matches_scipy_stats(self):
+        for n in (100, 65536, 131072, 10**6):
+            for hits in range(30):
+                _, lo, hi = _binomial_interval(hits, n)
+                assert lo == (0.0 if hits == 0 else beta.ppf(0.025, hits, n - hits + 1))
+                assert hi == beta.ppf(0.975, hits + 1, n - hits)
 
     def test_input_validation(self):
         with pytest.raises(InvalidInputError):

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from scipy.special import gammaincc
 
-from exptails.core import Distribution, InvalidInputError
+from exptails.core import Distribution, InvalidInputError, NumericFailureError
 from exptails.oracle import (
     MixtureSide,
     MixtureUnavailableError,
@@ -207,6 +207,11 @@ class TestCfInversion:
         down = cf_tail_inversion(LAP, w, -1.0)
         assert math.isclose(up + down, 1.0, rel_tol=1e-12)
 
+    def test_laplace_tail_near_zero_is_at_most_half(self):
+        # successive trapezoid sums agree bit for bit here; with no rounding
+        # floor on the error estimate the tail came out 0.5 + 1 ulp
+        assert cf_tail_inversion(LAP, [1.0, 1.5], 5e-324) == 0.5
+
     def test_nonnegative_sums_below_zero(self):
         for d in (EXP, GAMMA2, GAMMA05):
             assert cf_tail_inversion(d, [2.0, 1.0], 0.0) == 1.0
@@ -319,6 +324,20 @@ class TestEqualWeightGamma:
         ref = gammaincc(n * shape, t / a)
         got, _ = exact_tail(Distribution.gamma(shape), [a] * n, t)
         assert abs(got - ref) <= 1e-9 * ref + 1e-300, (got, ref)
+
+
+    @pytest.mark.parametrize("shape", [1e-3, 0.5, 1.0, 3.0])
+    @pytest.mark.parametrize("n", [1, 2, 6])
+    @pytest.mark.parametrize("ratio", [1e-160, 1e-200, 1e-300, 5e-324])
+    def test_thresholds_far_below_the_scale(self, shape, n, ratio):
+        # the saddle lies near -n*shape/t, where psi'' once overflowed
+        a = 2.0
+        ref = gammaincc(n * shape, ratio)
+        try:
+            got = cf_tail_inversion(Distribution.gamma(shape), [a] * n, ratio * a)
+        except NumericFailureError:
+            return
+        assert abs(got - ref) <= 1e-9 * ref, (got, ref)
 
 
 class TestPGeMean:

@@ -6,7 +6,7 @@ deterministic.
 
 import math
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.special import gammaincc
 
@@ -48,6 +48,7 @@ def test_equal_weight_gamma_matches_closed_form(shape, n, scale, factor):
 
 @PROPERTY
 @given(weights=separated_weights(max_n=8), z=st.floats(min_value=0.0, max_value=30.0))
+@example(weights=[1.0, 1.5], z=5e-324)
 def test_laplace_symmetry(weights, z):
     d = Distribution.laplace()
     t = z * math.sqrt(d.variance) * math.sqrt(sum(a * a for a in weights))

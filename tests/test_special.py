@@ -1,4 +1,4 @@
-"""Special functions: the h rate shape, Gaussian tails, incomplete gamma.
+"""Special functions: the h rate shape and Gaussian tails.
 
 Frozen reference values come from tests/oracles/closed_forms.py (mpmath at
 50 significant digits).
@@ -8,17 +8,10 @@ import math
 
 import numpy as np
 import pytest
-from scipy.special import gammaincc
+from verifiers import h_sup
 
 from exptails.core import InvalidInputError
-from exptails.special import (
-    gamma_upper_tail,
-    gaussian_tail,
-    gaussian_tail_lower,
-    h_closed,
-    h_sup,
-    log_gamma_upper_tail,
-)
+from exptails.special import gaussian_tail, gaussian_tail_lower, h_closed
 
 # closed_forms.py: h_at_* block
 H_FROZEN = {
@@ -92,48 +85,3 @@ class TestGaussianTail:
 
     def test_tail_at_zero(self):
         assert gaussian_tail(0.0) == 0.5
-
-
-class TestGammaUpperTail:
-    def test_frozen_values(self):
-        # closed_forms.py: q_2_1, q_05_2, q_30_25
-        assert math.isclose(gamma_upper_tail(2.0, 1.0), 0.735758882342884643191, rel_tol=1e-13)
-        assert math.isclose(gamma_upper_tail(0.5, 2.0), 0.0455002638963584144006, rel_tol=1e-13)
-        assert math.isclose(gamma_upper_tail(30.0, 25.0), 0.817896084022544890198, rel_tol=1e-13)
-
-    def test_log_variant_frozen(self):
-        # closed_forms.py: log_q_3_200
-        assert math.isclose(
-            log_gamma_upper_tail(3.0, 200.0), -190.086512612885538444, rel_tol=1e-13
-        )
-
-    def test_agrees_with_scipy(self):
-        """Independent route: same values as scipy.special.gammaincc."""
-        rng = np.random.default_rng(7)
-        for _ in range(300):
-            shape = float(10.0 ** rng.uniform(-1.5, 1.8))
-            x = float(10.0 ** rng.uniform(-2.0, 2.2))
-            ours = gamma_upper_tail(shape, x)
-            ref = float(gammaincc(shape, x))
-            assert math.isclose(ours, ref, rel_tol=5e-13, abs_tol=1e-300)
-
-    def test_log_variant_below_float_underflow(self):
-        # scipy's gammaincc(3, 800) underflows to 0; the log route stays finite
-        assert gammaincc(3.0, 800.0) == 0.0
-        log_q = log_gamma_upper_tail(3.0, 800.0)
-        assert math.isfinite(log_q)
-        # leading behavior -x + (shape-1) log x - lgamma(shape)
-        approx = -800.0 + 2.0 * math.log(800.0) - math.lgamma(3.0)
-        assert abs(log_q - approx) < 1.0
-
-    def test_boundaries(self):
-        assert gamma_upper_tail(1.5, 0.0) == 1.0
-        assert gamma_upper_tail(3.0, 800.0) == 0.0
-        with pytest.raises(InvalidInputError):
-            gamma_upper_tail(0.0, 1.0)
-        with pytest.raises(InvalidInputError):
-            gamma_upper_tail(1.0, -1.0)
-
-    def test_exponential_special_case(self):
-        for x in (0.1, 1.0, 5.0, 50.0):
-            assert math.isclose(gamma_upper_tail(1.0, x), math.exp(-x), rel_tol=1e-14)
