@@ -36,14 +36,10 @@ from .core import (
     format_float,
     json_dumps,
     parse_weights,
+    threshold_unit,
     weight_stats,
 )
-from .harness import (
-    SandwichConfig,
-    property_suite,
-    rows_to_csv,
-    sandwich_report,
-)
+from .harness import SandwichConfig, property_suite, sandwich_report
 from .montecarlo import is_tail, mc_tail
 from .oracle import exact_tail, laplace_abs_moment, p_ge_mean
 
@@ -57,6 +53,7 @@ _COLUMNS = {
         "n", "method", "seed", "tilt_theta",
     ),
     "moments": ("p", "lower", "exact", "upper", "mode"),
+    "verify": ("instance", "dist", "n", "t", "lower", "exact", "upper", "pass", "source"),
 }
 
 
@@ -161,16 +158,11 @@ def _make_distribution(args: argparse.Namespace) -> Distribution:
     return Distribution.exponential()
 
 
-def _unit(d: Distribution, stats: WeightStats) -> float:
-    """Absolute size of one threshold unit: sigma for Laplace, E S otherwise."""
-    return stats.sigma if d.kind is LawKind.LAPLACE else stats.mean_s
-
-
 def _resolve_thresholds(
     config: RunConfig, d: Distribution, stats: WeightStats
 ) -> list[tuple[float, float]]:
     """[(relative, absolute)] threshold pairs."""
-    unit = _unit(d, stats)
+    unit = threshold_unit(d, stats)
     if config.t is not None:
         return [(t, t * unit) for t in config.t]
     return [(x / unit, x) for x in config.threshold]
@@ -277,6 +269,11 @@ def _meta(config: RunConfig) -> dict:
     return {"config": asdict(config), "generated_at": stamp}
 
 
+def _meta_lines(meta: dict) -> list[str]:
+    """The CSV comment-header form of the JSON meta block."""
+    return [f"generated_at={meta['generated_at']}", f"config={json_dumps(meta['config'])}"]
+
+
 def _emit(text: str, out: "str | None") -> None:
     if out is None:
         sys.stdout.write(text)
@@ -326,15 +323,11 @@ def _run_table_subcommand(args: argparse.Namespace, config: RunConfig) -> int:
             rows = _exact_rows(d, w, pairs)
         else:
             rows = _simulate_rows(d, w, pairs, args)
+    meta = _meta(config)
     if args.format == "json":
-        text = json_dumps({"meta": _meta(config), "rows": rows}, indent=2) + "\n"
+        text = json_dumps({"meta": meta, "rows": rows}, indent=2) + "\n"
     else:
-        meta = _meta(config)
-        header = [
-            f"generated_at={meta['generated_at']}",
-            f"config={json_dumps(meta['config'])}",
-        ]
-        text = _table_csv(_COLUMNS[args.subcommand], rows, header)
+        text = _table_csv(_COLUMNS[args.subcommand], rows, _meta_lines(meta))
     _emit(text, args.out)
     return 0
 
@@ -350,25 +343,21 @@ def _run_verify(args: argparse.Namespace, config: RunConfig) -> int:
     rows = sandwich_report(sandwich_config)
     suite = property_suite(args.seed)
     all_pass = all(r.passed for r in rows) and suite.passed
+    meta = _meta(config)
+    sandwich = [r.as_dict() for r in rows]
     if args.format == "json":
         payload = {
-            "meta": _meta(config),
-            "sandwich": [r.as_dict() for r in rows],
+            "meta": meta,
+            "sandwich": sandwich,
             "properties": [r.as_dict() for r in suite.results],
             "pass": all_pass,
         }
         text = json_dumps(payload, indent=2) + "\n"
     else:
-        meta = _meta(config)
-        buf = io.StringIO()
-        buf.write(f"# generated_at={meta['generated_at']}\n")
-        buf.write(f"# config={json_dumps(meta['config'])}\n")
-        for r in suite.results:
-            status = "true" if r.passed else "false"
-            buf.write(f"# property {r.name} pass={status}\n")
-        buf.write(f"# suite_pass={'true' if all_pass else 'false'}\n")
-        buf.write(rows_to_csv(rows))
-        text = buf.getvalue()
+        header = _meta_lines(meta)
+        header += [f"property {r.name} pass={_csv_cell(r.passed)}" for r in suite.results]
+        header.append(f"suite_pass={_csv_cell(all_pass)}")
+        text = _table_csv(_COLUMNS["verify"], sandwich, header)
     _emit(text, args.out)
     failing = sum(1 for r in rows if not r.passed)
     prop_fail = sum(1 for r in suite.results if not r.passed)

@@ -206,6 +206,11 @@ def weight_stats(w: "WeightVector | Sequence[float]", d: Distribution) -> Weight
     )
 
 
+def threshold_unit(d: Distribution, stats: WeightStats) -> float:
+    """Absolute size of one relative threshold unit: sigma for Laplace, E S otherwise."""
+    return stats.sigma if d.kind is LawKind.LAPLACE else stats.mean_s
+
+
 def format_float(x: float) -> str:
     """Serialize a float with 17 significant digits (lossless round-trip)."""
     x = float(x)

@@ -1,16 +1,13 @@
 """Verification campaigns: sandwich certification and invariant spot checks.
 
-``sandwich_report`` certifies lower <= exact <= upper on random instances,
-using the exact oracles and falling back to importance sampling only when
-both oracle routes fail (such rows keep a CI-width tolerance and are never
-dropped).  ``property_suite`` re-runs the library's mathematical invariants
+``sandwich_report`` certifies lower <= exact <= upper on random instances
+with the exact oracle; a NumericFailureError from it propagates (the CLI
+exits 3).  ``property_suite`` re-runs the library's mathematical invariants
 on random instances and reports witnesses for any failure.
 """
 
 from __future__ import annotations
 
-import csv
-import io
 import math
 from dataclasses import dataclass, field
 
@@ -29,20 +26,18 @@ from .core import (
     Distribution,
     InvalidInputError,
     LawKind,
-    NumericFailureError,
     WeightVector,
     format_float,
-    json_dumps,
+    threshold_unit,
     weight_stats,
 )
-from .montecarlo import is_tail
 from .oracle import exact_tail, hypoexp_tail, laplace_tail, p_ge_mean
 from .special import gaussian_tail, gaussian_tail_lower, h_closed
 
 _ORACLE_TOL = 1e-12
-_FALLBACK_SAMPLES = 200_000
-
-CSV_COLUMNS = ("instance", "dist", "n", "t", "lower", "exact", "upper", "pass", "source")
+# random instances: n uniform on 1..8, weights log-uniform on [0.1, 10]
+_N_RANGE = (1, 8)
+_WEIGHT_RANGE = (0.1, 10.0)
 
 
 @dataclass(frozen=True)
@@ -53,8 +48,6 @@ class SandwichConfig:
     instances: int = 50
     t_grid: tuple[float, ...] = (1.1, 1.5, 2.0, 3.0, 5.0, 10.0)
     seed: int = 0
-    n_range: tuple[int, int] = (1, 8)
-    weight_range: tuple[float, float] = (0.1, 10.0)
 
     def __post_init__(self) -> None:
         if self.instances < 0:
@@ -62,12 +55,6 @@ class SandwichConfig:
         for t in self.t_grid:
             if not (math.isfinite(t) and t > 1.0):
                 raise InvalidInputError(f"t grid must lie in (1, inf), got {t!r}")
-        lo, hi = self.n_range
-        if not (1 <= lo <= hi):
-            raise InvalidInputError(f"bad n range {self.n_range!r}")
-        wlo, whi = self.weight_range
-        if not (0.0 < wlo <= whi and math.isfinite(whi)):
-            raise InvalidInputError(f"bad weight range {self.weight_range!r}")
 
 
 @dataclass(frozen=True)
@@ -128,69 +115,42 @@ class PropertySuiteReport:
         return all(r.passed for r in self.results)
 
 
-def random_instances(
-    seed: int,
-    count: int,
-    n_range: tuple[int, int] = (1, 8),
-    weight_range: tuple[float, float] = (0.1, 10.0),
-) -> list[WeightVector]:
+def random_instances(seed: int, count: int) -> list[WeightVector]:
     """Seeded random weight vectors: n uniform, weights log-uniform."""
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(entropy=seed)))
-    log_lo, log_hi = math.log(weight_range[0]), math.log(weight_range[1])
+    log_lo, log_hi = math.log(_WEIGHT_RANGE[0]), math.log(_WEIGHT_RANGE[1])
     out = []
     for _ in range(count):
-        n = int(rng.integers(n_range[0], n_range[1] + 1))
+        n = int(rng.integers(_N_RANGE[0], _N_RANGE[1] + 1))
         values = np.exp(rng.uniform(log_lo, log_hi, n))
         out.append(WeightVector(tuple(float(v) for v in values)))
     return out
-
-
-def _fallback_seed(seed: int, instance: int, t_index: int) -> int:
-    ss = np.random.SeedSequence(entropy=seed, spawn_key=(instance, t_index))
-    return int(ss.generate_state(1, np.uint64)[0])
 
 
 def sandwich_report(config: SandwichConfig) -> list[SandwichRow]:
     """One row per (instance, t): lower bound, exact tail, upper bound.
 
     Thresholds are t * sigma for Laplace sums and t * E S otherwise.  A row
-    passes when lower <= exact + tol and exact <= upper + tol; tol is 1e-12
-    for oracle rows and the CI width for importance-sampling fallback rows.
+    passes when lower <= exact + 1e-12 and exact <= upper + 1e-12.
     """
     d = config.distribution
     rows: list[SandwichRow] = []
     # universal floor on P(S >= E S), the only unknown in the generic lower bound
     floor = pz_bound(3.0 * (1.0 + 2.0 / d.shape)) if d.kind is LawKind.GAMMA else None
-    instances = random_instances(
-        config.seed, config.instances, config.n_range, config.weight_range
-    )
-    for idx, w in enumerate(instances):
+    for idx, w in enumerate(random_instances(config.seed, config.instances)):
         stats = weight_stats(w, d)
-        for t_index, t in enumerate(config.t_grid):
+        unit = threshold_unit(d, stats)
+        for t in config.t_grid:
             if d.kind is LawKind.LAPLACE:
-                threshold = t * stats.sigma
                 lower = laplace_lower(t, stats).value
                 upper = laplace_upper(t, stats).value
             elif d.kind is LawKind.EXPONENTIAL:
-                threshold = t * stats.mean_s
                 lower = janson_lower(t, stats).value
                 upper = janson_upper(t, stats).value
             else:
-                threshold = t * stats.mean_s
                 lower = generic_lower(d, w, t, floor).value
                 upper = generic_upper(d, w, t).value
-            tol = _ORACLE_TOL
-            try:
-                exact, source = exact_tail(d, w, threshold)
-            except NumericFailureError:
-                est = is_tail(
-                    d, w, threshold, _FALLBACK_SAMPLES,
-                    _fallback_seed(config.seed, idx, t_index),
-                )
-                exact = est.p_hat
-                source = "importance_sampling"
-                tol = est.ci_high - est.ci_low
-            passed = (lower <= exact + tol) and (exact <= upper + tol)
+            exact, source = exact_tail(d, w, t * unit)
             rows.append(
                 SandwichRow(
                     instance=idx,
@@ -203,36 +163,11 @@ def sandwich_report(config: SandwichConfig) -> list[SandwichRow]:
                     upper=upper,
                     slack_low=exact - lower,
                     slack_high=upper - exact,
-                    passed=passed,
+                    passed=(lower <= exact + _ORACLE_TOL) and (exact <= upper + _ORACLE_TOL),
                     source=source,
                 )
             )
     return rows
-
-
-def rows_to_json(rows: list[SandwichRow], indent: int = 0) -> str:
-    return json_dumps([r.as_dict() for r in rows], indent=indent)
-
-
-def rows_to_csv(rows: list[SandwichRow]) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(CSV_COLUMNS)
-    for r in rows:
-        writer.writerow(
-            [
-                r.instance,
-                r.dist,
-                r.n,
-                format_float(r.t),
-                format_float(r.lower),
-                format_float(r.exact),
-                format_float(r.upper),
-                "true" if r.passed else "false",
-                r.source,
-            ]
-        )
-    return buf.getvalue()
 
 
 # ---------------------------------------------------------------------------

@@ -31,8 +31,6 @@ class LegendreResult:
 
     value: float
     theta_star: float
-    converged: bool
-    iterations: int
 
 
 def log_mgf(d: Distribution, theta: float) -> float:
@@ -147,4 +145,4 @@ def rate_function(d: Distribution, t: float) -> LegendreResult:
     g = d.shape
     if not t > g:
         raise InvalidInputError(f"rate_function needs t > {g} (the summand mean), got {t}")
-    return LegendreResult(t - g - g * math.log(t / g), 1.0 - g / t, True, 0)
+    return LegendreResult(t - g - g * math.log(t / g), 1.0 - g / t)

@@ -29,8 +29,6 @@ _TILT_CLAMP = 0.999
 _CP_HIT_CUTOFF = 30
 _Z95 = float(ndtri(0.975))
 
-_REPRESENTATIONS = ("direct", "gaussian_mixture")
-
 
 @dataclass(frozen=True)
 class MCEstimate:
@@ -90,58 +88,11 @@ def _direct_chunk(d: Distribution, weights: np.ndarray, m: int, rng: np.random.G
     return x @ weights
 
 
-def _mixture_chunk(weights: np.ndarray, m: int, rng: np.random.Generator) -> np.ndarray:
-    # S has the law of sqrt(2 sum a_i^2 Y_i) * G, Y_i exponential, G Gaussian
-    y = rng.standard_exponential((m, weights.shape[0]))
-    g = rng.standard_normal(m)
-    return np.sqrt(2.0 * (y @ np.square(weights))) * g
-
-
 def _run_chunks(worker, chunk_list, workers: "int | None"):
     if workers is not None and workers > 1 and len(chunk_list) > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(worker, chunk_list))
     return [worker(c) for c in chunk_list]
-
-
-def sample_sum(
-    d: Distribution,
-    w: "WeightVector | list[float]",
-    n: int,
-    seed: int,
-    representation: str = "direct",
-    workers: "int | None" = None,
-) -> np.ndarray:
-    """n independent draws of S = sum_i a_i X_i, deterministic given seed.
-
-    ``gaussian_mixture`` draws S as sqrt(2 sum a_i^2 Y_i) * G and is valid
-    for Laplace sums only.
-    """
-    w = as_weights(w)
-    seed = _check_seed(seed)
-    if n < 1:
-        raise InvalidInputError(f"sample count must be >= 1, got {n}")
-    if representation not in _REPRESENTATIONS:
-        raise InvalidInputError(
-            f"unknown representation {representation!r}; expected one of {_REPRESENTATIONS}"
-        )
-    if representation == "gaussian_mixture" and d.kind is not LawKind.LAPLACE:
-        raise InvalidInputError(
-            f"gaussian_mixture representation applies to Laplace sums, not {d.label()}"
-        )
-    weights = np.asarray(w.values, dtype=float)
-    out = np.empty(n, dtype=float)
-
-    def worker(chunk: tuple[int, int, int]) -> None:
-        index, start, count = chunk
-        rng = _substream(seed, index)
-        if representation == "direct":
-            out[start : start + count] = _direct_chunk(d, weights, count, rng)
-        else:
-            out[start : start + count] = _mixture_chunk(weights, count, rng)
-
-    _run_chunks(worker, _chunks(n), workers)
-    return out
 
 
 def _binomial_interval(hits: int, n: int) -> tuple[float, float, float]:
@@ -195,15 +146,6 @@ def mc_tail(
     )
 
 
-def _check_tilt_domain(d: Distribution, w: WeightVector, theta: float) -> None:
-    for i, a in enumerate(w):
-        bad = abs(theta) * a >= 1.0 if d.kind is LawKind.LAPLACE else theta * a >= 1.0
-        if bad:
-            raise InvalidInputError(
-                f"tilt {theta!r} is outside the MGF domain for weight a[{i}] = {a!r}"
-            )
-
-
 def _tilted_chunk(
     d: Distribution, weights: np.ndarray, theta: float, m: int, rng: np.random.Generator
 ) -> np.ndarray:
@@ -235,13 +177,12 @@ def is_tail(
     threshold: float,
     n: int,
     seed: int,
-    tilt_theta: "float | None" = None,
     workers: "int | None" = None,
 ) -> MCEstimate:
     """Importance-sampling estimate of P(S > threshold) by exponential tilting.
 
-    The tilt solves the Chernoff stationarity condition at the threshold
-    (clamped to 0.999/max(a)) unless ``tilt_theta`` forces a value.  The
+    The tilt solves the Chernoff stationarity condition at the threshold,
+    clamped to 0.999/max(a), and is reported as ``tilt_theta``.  The
     estimator averages indicator * likelihood ratio and is unbiased.
     """
     w = as_weights(w)
@@ -256,11 +197,7 @@ def is_tail(
         raise InvalidInputError(
             f"threshold {threshold!r} is not above the mean {mean_s!r}; use mc_tail"
         )
-    if tilt_theta is None:
-        theta = min(chernoff_tilt(d, w, threshold), _TILT_CLAMP / w.a_max)
-    else:
-        theta = float(tilt_theta)
-        _check_tilt_domain(d, w, theta)
+    theta = min(chernoff_tilt(d, w, threshold), _TILT_CLAMP / w.a_max)
     log_norm = sum_log_mgf(d, w, theta)
     weights = np.asarray(w.values, dtype=float)
 

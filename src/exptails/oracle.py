@@ -88,23 +88,36 @@ class ExpMixture:
         return math.fsum(abs(t.coef) for t in self.terms)
 
     def tail(self, t: float) -> float:
-        """P(S > t); symmetric mixtures accept negative t."""
+        """P(S > t); symmetric mixtures accept negative t and give 1/2 at 0.
+
+        The range at t > 0 is [0, 1/2] for a symmetric mixture and [0, 1]
+        otherwise.  A value within the error bound |sum coef - 1| +
+        4 eps sum |coef| of a range end is that end; one further out raises
+        MixtureUnavailableError.
+        """
         t = float(t)
+        top = 1.0
         if self.side is MixtureSide.TWO_SIDED:
             if t < 0.0:
                 return 1.0 - self.tail(-t)
-            half = 0.5 * math.fsum(
-                term.coef * gammaincc(term.power + 1, t / term.scale)
-                for term in self.terms
-            )
-            return min(1.0, max(0.0, half))
-        if t <= 0.0:
+            if t == 0.0:
+                return 0.5
+            top = 0.5
+        elif t <= 0.0:
             return 1.0
-        total = math.fsum(
-            term.coef * gammaincc(term.power + 1, t / term.scale)
-            for term in self.terms
+        # a symmetric mixture's upper tail is half its Erlang sum: the scale is the range end
+        value = top * math.fsum(
+            term.coef * gammaincc(term.power + 1, t / term.scale) for term in self.terms
         )
-        return min(1.0, max(0.0, total))
+        if not 0.0 <= value <= top:
+            err = abs(self.coef_sum - 1.0) + _ROUNDING * self.coef_abs_sum
+            if not -err <= value <= top + err:
+                raise MixtureUnavailableError(
+                    f"mixture tail {value!r} leaves [0, {top}] by more than {err:.3e}",
+                    achieved=value,
+                )
+            value = min(max(value, 0.0), top)
+        return value
 
     def dumps(self) -> list[dict]:
         """JSON-friendly dump: list of {coef, scale, power}."""
@@ -231,43 +244,21 @@ def laplace_tail(w: "WeightVector | Sequence[float]", t: float) -> float:
     return exact_tail(Distribution.laplace(), w, t)[0]
 
 
-def _abs_moment_contour(w: WeightVector, p: float) -> float:
-    """E|S|^p = 2 Gamma(p+1) (1/2 pi i) int M(z) z^(-p-1) dz, 0 < Re z < 1/a_max.
-
-    The contour crosses near sqrt(p+1)/sigma, the saddle of M(z) z^(-p-1)
-    for a Gaussian M.
-    """
-    d = Distribution.laplace()
-    theta = min(math.sqrt(p + 1.0) / (math.sqrt(d.variance) * w.l2), 0.5 / w.a_max)
-    integral, _ = _bromwich(d, w, theta, 0.0, p)
-    return 2.0 * math.exp(math.lgamma(p + 1.0) + sum_log_mgf(d, w, theta)) * integral
-
-
 def laplace_abs_moment(w: "WeightVector | Sequence[float]", p: float) -> float:
-    """E|S|^p for Laplace sums, p > 0.
+    """E|S|^p for Laplace sums, p > 0, by contour inversion.
 
-    Mixture terms integrate in closed form (gamma moments):
-    sum_j coef_j scale_j^p Gamma(power_j+1+p)/Gamma(power_j+1).  Falls back
-    to contour inversion of the moment integral if the mixture is unusable
-    or the signed sum collapses to a non-positive value.
+    E|S|^p = 2 Gamma(p+1) (1/2 pi i) int M(z) z^(-p-1) dz along
+    Re z = theta, 0 < theta < 1/a_max; the contour crosses near
+    sqrt(p+1)/sigma, the saddle of M(z) z^(-p-1) for a Gaussian M.
     """
     w = as_weights(w)
     p = float(p)
     if not math.isfinite(p) or p <= 0.0:
         raise InvalidInputError(f"moment order must be positive, got {p!r}")
-    try:
-        mix = laplace_mixture(w)
-    except MixtureUnavailableError:
-        return _abs_moment_contour(w, p)
-    value = math.fsum(
-        term.coef
-        * term.scale**p
-        * math.exp(math.lgamma(term.power + 1 + p) - math.lgamma(term.power + 1))
-        for term in mix.terms
-    )
-    if not math.isfinite(value) or value <= 0.0:
-        return _abs_moment_contour(w, p)
-    return value
+    d = Distribution.laplace()
+    theta = min(math.sqrt(p + 1.0) / (math.sqrt(d.variance) * w.l2), 0.5 / w.a_max)
+    integral, _ = _bromwich(d, w, theta, 0.0, p)
+    return 2.0 * math.exp(math.lgamma(p + 1.0) + sum_log_mgf(d, w, theta)) * integral
 
 
 # ---------------------------------------------------------------------------

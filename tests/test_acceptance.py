@@ -11,12 +11,12 @@ import time
 
 import numpy as np
 from scipy.stats import ks_2samp
-from verifiers import h_sup
+from verifiers import h_sup, sample_sum
 
 from exptails.bounds import janson_lower, janson_upper, moment_bounds, pz_bound, s_inequality_upper
 from exptails.core import Distribution, WeightVector, weight_stats
 from exptails.harness import SandwichConfig, random_instances, sandwich_report
-from exptails.montecarlo import is_tail, mc_tail, sample_sum
+from exptails.montecarlo import is_tail, mc_tail
 from exptails.oracle import (
     cf_tail_inversion,
     hypoexp_mixture,

@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 import shutil
 import subprocess
 import sys
@@ -11,6 +12,7 @@ import pytest
 from scipy.special import gammaincc
 
 import exptails.cli as cli
+import exptails.harness as harness
 from exptails.core import NumericFailureError
 from exptails.harness import PropertyResult, PropertySuiteReport
 from exptails.cli import run
@@ -20,6 +22,8 @@ LAPLACE_UPPER_T2 = 0.252953855321830831452
 HYPOEXP21_AT_6 = 0.0970953845590615275356
 MOMENT_EXACT_P3_W21 = 3.95789160968040547894
 MOMENT_LOWER_P2_N1_PAPER = 2.38943012775881533751
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def run_json(capsys, argv):
@@ -288,6 +292,28 @@ class TestVerifyCommand:
         argv = ["verify", "--dist", "laplace", "--instances", "1", "--t", "0.5"]
         assert run(argv) == 1
         capsys.readouterr()
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_output_bytes(self, capsys, fmt):
+        argv = ["verify", "--dist", "exponential", "--instances", "2", "--t", "2,3",
+                "--format", fmt]
+        assert run(argv) == 0
+        out = re.sub(r"\d{4}-\d\d-\d\dT\d\d:\d\d:\d\dZ", "<generated_at>",
+                     capsys.readouterr().out)
+        golden = (GOLDEN / f"verify_exponential_2x2.{fmt}").read_text(encoding="utf-8")
+        assert out == golden
+
+    def test_numeric_failure_exit_code(self, capsys, monkeypatch):
+        # no sampling fallback: an oracle failure ends the run like any subcommand
+        def broken(d, w, threshold):
+            raise NumericFailureError("inversion stalled")
+
+        monkeypatch.setattr(harness, "exact_tail", broken)
+        argv = ["verify", "--dist", "exponential", "--instances", "2", "--t", "3"]
+        assert run(argv) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "numeric failure: inversion stalled" in captured.err
 
 
 def test_cli_import_leaves_scipy_stats_out():

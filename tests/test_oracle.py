@@ -9,7 +9,9 @@ from scipy.special import gammaincc
 
 from exptails.core import Distribution, InvalidInputError, NumericFailureError
 from exptails.oracle import (
+    ExpMixture,
     MixtureSide,
+    MixtureTerm,
     MixtureUnavailableError,
     _cluster_scales,
     _recip_power_series,
@@ -266,6 +268,30 @@ class TestExactTail:
         assert source == "cf_inversion"
         assert abs(value - HYPOEXP_ILL_AT_5) <= 1e-8
 
+    def test_laplace_tail_just_above_zero_is_at_most_half(self):
+        # the mixture's coefficient sum drifts above 1, once giving 0.5000000000000009
+        w = (6.862283619576183, 4.567786612409471, 8.621840609032201, 0.5201142460805447)
+        value, _ = exact_tail(LAP, w, 1e-300)
+        assert 0.5 - 1e-12 <= value <= 0.5
+        assert exact_tail(LAP, w, 0.0)[0] == 0.5
+
+
+class TestMixtureRange:
+    def test_within_error_bound_is_the_range_end(self):
+        mix = ExpMixture((MixtureTerm(1.0 + 1e-12, 1.0, 0),), MixtureSide.ONE_SIDED)
+        assert mix.tail(1e-300) == 1.0
+        mix = ExpMixture((MixtureTerm(1.0 + 1e-12, 1.0, 0),), MixtureSide.TWO_SIDED)
+        assert mix.tail(1e-300) == 0.5
+        assert mix.tail(-1e-300) == 0.5
+
+    def test_beyond_error_bound_raises(self):
+        # 2 e^{-t} - e^{-t/10} is -0.59 at t = 5 although the coefficients sum to 1
+        mix = ExpMixture(
+            (MixtureTerm(2.0, 1.0, 0), MixtureTerm(-1.0, 10.0, 0)), MixtureSide.ONE_SIDED
+        )
+        with pytest.raises(MixtureUnavailableError):
+            mix.tail(5.0)
+
 
 class TestLaplaceAbsMoment:
     def test_frozen_moments(self):
@@ -292,7 +318,7 @@ class TestLaplaceAbsMoment:
         assert math.isclose(laplace_abs_moment(ILL_CONDITIONED, 4.0), want, rel_tol=1e-9)
 
     def test_quadrature_fallback(self):
-        # tripped mixture -> contour inversion of the moment integral; E S^2 = 2 sum a_i^2
+        # weights that defeat the tail mixture; E S^2 = 2 sum a_i^2
         want = 2.0 * sum(a * a for a in ILL_CONDITIONED)
         got = laplace_abs_moment(ILL_CONDITIONED, 2.0)
         assert math.isclose(got, want, rel_tol=1e-4)

@@ -1,15 +1,26 @@
-"""Numeric verifiers the tests check the package's closed forms against.
+"""Numeric verifiers the tests check the package against.
 
-Each one computes by brute-force search what the package computes in closed
-form: the supremum behind the Laplace rate shape h, and the infimum that
-the tail-shift ratio r(v) bounds from below.
+``h_sup`` and ``r_infimum_numeric`` compute by brute-force search what the
+package computes in closed form: the supremum behind the Laplace rate shape
+h, and the infimum that the tail-shift ratio r(v) bounds from below.
+``sample_sum`` draws the sums themselves, so that the samplers behind the
+Monte Carlo estimators can be checked in law.
 """
 
 import math
 
+import numpy as np
 from scipy.special import gammaincc
 
-from exptails.core import Distribution, LawKind, NumericFailureError
+from exptails.core import (
+    Distribution,
+    InvalidInputError,
+    LawKind,
+    NumericFailureError,
+    WeightVector,
+    as_weights,
+)
+from exptails.montecarlo import _check_seed, _chunks, _direct_chunk, _run_chunks, _substream
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -86,3 +97,54 @@ def r_infimum_numeric(d: Distribution, v: float) -> float:
             e = lo + _GOLDEN * (hi - lo)
             fe = log_ratio(e)
     return math.exp(min(values[best], fc, fe))
+
+
+_REPRESENTATIONS = ("direct", "gaussian_mixture")
+
+
+def _mixture_chunk(weights: np.ndarray, m: int, rng: np.random.Generator) -> np.ndarray:
+    # S has the law of sqrt(2 sum a_i^2 Y_i) * G, Y_i exponential, G Gaussian
+    y = rng.standard_exponential((m, weights.shape[0]))
+    g = rng.standard_normal(m)
+    return np.sqrt(2.0 * (y @ np.square(weights))) * g
+
+
+def sample_sum(
+    d: Distribution,
+    w: "WeightVector | list[float]",
+    n: int,
+    seed: int,
+    representation: str = "direct",
+    workers: "int | None" = None,
+) -> np.ndarray:
+    """n independent draws of S = sum_i a_i X_i, deterministic given seed.
+
+    ``direct`` uses the chunked substreams of the plain estimator.
+    ``gaussian_mixture`` draws S as sqrt(2 sum a_i^2 Y_i) * G and is valid
+    for Laplace sums only.
+    """
+    w = as_weights(w)
+    seed = _check_seed(seed)
+    if n < 1:
+        raise InvalidInputError(f"sample count must be >= 1, got {n}")
+    if representation not in _REPRESENTATIONS:
+        raise InvalidInputError(
+            f"unknown representation {representation!r}; expected one of {_REPRESENTATIONS}"
+        )
+    if representation == "gaussian_mixture" and d.kind is not LawKind.LAPLACE:
+        raise InvalidInputError(
+            f"gaussian_mixture representation applies to Laplace sums, not {d.label()}"
+        )
+    weights = np.asarray(w.values, dtype=float)
+    out = np.empty(n, dtype=float)
+
+    def worker(chunk: tuple[int, int, int]) -> None:
+        index, start, count = chunk
+        rng = _substream(seed, index)
+        if representation == "direct":
+            out[start : start + count] = _direct_chunk(d, weights, count, rng)
+        else:
+            out[start : start + count] = _mixture_chunk(weights, count, rng)
+
+    _run_chunks(worker, _chunks(n), workers)
+    return out
