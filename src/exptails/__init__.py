@@ -1,130 +1,13 @@
 """Tail bounds for weighted sums of exponential, gamma, and Laplace variables,
-with exact oracles and Monte Carlo cross-checks."""
+with exact oracles and Monte Carlo cross-checks.
 
-from .bounds import (
-    MOMENT_CONSTANT_PAPER,
-    MOMENT_CONSTANT_PROOF,
-    BoundKind,
-    BoundValue,
-    generic_lower,
-    generic_upper,
-    janson_lower,
-    janson_upper,
-    laplace_lower,
-    laplace_upper,
-    moment_bounds,
-    pz_bound,
-    r_function,
-    s_inequality_upper,
-)
-from .core import (
-    Distribution,
-    InvalidInputError,
-    LawKind,
-    MixtureUnavailableError,
-    NumericFailureError,
-    UnsupportedLawError,
-    WeightStats,
-    WeightVector,
-    as_weights,
-    parse_weights,
-    weight_stats,
-)
-from .harness import (
-    PropertyResult,
-    PropertySuiteReport,
-    SandwichConfig,
-    SandwichRow,
-    property_suite,
-    random_instances,
-    sandwich_report,
-)
-from .legendre import (
-    LegendreResult,
-    chernoff_tilt,
-    log_mgf,
-    log_mgf_prime,
-    rate_function,
-    sum_log_mgf,
-    sum_log_mgf_prime,
-)
-from .montecarlo import MCEstimate, is_tail, mc_tail
-from .oracle import (
-    ExpMixture,
-    MixtureSide,
-    MixtureTerm,
-    cf_tail_inversion,
-    exact_tail,
-    hypoexp_mixture,
-    hypoexp_tail,
-    laplace_abs_moment,
-    laplace_mixture,
-    laplace_tail,
-    p_ge_mean,
-)
-from .special import (
-    gaussian_tail,
-    gaussian_tail_lower,
-    h_closed,
-)
+The package namespace holds the law types and the exact and Monte Carlo tail
+entry points; everything else is imported from its module (``exptails.bounds``,
+``exptails.oracle``, ...).
+"""
 
-__version__ = "0.1.0"
+from .core import Distribution, LawKind
+from .montecarlo import is_tail, mc_tail
+from .oracle import exact_tail, p_ge_mean
 
-__all__ = [
-    "BoundKind",
-    "BoundValue",
-    "Distribution",
-    "ExpMixture",
-    "InvalidInputError",
-    "LawKind",
-    "LegendreResult",
-    "MCEstimate",
-    "MixtureSide",
-    "MixtureTerm",
-    "MixtureUnavailableError",
-    "MOMENT_CONSTANT_PAPER",
-    "MOMENT_CONSTANT_PROOF",
-    "NumericFailureError",
-    "PropertyResult",
-    "PropertySuiteReport",
-    "SandwichConfig",
-    "SandwichRow",
-    "UnsupportedLawError",
-    "WeightStats",
-    "WeightVector",
-    "as_weights",
-    "cf_tail_inversion",
-    "chernoff_tilt",
-    "exact_tail",
-    "gaussian_tail",
-    "gaussian_tail_lower",
-    "generic_lower",
-    "generic_upper",
-    "h_closed",
-    "hypoexp_mixture",
-    "hypoexp_tail",
-    "is_tail",
-    "janson_lower",
-    "janson_upper",
-    "laplace_abs_moment",
-    "laplace_lower",
-    "laplace_mixture",
-    "laplace_tail",
-    "laplace_upper",
-    "log_mgf",
-    "log_mgf_prime",
-    "mc_tail",
-    "moment_bounds",
-    "p_ge_mean",
-    "parse_weights",
-    "property_suite",
-    "pz_bound",
-    "r_function",
-    "random_instances",
-    "rate_function",
-    "sandwich_report",
-    "s_inequality_upper",
-    "sum_log_mgf",
-    "sum_log_mgf_prime",
-    "weight_stats",
-]
+__all__ = ["Distribution", "LawKind", "exact_tail", "is_tail", "mc_tail", "p_ge_mean"]

@@ -158,6 +158,27 @@ def generic_lower(
     return _make(math.log(p_ge_mean) + log_r, BoundKind.GENERIC_LOWER, valid=t > 1.0)
 
 
+def sandwich_pair(
+    d: Distribution,
+    w: "WeightVector | Sequence[float]",
+    stats: WeightStats,
+    t: float,
+    p_ge_mean: "float | None",
+) -> tuple[BoundValue, BoundValue]:
+    """The law's (lower, upper) pair for the tail at t threshold units.
+
+    Laplace sums take the Laplace pair, exponential sums Janson's, and gamma
+    sums the generic pair, whose lower bound scales the caller's
+    ``p_ge_mean``, a value or lower bound for P(S >= E S); the other laws
+    ignore it.
+    """
+    if d.kind is LawKind.LAPLACE:
+        return laplace_lower(t, stats), laplace_upper(t, stats)
+    if d.kind is LawKind.EXPONENTIAL:
+        return janson_lower(t, stats), janson_upper(t, stats)
+    return generic_lower(d, w, t, p_ge_mean), generic_upper(d, w, t)
+
+
 def pz_bound(c: float) -> float:
     """Paley-Zygmund-type floor 1/(16^(1/3) max(c, 3)) on P(Z >= 0).
 

@@ -16,16 +16,7 @@ import sys
 from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
 
-from .bounds import (
-    generic_lower,
-    generic_upper,
-    janson_lower,
-    janson_upper,
-    laplace_lower,
-    laplace_upper,
-    moment_bounds,
-    s_inequality_upper,
-)
+from .bounds import generic_lower, generic_upper, moment_bounds, s_inequality_upper, sandwich_pair
 from .core import (
     Distribution,
     InvalidInputError,
@@ -171,18 +162,14 @@ def _resolve_thresholds(
 def _bound_rows(d: Distribution, w: WeightVector, pairs: list[tuple[float, float]]) -> list[dict]:
     stats = weight_stats(w, d)
     rows: list[dict] = []
-    p_mean = None if d.kind is LawKind.LAPLACE else p_ge_mean(d, w)
+    p_mean = p_ge_mean(d, w) if d.nonnegative else None
     for t, threshold in pairs:
-        if d.kind is LawKind.LAPLACE:
-            bounds = [laplace_lower(t, stats), laplace_upper(t, stats)]
-        else:
-            bounds = [
-                generic_lower(d, w, t, p_mean),
-                generic_upper(d, w, t),
-                s_inequality_upper(t, p_mean),
-            ]
-            if d.kind is LawKind.EXPONENTIAL:
-                bounds = [janson_lower(t, stats), janson_upper(t, stats)] + bounds
+        # the law's pair, the generic pair beside Janson's, the power bound
+        bounds = list(sandwich_pair(d, w, stats, t, p_mean))
+        if d.kind is LawKind.EXPONENTIAL:
+            bounds += [generic_lower(d, w, t, p_mean), generic_upper(d, w, t)]
+        if d.nonnegative:
+            bounds.append(s_inequality_upper(t, p_mean))
         for b in bounds:
             rows.append(
                 {

@@ -13,6 +13,8 @@ import math
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
+import numpy as np
+
 
 class InvalidInputError(ValueError):
     """An argument is outside the operation's domain."""
@@ -23,15 +25,7 @@ class UnsupportedLawError(InvalidInputError):
 
 
 class NumericFailureError(RuntimeError):
-    """An iterative routine could not reach its accuracy target.
-
-    ``achieved`` carries the best estimate (value or error bound) reached so
-    callers can decide whether to fall back.
-    """
-
-    def __init__(self, message: str, achieved: float | None = None):
-        super().__init__(message)
-        self.achieved = achieved
+    """An iterative routine could not reach its accuracy target."""
 
 
 class MixtureUnavailableError(NumericFailureError):
@@ -144,6 +138,15 @@ def as_weights(w: "WeightVector | Sequence[float]") -> WeightVector:
     if isinstance(w, WeightVector):
         return w
     return WeightVector(tuple(w))
+
+
+def check_seed(seed: int) -> int:
+    """A seed is a non-negative integer (numpy integers included, bools not)."""
+    if not isinstance(seed, (int, np.integer)) or isinstance(seed, bool):
+        raise InvalidInputError(f"seed must be an integer, got {seed!r}")
+    if seed < 0:
+        raise InvalidInputError(f"seed must be non-negative, got {seed}")
+    return int(seed)
 
 
 def parse_weights(text: str) -> WeightVector:

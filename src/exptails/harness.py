@@ -1,9 +1,13 @@
 """Verification campaigns: sandwich certification and invariant spot checks.
 
-``sandwich_report`` certifies lower <= exact <= upper on random instances
-with the exact oracle; a NumericFailureError from it propagates (the CLI
-exits 3).  ``property_suite`` re-runs the library's mathematical invariants
-on random instances and reports witnesses for any failure.
+``sandwich_report`` certifies lower <= exact <= upper on random instances:
+the pair is the law's ``bounds.sandwich_pair``, with the Paley-Zygmund
+floor standing in for P(S >= E S), and the middle is the exact oracle; a
+NumericFailureError from it propagates (the CLI exits 3).
+``property_suite`` re-runs the library's mathematical invariants on random
+instances and reports witnesses for any failure.  Both draw their instances
+from ``random_instances``, which rejects a seed that is not a non-negative
+integer.
 """
 
 from __future__ import annotations
@@ -13,20 +17,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bounds import (
-    generic_lower,
-    generic_upper,
-    janson_lower,
-    janson_upper,
-    laplace_lower,
-    laplace_upper,
-    pz_bound,
-)
+from .bounds import pz_bound, sandwich_pair
 from .core import (
     Distribution,
     InvalidInputError,
-    LawKind,
     WeightVector,
+    check_seed,
     format_float,
     threshold_unit,
     weight_stats,
@@ -117,6 +113,7 @@ class PropertySuiteReport:
 
 def random_instances(seed: int, count: int) -> list[WeightVector]:
     """Seeded random weight vectors: n uniform, weights log-uniform."""
+    seed = check_seed(seed)
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(entropy=seed)))
     log_lo, log_hi = math.log(_WEIGHT_RANGE[0]), math.log(_WEIGHT_RANGE[1])
     out = []
@@ -136,20 +133,12 @@ def sandwich_report(config: SandwichConfig) -> list[SandwichRow]:
     d = config.distribution
     rows: list[SandwichRow] = []
     # universal floor on P(S >= E S), the only unknown in the generic lower bound
-    floor = pz_bound(3.0 * (1.0 + 2.0 / d.shape)) if d.kind is LawKind.GAMMA else None
+    floor = pz_bound(3.0 * (1.0 + 2.0 / d.shape)) if d.nonnegative else None
     for idx, w in enumerate(random_instances(config.seed, config.instances)):
         stats = weight_stats(w, d)
         unit = threshold_unit(d, stats)
         for t in config.t_grid:
-            if d.kind is LawKind.LAPLACE:
-                lower = laplace_lower(t, stats).value
-                upper = laplace_upper(t, stats).value
-            elif d.kind is LawKind.EXPONENTIAL:
-                lower = janson_lower(t, stats).value
-                upper = janson_upper(t, stats).value
-            else:
-                lower = generic_lower(d, w, t, floor).value
-                upper = generic_upper(d, w, t).value
+            lower, upper = (b.value for b in sandwich_pair(d, w, stats, t, floor))
             exact, source = exact_tail(d, w, t * unit)
             rows.append(
                 SandwichRow(

@@ -83,7 +83,7 @@ def sum_log_mgf_double_prime(d: Distribution, w: "WeightVector | Sequence[float]
     return math.fsum(a * a * _log_mgf_double_prime(d, a * theta) for a in w)
 
 
-def _solve_psi_prime(d: Distribution, w: WeightVector, target: float) -> tuple[float, int]:
+def _solve_psi_prime(d: Distribution, w: WeightVector, target: float) -> float:
     """Solve sum_i a_i psi'(a_i theta) = target for theta inside the MGF domain.
 
     Safeguarded Newton: every step stays inside a shrinking bisection
@@ -100,7 +100,7 @@ def _solve_psi_prime(d: Distribution, w: WeightVector, target: float) -> tuple[f
         lo = -len(w) * d.shape / target if d.nonnegative else -(1.0 - 1e-12) / w.a_max
         hi = 0.0
         theta = 0.5 * lo
-    for it in range(1, _MAX_NEWTON_ITER + 1):
+    for _ in range(_MAX_NEWTON_ITER):
         g = sum_log_mgf_prime(d, w, theta) - target
         if g > 0.0:
             hi = theta
@@ -111,11 +111,10 @@ def _solve_psi_prime(d: Distribution, w: WeightVector, target: float) -> tuple[f
         if not lo < nxt < hi:
             nxt = 0.5 * (lo + hi)
         if abs(nxt - theta) <= _THETA_TOL * max(1.0, abs(theta)):
-            return nxt, it
+            return nxt
         theta = nxt
     raise NumericFailureError(
-        f"tilt solve did not reach {_THETA_TOL} after {_MAX_NEWTON_ITER} iterations",
-        achieved=theta,
+        f"tilt solve did not reach {_THETA_TOL} after {_MAX_NEWTON_ITER} iterations"
     )
 
 
@@ -126,8 +125,7 @@ def chernoff_tilt(d: Distribution, w: "WeightVector | Sequence[float]", target: 
     mean_s = d.mean * w.l1
     if not target > mean_s:
         raise InvalidInputError(f"tilt target {target} must exceed the sum mean {mean_s}")
-    theta, _ = _solve_psi_prime(d, w, target)
-    return theta
+    return _solve_psi_prime(d, w, target)
 
 
 def rate_function(d: Distribution, t: float) -> LegendreResult:

@@ -21,6 +21,7 @@ from .core import (
     LawKind,
     WeightVector,
     as_weights,
+    check_seed,
 )
 from .legendre import chernoff_tilt, sum_log_mgf
 
@@ -49,25 +50,9 @@ def _substream(seed: int, index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(ss))
 
 
-def _check_seed(seed: int) -> int:
-    if not isinstance(seed, (int, np.integer)) or isinstance(seed, bool):
-        raise InvalidInputError(f"seed must be an integer, got {seed!r}")
-    if seed < 0:
-        raise InvalidInputError(f"seed must be non-negative, got {seed}")
-    return int(seed)
-
-
-def _chunks(n: int) -> list[tuple[int, int, int]]:
-    """(chunk index, start, count) triples covering range(n)."""
-    out = []
-    start = 0
-    index = 0
-    while start < n:
-        count = min(_CHUNK, n - start)
-        out.append((index, start, count))
-        start += count
-        index += 1
-    return out
+def _chunks(n: int) -> list[tuple[int, int]]:
+    """(chunk index, count) pairs whose counts add up to n, in order."""
+    return [(index, min(_CHUNK, n - start)) for index, start in enumerate(range(0, n, _CHUNK))]
 
 
 def _laplace_inverse_cdf(u: np.ndarray) -> np.ndarray:
@@ -118,7 +103,7 @@ def mc_tail(
 ) -> MCEstimate:
     """Plain Monte Carlo estimate of P(S > threshold)."""
     w = as_weights(w)
-    seed = _check_seed(seed)
+    seed = check_seed(seed)
     threshold = float(threshold)
     if not math.isfinite(threshold):
         raise InvalidInputError(f"threshold must be finite, got {threshold!r}")
@@ -126,8 +111,8 @@ def mc_tail(
         raise InvalidInputError(f"plain MC needs n >= 100, got {n}")
     weights = np.asarray(w.values, dtype=float)
 
-    def worker(chunk: tuple[int, int, int]) -> int:
-        index, _, count = chunk
+    def worker(chunk: tuple[int, int]) -> int:
+        index, count = chunk
         rng = _substream(seed, index)
         sums = _direct_chunk(d, weights, count, rng)
         return int(np.count_nonzero(sums > threshold))
@@ -186,7 +171,7 @@ def is_tail(
     estimator averages indicator * likelihood ratio and is unbiased.
     """
     w = as_weights(w)
-    seed = _check_seed(seed)
+    seed = check_seed(seed)
     threshold = float(threshold)
     if not math.isfinite(threshold):
         raise InvalidInputError(f"threshold must be finite, got {threshold!r}")
@@ -201,8 +186,8 @@ def is_tail(
     log_norm = sum_log_mgf(d, w, theta)
     weights = np.asarray(w.values, dtype=float)
 
-    def worker(chunk: tuple[int, int, int]) -> tuple[float, float]:
-        index, _, count = chunk
+    def worker(chunk: tuple[int, int]) -> tuple[float, float]:
+        index, count = chunk
         rng = _substream(seed, index)
         sums = _tilted_chunk(d, weights, theta, count, rng)
         log_lr = -theta * sums + log_norm
@@ -213,10 +198,7 @@ def is_tail(
     s1 = math.fsum(p[0] for p in partials)
     s2 = math.fsum(p[1] for p in partials)
     p_hat = s1 / n
-    if n > 1:
-        var = max(0.0, (s2 - n * p_hat * p_hat) / (n - 1))
-    else:
-        var = 0.0
+    var = max(0.0, (s2 - n * p_hat * p_hat) / (n - 1))
     stderr = math.sqrt(var / n)
     lo = max(0.0, p_hat - _Z95 * stderr)
     hi = min(1.0, p_hat + _Z95 * stderr)

@@ -4,11 +4,14 @@
 
 * a partial-fraction mixture of the moment generating function (closed
   form and fast) for exponential and Laplace summands, when its
-  coefficients pass the trust gates, and
+  coefficients pass the trust gates; one expansion serves both laws, the
+  Laplace MGF being the exponential one with every pole mirrored, and
 * otherwise Bromwich inversion of the moment generating function by the
   trapezoid rule on a hyperbolic contour through the saddle point, for any
   of the three laws, with relative accuracy of about 1e-12 and an error
-  estimate; it raises instead of returning a value outside [0, 1].
+  estimate; it raises instead of returning a value outside [0, 1].  Far
+  below the scale of a gamma or exponential sum, where the saddle point
+  leaves float range, the leading small-t term of P(S <= t) answers.
 
 The tests drive both on the same instances and require agreement.
 """
@@ -113,15 +116,10 @@ class ExpMixture:
             err = abs(self.coef_sum - 1.0) + _ROUNDING * self.coef_abs_sum
             if not -err <= value <= top + err:
                 raise MixtureUnavailableError(
-                    f"mixture tail {value!r} leaves [0, {top}] by more than {err:.3e}",
-                    achieved=value,
+                    f"mixture tail {value!r} leaves [0, {top}] by more than {err:.3e}"
                 )
             value = min(max(value, 0.0), top)
         return value
-
-    def dumps(self) -> list[dict]:
-        """JSON-friendly dump: list of {coef, scale, power}."""
-        return [{"coef": t.coef, "scale": t.scale, "power": t.power} for t in self.terms]
 
 
 def _cluster_scales(values: Sequence[float], rtol: float = _CLUSTER_RTOL) -> list[tuple[float, int]]:
@@ -160,29 +158,15 @@ def _series_product(factors: list[list[float]], order: int) -> list[float]:
     return acc
 
 
-def _finish_mixture(terms: list[MixtureTerm], side: MixtureSide) -> ExpMixture:
-    mix = ExpMixture(tuple(terms), side)
-    abs_sum = mix.coef_abs_sum
-    if abs_sum > _COEF_ABS_CAP:
-        raise MixtureUnavailableError(
-            f"partial-fraction coefficients too large to trust (sum |coef| = {abs_sum:.3e})",
-            achieved=abs_sum,
-        )
-    drift = abs(mix.coef_sum - 1.0)
-    if drift > _COEF_DRIFT_TOL:
-        raise MixtureUnavailableError(
-            f"partial-fraction coefficients do not sum to 1 (off by {drift:.3e})",
-            achieved=drift,
-        )
-    return mix
+def _mixture(w: "WeightVector | Sequence[float]", side: MixtureSide) -> ExpMixture:
+    """Partial fractions of the MGF prod_j (1 - b_j z)^(-m_j) over the clustered scales.
 
-
-def hypoexp_mixture(w: "WeightVector | Sequence[float]") -> ExpMixture:
-    """Partial-fraction mixture for sum_i a_i Y_i, Y_i iid exponential(1).
-
-    Distinct scales give the classic B_j = prod_{k!=j} a_j/(a_j - a_k)
-    coefficients; scales equal within ~1e-5 are merged and expanded around
-    the repeated pole (Erlang terms).
+    Around the pole z = 1/b_j, with z = (1 - x)/b_j, each other scale
+    contributes the factor (1 - e + e x)^(-m_k), e = b_k/b_j.  The two-sided
+    (Laplace) MGF mirrors every pole, (1 + b_j z)^(-m_j): the pole's own
+    mirror adds (2 - x)^(-m_j), and each other scale adds (1 + e - e x)^(-m_k)
+    after its factor.  Two-sided coefficients are doubled so that they sum
+    to 1, like the one-sided ones.
     """
     w = as_weights(w)
     groups = _cluster_scales(w.values)
@@ -190,48 +174,52 @@ def hypoexp_mixture(w: "WeightVector | Sequence[float]") -> ExpMixture:
         raise MixtureUnavailableError(
             f"{len(groups)} distinct scales exceeds the partial-fraction cap {_MAX_DISTINCT_SCALES}"
         )
+    two_sided = side is MixtureSide.TWO_SIDED
     terms: list[MixtureTerm] = []
     for j, (b, m) in enumerate(groups):
         order = m - 1
-        factors = []
+        factors = [_recip_power_series(2.0, -1.0, m, order)] if two_sided else []
         for k, (bk, mk) in enumerate(groups):
             if k == j:
                 continue
             e = bk / b
             factors.append(_recip_power_series(1.0 - e, e, mk, order))
+            if two_sided:
+                factors.append(_recip_power_series(1.0 + e, -e, mk, order))
         g = _series_product(factors, order)
         for ell in range(1, m + 1):
-            terms.append(MixtureTerm(coef=g[m - ell], scale=b, power=ell - 1))
-    return _finish_mixture(terms, MixtureSide.ONE_SIDED)
+            coef = 2.0 * g[m - ell] if two_sided else g[m - ell]
+            terms.append(MixtureTerm(coef=coef, scale=b, power=ell - 1))
+    mix = ExpMixture(tuple(terms), side)
+    abs_sum = mix.coef_abs_sum
+    if abs_sum > _COEF_ABS_CAP:
+        raise MixtureUnavailableError(
+            f"partial-fraction coefficients too large to trust (sum |coef| = {abs_sum:.3e})"
+        )
+    drift = abs(mix.coef_sum - 1.0)
+    if drift > _COEF_DRIFT_TOL:
+        raise MixtureUnavailableError(
+            f"partial-fraction coefficients do not sum to 1 (off by {drift:.3e})"
+        )
+    return mix
+
+
+def hypoexp_mixture(w: "WeightVector | Sequence[float]") -> ExpMixture:
+    """Mixture for sum_i a_i Y_i, Y_i iid exponential(1).
+
+    Distinct scales give B_j = prod_{k!=j} a_j/(a_j - a_k); scales equal
+    within ~1e-5 merge into one repeated pole (Erlang terms).
+    """
+    return _mixture(w, MixtureSide.ONE_SIDED)
 
 
 def laplace_mixture(w: "WeightVector | Sequence[float]") -> ExpMixture:
     """Symmetric mixture for sum_i a_i X_i, X_i iid standard Laplace.
 
     Distinct scales give A_j = prod_{k!=j} a_j^2/(a_j^2 - a_k^2) and the
-    upper tail sum_j (A_j/2) e^{-t/a_j}; merged scales expand the repeated
-    poles of prod_j (1 - b_j^2 z^2)^(-m_j) on the positive-pole side.
+    upper tail sum_j (A_j/2) e^{-t/a_j}.
     """
-    w = as_weights(w)
-    groups = _cluster_scales(w.values)
-    if len(groups) > _MAX_DISTINCT_SCALES:
-        raise MixtureUnavailableError(
-            f"{len(groups)} distinct scales exceeds the partial-fraction cap {_MAX_DISTINCT_SCALES}"
-        )
-    terms: list[MixtureTerm] = []
-    for j, (b, m) in enumerate(groups):
-        order = m - 1
-        factors = [_recip_power_series(2.0, -1.0, m, order)]
-        for k, (bk, mk) in enumerate(groups):
-            if k == j:
-                continue
-            e = bk / b
-            factors.append(_recip_power_series(1.0 - e, e, mk, order))
-            factors.append(_recip_power_series(1.0 + e, -e, mk, order))
-        g = _series_product(factors, order)
-        for ell in range(1, m + 1):
-            terms.append(MixtureTerm(coef=2.0 * g[m - ell], scale=b, power=ell - 1))
-    return _finish_mixture(terms, MixtureSide.TWO_SIDED)
+    return _mixture(w, MixtureSide.TWO_SIDED)
 
 
 def hypoexp_tail(w: "WeightVector | Sequence[float]", t: float) -> float:
@@ -327,7 +315,7 @@ def _bromwich(d: Distribution, w: WeightVector, theta: float, t: float, p: float
             break
         if nodes * h > _U_MAX:
             raise NumericFailureError(
-                f"contour integrand still at {np.abs(f[-1]):.3e} at u = {_U_MAX}", achieved=total
+                f"contour integrand still at {np.abs(f[-1]):.3e} at u = {_U_MAX}"
             )
     estimate = h * total
     for _ in range(_MAX_HALVINGS):
@@ -342,8 +330,7 @@ def _bromwich(d: Distribution, w: WeightVector, theta: float, t: float, p: float
             # is then the error
             return estimate / math.pi, max(err, _ROUNDING * h * mass) / math.pi
     raise NumericFailureError(
-        f"contour inversion did not converge: successive sums differ by {err:.3e}",
-        achieved=estimate / math.pi,
+        f"contour inversion did not converge: successive sums differ by {err:.3e}"
     )
 
 
@@ -357,6 +344,8 @@ def cf_tail_inversion(d: Distribution, w: "WeightVector | Sequence[float]", t: f
     above the mean, if smaller) away from the pole at 0.  The integral is
     scaled by M(theta) e^{-theta t} and the answer assembled in log space,
     so tails far below the scale keep their relative accuracy (about 1e-12).
+    Below the mean of a nonnegative sum, the small-t form of P(S <= t)
+    answers instead wherever its bracket is below rounding.
 
     Raises NumericFailureError if the trapezoid sums do not converge, the
     saddle is out of float range, or the tail leaves the law's range at t
@@ -378,13 +367,19 @@ def cf_tail_inversion(d: Distribution, w: "WeightVector | Sequence[float]", t: f
             return 0.5
         top = 0.5
     above = t >= d.mean * w.l1
-    # P(S <= t) <= prod_i P(a_i X_i <= t) <= prod_i (t/a_i)^shape / Gamma(shape+1);
-    # below eps/4 the tail rounds to 1
     if d.nonnegative and not above:
-        log_lower = d.shape * math.fsum(math.log(t / a) for a in w)
-        log_lower -= len(w) * math.lgamma(d.shape + 1.0)
-        if log_lower < math.log(0.25 * sys.float_info.epsilon):
-            return 1.0
+        # S has density x^(N-1) E[exp(-x sum_i U_i/a_i)] / (Gamma(N) prod_i a_i^shape),
+        # N = n shape, U ~ Dirichlet(shape, ..., shape), so P(S <= t) lies in
+        # [lead (1 - c), lead] with lead = t^N / (Gamma(N+1) prod_i a_i^shape)
+        # and c = t shape sum_i (1/a_i) / (N+1).  1 - lead is the tail where the
+        # interval's width, at most lead min(c, 1), is below its rounding
+        n_shape = len(w) * d.shape
+        log_lead = d.shape * math.fsum(math.log(t / a) for a in w) - math.lgamma(n_shape + 1.0)
+        if log_lead < 0.0:
+            tail = -math.expm1(log_lead)
+            c = t * d.shape * math.fsum(1.0 / a for a in w) / (n_shape + 1.0)
+            if math.exp(log_lead) * min(c, 1.0) <= 0.25 * sys.float_info.epsilon * tail:
+                return tail
     hold = 1.0 / (math.sqrt(d.variance) * w.l2)
     hold = min(hold, 0.5 / w.a_max) if above else -hold
     try:
@@ -393,7 +388,7 @@ def cf_tail_inversion(d: Distribution, w: "WeightVector | Sequence[float]", t: f
         if (sum_log_mgf_prime(d, w, hold) >= t) == above:
             theta = hold
         else:
-            theta, _ = _solve_psi_prime(d, w, t)
+            theta = _solve_psi_prime(d, w, t)
         integral, err = _bromwich(d, w, theta, t, 0.0)
     except (OverflowError, ZeroDivisionError) as exc:
         # far below the scale the saddle, near -n*shape/t, squares past float range
@@ -406,7 +401,7 @@ def cf_tail_inversion(d: Distribution, w: "WeightVector | Sequence[float]", t: f
     tail = part if theta > 0.0 else 1.0 + part
     if not -err <= tail <= top + err:
         raise NumericFailureError(
-            f"contour inversion left [0, {top}]: tail {tail!r}, error {err:.3e}", achieved=tail
+            f"contour inversion left [0, {top}]: tail {tail!r}, error {err:.3e}"
         )
     return min(max(tail, 0.0), top)
 

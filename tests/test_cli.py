@@ -33,6 +33,12 @@ def run_json(capsys, argv):
     return json.loads(captured.out)
 
 
+def masked_stdout(capsys, argv):
+    """Stdout of a successful run with the generated_at timestamp masked."""
+    assert run(argv) == 0
+    return re.sub(r"\d{4}-\d\d-\d\dT\d\d:\d\d:\d\dZ", "<generated_at>", capsys.readouterr().out)
+
+
 class TestUsageErrors:
     @pytest.mark.parametrize(
         "argv",
@@ -161,6 +167,15 @@ class TestExactCommand:
              "--threshold", "1e-160"],
         )
         assert payload["rows"][0]["tail"] == 1.0
+
+    def test_small_gamma_shape_far_below_the_scale(self, capsys):
+        payload = run_json(
+            capsys,
+            ["exact", "--dist", "gamma", "--shape", "0.001", "--weights", "2,2",
+             "--threshold", "1e-200"],
+        )
+        ref = gammaincc(0.002, 0.5e-200)
+        assert abs(payload["rows"][0]["tail"] - ref) <= 1e-9 * ref
 
 
 class TestSimulateCommand:
@@ -293,15 +308,19 @@ class TestVerifyCommand:
         assert run(argv) == 1
         capsys.readouterr()
 
+    def test_negative_seed(self, capsys):
+        # the same check as simulate's, not an uncaught numpy error
+        assert run(["verify", "--dist", "exponential", "--instances", "1", "--seed", "-1"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "exptails: error: seed must be non-negative, got -1\n"
+
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_output_bytes(self, capsys, fmt):
         argv = ["verify", "--dist", "exponential", "--instances", "2", "--t", "2,3",
                 "--format", fmt]
-        assert run(argv) == 0
-        out = re.sub(r"\d{4}-\d\d-\d\dT\d\d:\d\d:\d\dZ", "<generated_at>",
-                     capsys.readouterr().out)
         golden = (GOLDEN / f"verify_exponential_2x2.{fmt}").read_text(encoding="utf-8")
-        assert out == golden
+        assert masked_stdout(capsys, argv) == golden
 
     def test_numeric_failure_exit_code(self, capsys, monkeypatch):
         # no sampling fallback: an oracle failure ends the run like any subcommand
@@ -314,6 +333,26 @@ class TestVerifyCommand:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "numeric failure: inversion stalled" in captured.err
+
+
+# Byte-exact stdout of one argument set per case, with the timestamp masked.
+# The Laplace exact grid stays on the mixture route on both sides of 0.
+GOLDEN_CASES = {
+    "bounds_exponential.csv": ["bounds", "--dist", "exponential", "--weights", "2,1,0.5",
+                               "--t", "0.5,1,2,5", "--format", "csv"],
+    "bounds_laplace.json": ["bounds", "--dist", "laplace", "--weights", "2,1",
+                            "--t", "0.5,1.5,3", "--format", "json"],
+    "bounds_gamma.csv": ["bounds", "--dist", "gamma", "--shape", "0.5", "--weights", "3,1,1",
+                         "--t", "0.8,1.5,2,4", "--format", "csv"],
+    "exact_laplace.csv": ["exact", "--dist", "laplace", "--weights", "2,1,0.5,0.5",
+                          "--t=-1.5,-0.2,0,0.7,3", "--format", "csv"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_CASES))
+def test_golden_output_bytes(capsys, name):
+    golden = (GOLDEN / name).read_text(encoding="utf-8")
+    assert masked_stdout(capsys, GOLDEN_CASES[name]) == golden
 
 
 def test_cli_import_leaves_scipy_stats_out():

@@ -7,11 +7,10 @@ import pytest
 from scipy.stats import beta, ks_2samp
 from verifiers import sample_sum
 
-from exptails.core import Distribution, InvalidInputError
+from exptails.core import Distribution, InvalidInputError, check_seed
 from exptails.legendre import sum_log_mgf
 from exptails.montecarlo import (
     _binomial_interval,
-    _check_seed,
     _chunks,
     _substream,
     _tilted_chunk,
@@ -185,12 +184,11 @@ class TestImportanceSampling:
 class TestChunking:
     def test_chunks_partition_the_range(self):
         for n in (1, 100, 1 << 16, (1 << 16) + 1, 200_000):
-            triples = _chunks(n)
-            assert triples[0][1] == 0
-            assert sum(c for _, _, c in triples) == n
-            for (i, s, c), (j, s2, _) in zip(triples, triples[1:]):
-                assert j == i + 1
-                assert s2 == s + c
+            pairs = _chunks(n)
+            assert [i for i, _ in pairs] == list(range(len(pairs)))
+            assert sum(c for _, c in pairs) == n
+            assert all(c == 1 << 16 for _, c in pairs[:-1])
+            assert 0 < pairs[-1][1] <= 1 << 16
 
     def test_substreams_are_distinct(self):
         a = _substream(0, 0).random(8)
@@ -199,5 +197,5 @@ class TestChunking:
 
     def test_check_seed_rejects_bool(self):
         with pytest.raises(InvalidInputError):
-            _check_seed(True)
-        assert _check_seed(np.int64(5)) == 5
+            check_seed(True)
+        assert check_seed(np.int64(5)) == 5

@@ -1,13 +1,12 @@
 """Exact-tail oracles: partial-fraction mixtures and CF inversion."""
 
-import json
 import math
 
 import numpy as np
 import pytest
 from scipy.special import gammaincc
 
-from exptails.core import Distribution, InvalidInputError, NumericFailureError
+from exptails.core import Distribution, InvalidInputError
 from exptails.oracle import (
     ExpMixture,
     MixtureSide,
@@ -129,13 +128,6 @@ class TestHypoexpMixture:
     def test_ill_conditioned_coefficients(self):
         with pytest.raises(MixtureUnavailableError, match="too large"):
             hypoexp_mixture(ILL_CONDITIONED)
-
-    def test_dumps_is_json_friendly(self):
-        mix = hypoexp_mixture([2.0, 1.0, 1.0])
-        parsed = json.loads(json.dumps(mix.dumps()))
-        assert len(parsed) == len(mix.terms)
-        for entry in parsed:
-            assert set(entry) == {"coef", "scale", "power"}
 
 
 class TestLaplaceMixture:
@@ -352,17 +344,15 @@ class TestEqualWeightGamma:
         assert abs(got - ref) <= 1e-9 * ref + 1e-300, (got, ref)
 
 
-    @pytest.mark.parametrize("shape", [1e-3, 0.5, 1.0, 3.0])
+    @pytest.mark.parametrize("shape", [1e-3, 0.01, 0.5, 1.0, 3.0])
     @pytest.mark.parametrize("n", [1, 2, 6])
     @pytest.mark.parametrize("ratio", [1e-160, 1e-200, 1e-300, 5e-324])
     def test_thresholds_far_below_the_scale(self, shape, n, ratio):
-        # the saddle lies near -n*shape/t, where psi'' once overflowed
+        # the saddle lies near -n*shape/t, out of float range for small shapes;
+        # the small-t form of P(S <= t) answers there
         a = 2.0
         ref = gammaincc(n * shape, ratio)
-        try:
-            got = cf_tail_inversion(Distribution.gamma(shape), [a] * n, ratio * a)
-        except NumericFailureError:
-            return
+        got = cf_tail_inversion(Distribution.gamma(shape), [a] * n, ratio * a)
         assert abs(got - ref) <= 1e-9 * ref, (got, ref)
 
 

@@ -19,8 +19,9 @@ from exptails.core import (
     NumericFailureError,
     WeightVector,
     as_weights,
+    check_seed,
 )
-from exptails.montecarlo import _check_seed, _chunks, _direct_chunk, _run_chunks, _substream
+from exptails.montecarlo import _chunks, _direct_chunk, _run_chunks, _substream
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -124,7 +125,7 @@ def sample_sum(
     for Laplace sums only.
     """
     w = as_weights(w)
-    seed = _check_seed(seed)
+    seed = check_seed(seed)
     if n < 1:
         raise InvalidInputError(f"sample count must be >= 1, got {n}")
     if representation not in _REPRESENTATIONS:
@@ -136,15 +137,12 @@ def sample_sum(
             f"gaussian_mixture representation applies to Laplace sums, not {d.label()}"
         )
     weights = np.asarray(w.values, dtype=float)
-    out = np.empty(n, dtype=float)
 
-    def worker(chunk: tuple[int, int, int]) -> None:
-        index, start, count = chunk
+    def worker(chunk: tuple[int, int]) -> np.ndarray:
+        index, count = chunk
         rng = _substream(seed, index)
         if representation == "direct":
-            out[start : start + count] = _direct_chunk(d, weights, count, rng)
-        else:
-            out[start : start + count] = _mixture_chunk(weights, count, rng)
+            return _direct_chunk(d, weights, count, rng)
+        return _mixture_chunk(weights, count, rng)
 
-    _run_chunks(worker, _chunks(n), workers)
-    return out
+    return np.concatenate(_run_chunks(worker, _chunks(n), workers))
