@@ -2,7 +2,10 @@
 
 Everything downstream works on a sum S = sum_i a_i X_i with positive weights
 a_i and i.i.d. unit summands X_i that are exponential(1), gamma(shape), or
-standard Laplace.
+standard Laplace.  Each law is described once, as gamma(shape) on signed
+scales: ``Distribution.scales`` turns the weights into the scales b_j with
+S = sum_j b_j G_j, G_j i.i.d. gamma(shape), and the cumulants, the contour
+and the samplers read only that array.
 """
 
 from __future__ import annotations
@@ -38,6 +41,12 @@ class LawKind(str, enum.Enum):
     LAPLACE = "laplace"
 
 
+# A unit summand is sum_u u G_u over its law's unit scales u, G_u i.i.d.
+# gamma(shape): a standard Laplace variable is the difference of two
+# standard exponentials.
+_UNIT_SCALES = {LawKind.EXPONENTIAL: (1.0,), LawKind.GAMMA: (1.0,), LawKind.LAPLACE: (1.0, -1.0)}
+
+
 @dataclass(frozen=True)
 class Distribution:
     """Law of one unit summand.
@@ -71,23 +80,27 @@ class Distribution:
     def laplace(cls) -> "Distribution":
         return cls(LawKind.LAPLACE)
 
+    def scales(self, w: "WeightVector | Sequence[float]") -> np.ndarray:
+        """Signed scales b with S = sum_j b_j G_j, G_j i.i.d. gamma(shape).
+
+        That is a for exponential and gamma sums and (a, -a) for Laplace sums.
+        """
+        a = np.array(as_weights(w).values)
+        return np.concatenate([u * a for u in _UNIT_SCALES[self.kind]])
+
     @property
     def mean(self) -> float:
         """E X of one unit summand."""
-        if self.kind is LawKind.LAPLACE:
-            return 0.0
-        return self.shape if self.kind is LawKind.GAMMA else 1.0
+        return self.shape * math.fsum(_UNIT_SCALES[self.kind])
 
     @property
     def variance(self) -> float:
         """Var X of one unit summand."""
-        if self.kind is LawKind.LAPLACE:
-            return 2.0
-        return self.shape if self.kind is LawKind.GAMMA else 1.0
+        return self.shape * math.fsum(u * u for u in _UNIT_SCALES[self.kind])
 
     @property
     def nonnegative(self) -> bool:
-        return self.kind is not LawKind.LAPLACE
+        return min(_UNIT_SCALES[self.kind]) > 0.0
 
     def label(self) -> str:
         """Short text form, e.g. 'gamma(0.5)' or 'laplace'."""
@@ -125,12 +138,19 @@ class WeightVector:
         return max(self.values)
 
     @property
+    def unit(self) -> float:
+        """The power of two 2^k with 2^k <= a_max < 2^(k+1); dividing by it is exact."""
+        return math.ldexp(1.0, math.frexp(self.a_max)[1] - 1)
+
+    @property
     def l1(self) -> float:
         return math.fsum(self.values)
 
     @property
     def l2(self) -> float:
-        return math.sqrt(math.fsum(v * v for v in self.values))
+        # squares in units of a power of two next to a_max neither overflow nor underflow
+        u = self.unit
+        return math.sqrt(math.fsum((v / u) * (v / u) for v in self.values)) * u
 
 
 def as_weights(w: "WeightVector | Sequence[float]") -> WeightVector:
@@ -210,8 +230,8 @@ def weight_stats(w: "WeightVector | Sequence[float]", d: Distribution) -> Weight
 
 
 def threshold_unit(d: Distribution, stats: WeightStats) -> float:
-    """Absolute size of one relative threshold unit: sigma for Laplace, E S otherwise."""
-    return stats.sigma if d.kind is LawKind.LAPLACE else stats.mean_s
+    """Absolute size of one relative threshold unit: E S for nonnegative sums, sigma otherwise."""
+    return stats.mean_s if d.nonnegative else stats.sigma
 
 
 def format_float(x: float) -> str:

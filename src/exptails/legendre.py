@@ -1,8 +1,11 @@
-"""Log moment generating functions and the Cramer rate function.
+"""Cumulants over signed scales, the Chernoff tilt, and the Cramer rate function.
 
-Per-unit summand: psi(theta) = log E exp(theta X).  Weighted-sum versions
-(psi_S(theta) = sum_i psi(a_i theta)) feed the saddle point of the
-contour-inversion oracle and the Chernoff tilt of the importance sampler.
+Every law is gamma(shape) on signed scales b (``Distribution.scales``), so
+the cumulant generating function of S = sum_j b_j G_j is
+K(theta) = -shape sum_j log1p(-b_j theta) for every law, finite for
+b_j theta < 1.  K, K' and K'' feed the saddle point of the contour-inversion
+oracle and the Chernoff tilt of the importance sampler; each is one
+expression over the array, summed with math.fsum.
 """
 
 from __future__ import annotations
@@ -11,10 +14,11 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
+import numpy as np
+
 from .core import (
     Distribution,
     InvalidInputError,
-    LawKind,
     NumericFailureError,
     UnsupportedLawError,
     WeightVector,
@@ -33,80 +37,52 @@ class LegendreResult:
     theta_star: float
 
 
-def log_mgf(d: Distribution, theta: float) -> float:
-    """psi(theta) for one unit summand; +inf outside the MGF domain."""
-    theta = float(theta)
-    if math.isnan(theta):
-        raise InvalidInputError("theta must be a number")
-    if d.kind is LawKind.LAPLACE:
-        if abs(theta) >= 1.0:
-            return math.inf
-        return -math.log1p(-theta * theta)
-    if theta >= 1.0:
+def cumulant(b: np.ndarray, shape: float, theta: float) -> float:
+    """K(theta) = log E exp(theta S); +inf outside the domain max_j b_j theta < 1."""
+    x = (b * theta).tolist()
+    if max(x) >= 1.0:
         return math.inf
-    return -d.shape * math.log1p(-theta)
+    # libm's log1p term by term: numpy's differs from it in the last bit, and
+    # K reaches the printed tails and importance-sampling estimates
+    return math.fsum([-shape * math.log1p(-v) for v in x])
 
 
-def log_mgf_prime(d: Distribution, theta: float) -> float:
-    """psi'(theta) inside the MGF domain; +inf at and beyond the boundary."""
-    theta = float(theta)
-    if d.kind is LawKind.LAPLACE:
-        if abs(theta) >= 1.0:
-            return math.inf
-        return 2.0 * theta / (1.0 - theta * theta)
-    if theta >= 1.0:
-        return math.inf
-    return d.shape / (1.0 - theta)
+def cumulant_prime(b: np.ndarray, shape: float, theta: float) -> float:
+    """K'(theta) = sum_j b_j shape / (1 - b_j theta) inside the domain."""
+    return math.fsum((b * (shape / (1.0 - b * theta))).tolist())
 
 
-def _log_mgf_double_prime(d: Distribution, theta: float) -> float:
-    if d.kind is LawKind.LAPLACE:
-        t2 = theta * theta
-        return 2.0 * (1.0 + t2) / (1.0 - t2) ** 2
-    return d.shape / (1.0 - theta) ** 2
+def cumulant_double_prime(b: np.ndarray, shape: float, theta: float) -> float:
+    """K''(theta) = sum_j b_j^2 shape / (1 - b_j theta)^2 inside the domain."""
+    return math.fsum((b * b * (shape / (1.0 - b * theta) ** 2)).tolist())
 
 
-def sum_log_mgf(d: Distribution, w: "WeightVector | Sequence[float]", theta: float) -> float:
-    """psi_S(theta) = sum_i psi(a_i * theta) for S = sum_i a_i X_i."""
-    w = as_weights(w)
-    return math.fsum(log_mgf(d, a * theta) for a in w)
-
-
-def sum_log_mgf_prime(d: Distribution, w: "WeightVector | Sequence[float]", theta: float) -> float:
-    """d/dtheta psi_S(theta) = sum_i a_i psi'(a_i theta)."""
-    w = as_weights(w)
-    return math.fsum(a * log_mgf_prime(d, a * theta) for a in w)
-
-
-def sum_log_mgf_double_prime(d: Distribution, w: "WeightVector | Sequence[float]", theta: float) -> float:
-    w = as_weights(w)
-    return math.fsum(a * a * _log_mgf_double_prime(d, a * theta) for a in w)
-
-
-def _solve_psi_prime(d: Distribution, w: WeightVector, target: float) -> float:
-    """Solve sum_i a_i psi'(a_i theta) = target for theta inside the MGF domain.
+def _solve_cumulant_prime(b: np.ndarray, shape: float, target: float) -> float:
+    """Solve K'(theta) = target for theta inside the domain of K.
 
     Safeguarded Newton: every step stays inside a shrinking bisection
-    bracket.  psi_S' increases through the mean of S at theta = 0 to +inf at
-    1/a_max, so targets above the mean have a root in (0, 1/a_max).  Below
-    the mean the root is negative: in (-1/a_max, 0) for Laplace, and in
-    (-n*shape/target, 0) for nonnegative laws, where psi_S'(theta) <
-    n*shape/|theta| (the target must be positive there).
+    bracket.  K' increases through the mean of S at theta = 0 to +inf at
+    1/max_j b_j, so targets above the mean have a root in (0, 1/max_j b_j).
+    Below the mean the root is negative: in (1/min_j b_j, 0) when a scale is
+    negative, and otherwise in (-len(b)*shape/target, 0), where K'(theta) <
+    len(b)*shape/|theta| (the target must be positive there).
     """
-    if target > d.mean * w.l1:
-        lo, hi = 0.0, (1.0 - 1e-12) / w.a_max
-        theta = min(0.5 / w.a_max, hi)
+    if target > shape * math.fsum(b.tolist()):
+        b_max = b.max()
+        lo, hi = 0.0, (1.0 - 1e-12) / b_max
+        theta = min(0.5 / b_max, hi)
     else:
-        lo = -len(w) * d.shape / target if d.nonnegative else -(1.0 - 1e-12) / w.a_max
+        b_min = b.min()
+        lo = (1.0 - 1e-12) / b_min if b_min < 0.0 else -len(b) * shape / target
         hi = 0.0
         theta = 0.5 * lo
     for _ in range(_MAX_NEWTON_ITER):
-        g = sum_log_mgf_prime(d, w, theta) - target
+        g = cumulant_prime(b, shape, theta) - target
         if g > 0.0:
             hi = theta
         else:
             lo = theta
-        step = g / sum_log_mgf_double_prime(d, w, theta)
+        step = g / cumulant_double_prime(b, shape, theta)
         nxt = theta - step
         if not lo < nxt < hi:
             nxt = 0.5 * (lo + hi)
@@ -119,13 +95,13 @@ def _solve_psi_prime(d: Distribution, w: WeightVector, target: float) -> float:
 
 
 def chernoff_tilt(d: Distribution, w: "WeightVector | Sequence[float]", target: float) -> float:
-    """Stationary tilt theta* with psi_S'(theta*) = target, target above E S."""
+    """Stationary tilt theta* with K'(theta*) = target, target above E S."""
     w = as_weights(w)
     target = float(target)
     mean_s = d.mean * w.l1
     if not target > mean_s:
         raise InvalidInputError(f"tilt target {target} must exceed the sum mean {mean_s}")
-    return _solve_psi_prime(d, w, target)
+    return _solve_cumulant_prime(d.scales(w), d.shape, target)
 
 
 def rate_function(d: Distribution, t: float) -> LegendreResult:

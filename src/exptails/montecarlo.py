@@ -2,8 +2,12 @@
 
 Sampling is chunked over counter-based substreams (Philox) so that the same
 seed gives bit-identical estimates no matter how many worker threads run the
-chunks.  Plain estimation is a hit count; deep tails use exponentially
-tilted importance sampling with the Chernoff tilt.
+chunks.  Every law is gamma(shape) on signed scales b (``Distribution.scales``),
+so one draw serves all of them: S = sum_j b_j G_j with G_j i.i.d.
+gamma(shape), and a Laplace sum is a difference of exponential sums.
+Tilting by theta keeps each G_j gamma(shape) and turns b_j into
+b_j / (1 - theta b_j).  Plain estimation (theta = 0) is a hit count; deep
+tails use exponentially tilted importance sampling with the Chernoff tilt.
 """
 
 from __future__ import annotations
@@ -18,12 +22,11 @@ from scipy.special import betaincinv, ndtri
 from .core import (
     Distribution,
     InvalidInputError,
-    LawKind,
     WeightVector,
     as_weights,
     check_seed,
 )
-from .legendre import chernoff_tilt, sum_log_mgf
+from .legendre import chernoff_tilt, cumulant
 
 _CHUNK = 1 << 16
 _TILT_CLAMP = 0.999
@@ -55,22 +58,11 @@ def _chunks(n: int) -> list[tuple[int, int]]:
     return [(index, min(_CHUNK, n - start)) for index, start in enumerate(range(0, n, _CHUNK))]
 
 
-def _laplace_inverse_cdf(u: np.ndarray) -> np.ndarray:
-    # F^{-1}(u) = log(2u) below the median, -log(2(1-u)) above
-    lo = np.log(2.0 * np.maximum(u, 5e-324))
-    hi = -np.log(2.0 * (1.0 - u))
-    return np.where(u < 0.5, lo, hi)
-
-
-def _direct_chunk(d: Distribution, weights: np.ndarray, m: int, rng: np.random.Generator) -> np.ndarray:
-    k = weights.shape[0]
-    if d.kind is LawKind.LAPLACE:
-        x = _laplace_inverse_cdf(rng.random((m, k)))
-    elif d.kind is LawKind.EXPONENTIAL:
-        x = rng.standard_exponential((m, k))
-    else:
-        x = rng.standard_gamma(d.shape, (m, k))
-    return x @ weights
+def _draw_sums(
+    shape: float, b: np.ndarray, theta: float, m: int, rng: np.random.Generator
+) -> np.ndarray:
+    """m draws of S = sum_j b_j G_j, G_j i.i.d. gamma(shape), under the theta-tilted law."""
+    return rng.standard_gamma(shape, (m, b.size)) @ (b / (1.0 - theta * b))
 
 
 def _run_chunks(worker, chunk_list, workers: "int | None"):
@@ -109,12 +101,12 @@ def mc_tail(
         raise InvalidInputError(f"threshold must be finite, got {threshold!r}")
     if n < 100:
         raise InvalidInputError(f"plain MC needs n >= 100, got {n}")
-    weights = np.asarray(w.values, dtype=float)
+    b = d.scales(w)
 
     def worker(chunk: tuple[int, int]) -> int:
         index, count = chunk
         rng = _substream(seed, index)
-        sums = _direct_chunk(d, weights, count, rng)
+        sums = _draw_sums(d.shape, b, 0.0, count, rng)
         return int(np.count_nonzero(sums > threshold))
 
     hits = sum(_run_chunks(worker, _chunks(n), workers))
@@ -129,31 +121,6 @@ def mc_tail(
         seed=seed,
         tilt_theta=0.0,
     )
-
-
-def _tilted_chunk(
-    d: Distribution, weights: np.ndarray, theta: float, m: int, rng: np.random.Generator
-) -> np.ndarray:
-    """Sums drawn from the theta-tilted product law."""
-    k = weights.shape[0]
-    if d.kind is LawKind.LAPLACE:
-        tau = theta * weights
-        # branch masses 1/(2(1-tau)) and 1/(2(1+tau)), normalized
-        p_plus = (1.0 + tau) / 2.0
-        positive = rng.random((m, k)) < p_plus
-        mag = rng.standard_exponential((m, k))
-        x = np.where(
-            positive,
-            mag * (weights / (1.0 - tau)),
-            -mag * (weights / (1.0 + tau)),
-        )
-        return x.sum(axis=1)
-    scales = weights / (1.0 - theta * weights)
-    if d.kind is LawKind.EXPONENTIAL:
-        x = rng.standard_exponential((m, k))
-    else:
-        x = rng.standard_gamma(d.shape, (m, k))
-    return x @ scales
 
 
 def is_tail(
@@ -183,13 +150,13 @@ def is_tail(
             f"threshold {threshold!r} is not above the mean {mean_s!r}; use mc_tail"
         )
     theta = min(chernoff_tilt(d, w, threshold), _TILT_CLAMP / w.a_max)
-    log_norm = sum_log_mgf(d, w, theta)
-    weights = np.asarray(w.values, dtype=float)
+    b = d.scales(w)
+    log_norm = cumulant(b, d.shape, theta)
 
     def worker(chunk: tuple[int, int]) -> tuple[float, float]:
         index, count = chunk
         rng = _substream(seed, index)
-        sums = _tilted_chunk(d, weights, theta, count, rng)
+        sums = _draw_sums(d.shape, b, theta, count, rng)
         log_lr = -theta * sums + log_norm
         z = np.where(sums > threshold, np.exp(log_lr), 0.0)
         return float(np.sum(z)), float(np.dot(z, z))

@@ -7,11 +7,14 @@
   coefficients pass the trust gates; one expansion serves both laws, the
   Laplace MGF being the exponential one with every pole mirrored, and
 * otherwise Bromwich inversion of the moment generating function by the
-  trapezoid rule on a hyperbolic contour through the saddle point, for any
-  of the three laws, with relative accuracy of about 1e-12 and an error
-  estimate; it raises instead of returning a value outside [0, 1].  Far
-  below the scale of a gamma or exponential sum, where the saddle point
-  leaves float range, the leading small-t term of P(S <= t) answers.
+  trapezoid rule on a hyperbolic contour through the saddle point, with
+  relative accuracy of about 1e-12 and an error estimate; it raises instead
+  of returning a value outside [0, 1].  The engine reads only the signed
+  scales of ``Distribution.scales`` (every law is gamma(shape) on them),
+  taken in units of a power of two next to the largest weight so that no
+  weight scale over- or underflows.  Far below the scale of a gamma or
+  exponential sum, where the saddle point leaves float range, the leading
+  small-t term of P(S <= t) answers.
 
 The tests drive both on the same instances and require agreement.
 """
@@ -36,7 +39,7 @@ from .core import (
     WeightVector,
     as_weights,
 )
-from .legendre import _solve_psi_prime, sum_log_mgf, sum_log_mgf_double_prime, sum_log_mgf_prime
+from .legendre import _solve_cumulant_prime, cumulant, cumulant_double_prime, cumulant_prime
 
 # Scales closer than this merge into one pole: raw partial fractions lose
 # ~eps/gap^2 of absolute coefficient accuracy, so below 1e-5 the merged
@@ -54,6 +57,8 @@ _MAX_HALVINGS = 10
 _BLOCK = 1 << 13
 # Rounding error of a trapezoid sum, relative to h * sum |terms|.
 _ROUNDING = 4.0 * sys.float_info.epsilon
+# log of the smallest positive float
+_LOG_TINIEST = math.log(math.ulp(0.0))
 
 
 class MixtureSide(str, enum.Enum):
@@ -96,7 +101,8 @@ class ExpMixture:
         The range at t > 0 is [0, 1/2] for a symmetric mixture and [0, 1]
         otherwise.  A value within the error bound |sum coef - 1| +
         4 eps sum |coef| of a range end is that end; one further out raises
-        MixtureUnavailableError.
+        MixtureUnavailableError, and so does a value below the normal range
+        where the tail may still be a nonzero (subnormal) float.
         """
         t = float(t)
         top = 1.0
@@ -112,6 +118,17 @@ class ExpMixture:
         value = top * math.fsum(
             term.coef * gammaincc(term.power + 1, t / term.scale) for term in self.terms
         )
+        if value < sys.float_info.min:
+            # gammaincc flushes Erlang tails below the normal range to 0.  With
+            # x = t/scale >= k, Q(k+1, x) <= (k+1) x^k e^(-x) / k!, so the sum is
+            # bounded by sum |coef| times the bound at the largest scale and power
+            k = max(term.power for term in self.terms)
+            x = t / max(term.scale for term in self.terms)
+            log_term = k * math.log(x) - x - math.lgamma(k + 1)
+            if log_term + math.log((k + 1) * self.coef_abs_sum) >= _LOG_TINIEST:
+                raise MixtureUnavailableError(
+                    f"mixture tail {value!r} is below the normal range, where it flushes to 0"
+                )
         if not 0.0 <= value <= top:
             err = abs(self.coef_sum - 1.0) + _ROUNDING * self.coef_abs_sum
             if not -err <= value <= top + err:
@@ -244,9 +261,10 @@ def laplace_abs_moment(w: "WeightVector | Sequence[float]", p: float) -> float:
     if not math.isfinite(p) or p <= 0.0:
         raise InvalidInputError(f"moment order must be positive, got {p!r}")
     d = Distribution.laplace()
+    b = d.scales(w)
     theta = min(math.sqrt(p + 1.0) / (math.sqrt(d.variance) * w.l2), 0.5 / w.a_max)
-    integral, _ = _bromwich(d, w, theta, 0.0, p)
-    return 2.0 * math.exp(math.lgamma(p + 1.0) + sum_log_mgf(d, w, theta)) * integral
+    integral, _ = _bromwich(b, d.shape, theta, 0.0, p)
+    return 2.0 * math.exp(math.lgamma(p + 1.0) + cumulant(b, d.shape, theta)) * integral
 
 
 # ---------------------------------------------------------------------------
@@ -254,42 +272,40 @@ def laplace_abs_moment(w: "WeightVector | Sequence[float]", p: float) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _bromwich(d: Distribution, w: WeightVector, theta: float, t: float, p: float) -> tuple[float, float]:
+def _bromwich(b: np.ndarray, shape: float, theta: float, t: float, p: float) -> tuple[float, float]:
     """(1/2 pi i) int M(z) e^{-zt} z^(-p-1) dz / (M(theta) e^{-theta t}) and its error.
+
+    M is the moment generating function of sum_j b_j G_j, G_j i.i.d.
+    gamma(shape), and theta is real with 0 < |theta| and b_j theta < 1.
 
     The contour is the hyperbola z(u) = theta + c (cosh u - 1) + i w sinh u,
     u real, which crosses the real axis only at theta and opens to the
     right, so it is equivalent to the vertical line Re z = theta.  w is the
     saddle width 1/sqrt(K''(theta)) of K = log M, capped at the distance
     from theta to the nearest singularity (the pole at 0 or the branch point
-    at 1/a_max), and c = w/2: the integrand decays double exponentially in u
-    and is analytic in a strip of half-width about pi/4 around the real u
-    axis, so the trapezoid rule converges geometrically.  The step halves
+    at 1/max_j b_j; a negative scale's branch point lies beyond the pole),
+    and c = w/2: the integrand decays double exponentially in u and is
+    analytic in a strip of half-width about pi/4 around the real u axis, so
+    the trapezoid rule converges geometrically.  The step halves
     from 1/2 until two successive sums agree to _INV_RTOL relative; that
     difference, or the sum's rounding error if larger, is the error
     estimate.  Nodes are evaluated in blocks of at most _BLOCK complex
     entries, so memory stays bounded for any n.
     """
-    a = np.array(w.values)
-    laplace = d.kind is LawKind.LAPLACE
-    if laplace:
-        shape, coef = 1.0, a * a / (1.0 - (a * theta) ** 2)
-    else:
-        shape, coef = d.shape, a / (1.0 - a * theta)
-    dist = min(abs(theta), 1.0 / w.a_max - theta)
-    width = min(1.0 / math.sqrt(sum_log_mgf_double_prime(d, w, theta)), dist)
+    coef = b / (1.0 - b * theta)
+    dist = min(abs(theta), 1.0 / b.max() - theta)
+    width = min(1.0 / math.sqrt(cumulant_double_prime(b, shape, theta)), dist)
     bend = 0.5 * width
-    rows = max(1, _BLOCK // len(a))
+    rows = max(1, _BLOCK // len(b))
 
     def integrand(u: np.ndarray) -> np.ndarray:
         out = np.empty(len(u), dtype=complex)
         for lo in range(0, len(u), rows):
             sh, ch = np.sinh(u[lo:lo + rows]), np.cosh(u[lo:lo + rows])
             dz = bend * (ch - 1.0) + 1j * width * sh
-            x = dz * (2.0 * theta + dz) if laplace else dz
-            # log M(z) - log M(theta) = -shape * sum_i log1p(r_i); log1p of a
+            # log M(z) - log M(theta) = -shape * sum_j log1p(r_j); log1p of a
             # complex r spelled out, because numpy's loses accuracy near 0
-            r = -np.multiply.outer(x, coef)
+            r = -np.multiply.outer(dz, coef)
             log1p = 0.5 * np.log1p(r.real * (2.0 + r.real) + r.imag**2) + 1j * np.arctan2(
                 r.imag, 1.0 + r.real
             )
@@ -341,7 +357,9 @@ def cf_tail_inversion(d: Distribution, w: "WeightVector | Sequence[float]", t: f
     0 < theta < 1/a_max; for theta < 0 the line passes the pole at 0 and the
     integral is P(S > t) - 1.  theta is the saddle of log M(z) - zt, which is
     negative below the mean, and is held at least 1/sigma (or 1/(2 a_max)
-    above the mean, if smaller) away from the pole at 0.  The integral is
+    above the mean, if smaller) away from the pole at 0.  The weights and t
+    are taken in units of the power of two ``w.unit``, so the result does not
+    depend on their scale.  The integral is
     scaled by M(theta) e^{-theta t} and the answer assembled in log space,
     so tails far below the scale keep their relative accuracy (about 1e-12).
     Below the mean of a nonnegative sum, the small-t form of P(S <= t)
@@ -380,22 +398,26 @@ def cf_tail_inversion(d: Distribution, w: "WeightVector | Sequence[float]", t: f
             c = t * d.shape * math.fsum(1.0 / a for a in w) / (n_shape + 1.0)
             if math.exp(log_lead) * min(c, 1.0) <= 0.25 * sys.float_info.epsilon * tail:
                 return tail
-    hold = 1.0 / (math.sqrt(d.variance) * w.l2)
-    hold = min(hold, 0.5 / w.a_max) if above else -hold
+    # in units of the power of two w.unit no weight scale over- or underflows,
+    # and rescaling by it is exact
+    u = w.unit
+    b, t_u = d.scales(w) / u, t / u
+    hold = 1.0 / (math.sqrt(d.variance) * (w.l2 / u))
+    hold = min(hold, 0.5 / b.max()) if above else -hold
     try:
-        # psi_S' increases, so the saddle lies between 0 and the hold exactly
-        # when psi_S'(hold) is at or past t; the solve is skipped then
-        if (sum_log_mgf_prime(d, w, hold) >= t) == above:
+        # K' increases, so the saddle lies between 0 and the hold exactly
+        # when K'(hold) is at or past t; the solve is skipped then
+        if (cumulant_prime(b, d.shape, hold) >= t_u) == above:
             theta = hold
         else:
-            theta = _solve_psi_prime(d, w, t)
-        integral, err = _bromwich(d, w, theta, t, 0.0)
+            theta = _solve_cumulant_prime(b, d.shape, t_u)
+        integral, err = _bromwich(b, d.shape, theta, t_u, 0.0)
     except (OverflowError, ZeroDivisionError) as exc:
         # far below the scale the saddle, near -n*shape/t, squares past float range
         raise NumericFailureError(f"saddle point out of float range at threshold {t!r}") from exc
     # integral * M(theta) e^{-theta t} in log space; a part above e is out of
     # range whatever its error, so the exponent stops there (no overflow)
-    log_part = sum_log_mgf(d, w, theta) - theta * t + math.log(abs(integral))
+    log_part = cumulant(b, d.shape, theta) - theta * t_u + math.log(abs(integral))
     part = math.copysign(math.exp(min(log_part, 1.0)), integral)
     err *= abs(part / integral)
     tail = part if theta > 0.0 else 1.0 + part

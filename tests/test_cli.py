@@ -16,9 +16,13 @@ import exptails.harness as harness
 from exptails.core import NumericFailureError
 from exptails.harness import PropertyResult, PropertySuiteReport
 from exptails.cli import run
+from exptails.oracle import laplace_tail
+
+SIGMA21 = math.sqrt(10.0)  # std of 2 X_1 + X_2 for standard Laplace X_i
 
 # Frozen reference values from tests/oracles/closed_forms.py (mpmath, 50 dps).
 LAPLACE_UPPER_T2 = 0.252953855321830831452
+LAPLACE21_AT_1 = 0.343040532946515228803
 HYPOEXP21_AT_6 = 0.0970953845590615275356
 MOMENT_EXACT_P3_W21 = 3.95789160968040547894
 MOMENT_LOWER_P2_N1_PAPER = 2.38943012775881533751
@@ -177,6 +181,34 @@ class TestExactCommand:
         ref = gammaincc(0.002, 0.5e-200)
         assert abs(payload["rows"][0]["tail"] - ref) <= 1e-9 * ref
 
+    def test_gamma_weights_far_below_one(self, capsys):
+        # the sum of squares of the weights underflowed to 0 here
+        payload = run_json(
+            capsys,
+            ["exact", "--dist", "gamma", "--shape", "0.5", "--weights", "1e-200,2e-200",
+             "--threshold", "7e-201"],
+        )
+        # P(X_1 + 2 X_2 > 0.7) for gamma(1/2) X_i (mpmath quadrature, 40 dps)
+        ref = 0.6140571521824074614
+        assert abs(payload["rows"][0]["tail"] - ref) <= math.ulp(ref)
+
+    def test_gamma_weights_far_above_one(self, capsys):
+        # the sum of squares of the weights overflowed here
+        argv = ["exact", "--dist", "gamma", "--shape", "0.5", "--format", "json"]
+        far = run_json(capsys, [*argv, "--weights", "1e200,2e200", "--threshold", "7e200"])
+        unit = run_json(capsys, [*argv, "--weights", "1,2", "--threshold", "7"])
+        assert math.isclose(far["rows"][0]["tail"], unit["rows"][0]["tail"], rel_tol=1e-14)
+
+    def test_laplace_weights_far_below_one(self, capsys):
+        # sigma was 0, and the relative threshold a division by it
+        payload = run_json(
+            capsys,
+            ["exact", "--dist", "laplace", "--weights", "1e-200,2e-200", "--threshold", "1e-200"],
+        )
+        row = payload["rows"][0]
+        assert math.isclose(row["t"], 1.0 / SIGMA21, rel_tol=1e-15)
+        assert math.isclose(row["tail"], LAPLACE21_AT_1, rel_tol=1e-12)
+
 
 class TestSimulateCommand:
     def test_plain_estimate(self, capsys):
@@ -199,6 +231,17 @@ class TestSimulateCommand:
         row = payload["rows"][0]
         assert row["method"] == "tilted"
         assert row["tilt_theta"] > 0.0
+
+    def test_laplace_tilted_weights_far_above_one(self, capsys):
+        # sigma overflowed, so the relative threshold was inf
+        argv = [
+            "simulate", "--dist", "laplace", "--weights", "1e200,2e200",
+            "--t", "3", "--method", "tilted",
+        ]
+        row = run_json(capsys, argv)["rows"][0]
+        assert math.isclose(row["threshold"], 3.0 * SIGMA21 * 1e200, rel_tol=1e-15)
+        truth = laplace_tail([1.0, 2.0], 3.0 * SIGMA21)
+        assert abs(row["p_hat"] - truth) <= 4.0 * row["stderr"]
 
 
 class TestMomentsCommand:
@@ -336,7 +379,8 @@ class TestVerifyCommand:
 
 
 # Byte-exact stdout of one argument set per case, with the timestamp masked.
-# The Laplace exact grid stays on the mixture route on both sides of 0.
+# The Laplace exact grid stays on the mixture route on both sides of 0.  The
+# simulate cases span four sampling chunks.
 GOLDEN_CASES = {
     "bounds_exponential.csv": ["bounds", "--dist", "exponential", "--weights", "2,1,0.5",
                                "--t", "0.5,1,2,5", "--format", "csv"],
@@ -346,6 +390,24 @@ GOLDEN_CASES = {
                          "--t", "0.8,1.5,2,4", "--format", "csv"],
     "exact_laplace.csv": ["exact", "--dist", "laplace", "--weights", "2,1,0.5,0.5",
                           "--t=-1.5,-0.2,0,0.7,3", "--format", "csv"],
+    "simulate_exponential.csv": ["simulate", "--dist", "exponential", "--weights", "2,1,0.5",
+                                 "--t", "1.2,2", "--samples", "200000", "--seed", "7",
+                                 "--format", "csv"],
+    "simulate_exponential_tilted.json": ["simulate", "--dist", "exponential", "--weights",
+                                         "2,1,0.5", "--t", "3,6", "--samples", "200000",
+                                         "--seed", "7", "--method", "tilted", "--format", "json"],
+    "simulate_gamma.json": ["simulate", "--dist", "gamma", "--shape", "2", "--weights", "3,1,1",
+                            "--t", "1.2,2", "--samples", "200000", "--seed", "11",
+                            "--format", "json"],
+    "simulate_gamma_tilted.csv": ["simulate", "--dist", "gamma", "--shape", "2", "--weights",
+                                  "3,1,1", "--t", "2.5,4", "--samples", "200000", "--seed", "11",
+                                  "--method", "tilted", "--format", "csv"],
+    "simulate_laplace.json": ["simulate", "--dist", "laplace", "--weights", "2,1,0.5",
+                              "--t", "0.5,1.5", "--samples", "200000", "--seed", "5",
+                              "--format", "json"],
+    "simulate_laplace_tilted.csv": ["simulate", "--dist", "laplace", "--weights", "2,1,0.5",
+                                    "--t", "3,5", "--samples", "200000", "--seed", "5",
+                                    "--method", "tilted", "--format", "csv"],
 }
 
 

@@ -38,6 +38,12 @@ class TestDistribution:
         assert Distribution.gamma(1.5).nonnegative
         assert not Distribution.laplace().nonnegative
 
+    def test_signed_scales(self):
+        w = [2.0, 0.5]
+        assert Distribution.exponential().scales(w).tolist() == w
+        assert Distribution.gamma(0.5).scales(w).tolist() == w
+        assert Distribution.laplace().scales(w).tolist() == [2.0, 0.5, -2.0, -0.5]
+
     def test_labels(self):
         assert Distribution.exponential().label() == "exponential"
         assert Distribution.laplace().label() == "laplace"
@@ -75,6 +81,18 @@ class TestWeightVector:
         w = WeightVector((1.0, 2.0))
         assert as_weights(w) is w
         assert as_weights([1, 2]).values == (1.0, 2.0)
+
+    def test_l2_keeps_its_bits_at_any_scale(self):
+        # squares taken in units of a power of two next to a_max are exact
+        # rescalings, so neither underflow nor overflow reaches the norm
+        rng = np.random.default_rng(3)
+        for _ in range(200):
+            values = np.exp(rng.uniform(-3.0, 3.0, int(rng.integers(1, 9)))).tolist()
+            l2 = math.sqrt(math.fsum(v * v for v in values))
+            assert WeightVector(tuple(values)).l2 == l2
+            for k in (-700, 700):
+                scaled = WeightVector(tuple(math.ldexp(v, k) for v in values))
+                assert scaled.l2 == math.ldexp(l2, k)
 
     def test_l1_uses_compensated_summation(self):
         # fsum keeps the l1 norm exact where naive accumulation drifts

@@ -8,12 +8,12 @@ from scipy.stats import beta, ks_2samp
 from verifiers import sample_sum
 
 from exptails.core import Distribution, InvalidInputError, check_seed
-from exptails.legendre import sum_log_mgf
+from exptails.legendre import cumulant
 from exptails.montecarlo import (
     _binomial_interval,
     _chunks,
+    _draw_sums,
     _substream,
-    _tilted_chunk,
     is_tail,
     mc_tail,
 )
@@ -150,12 +150,13 @@ class TestImportanceSampling:
         est = is_tail(GAMMA2, [2.0, 1.0], 18.0, n=100_000, seed=6)
         assert abs(est.p_hat - truth) <= 4.0 * est.stderr
 
-    def test_likelihood_ratio_integrates_to_one(self):
+    @pytest.mark.parametrize("d", [EXP, LAP, GAMMA2], ids=Distribution.label)
+    def test_likelihood_ratio_integrates_to_one(self, d):
         theta = 0.3
-        weights = np.array([2.0, 1.0])
-        log_norm = sum_log_mgf(EXP, [2.0, 1.0], theta)
+        b = d.scales([2.0, 1.0])
+        log_norm = cumulant(b, d.shape, theta)
         rng = _substream(99, 0)
-        sums = _tilted_chunk(EXP, weights, theta, 60_000, rng)
+        sums = _draw_sums(d.shape, b, theta, 60_000, rng)
         lr = np.exp(-theta * sums + log_norm)
         sem = float(lr.std(ddof=1)) / math.sqrt(lr.size)
         assert abs(float(lr.mean()) - 1.0) <= 4.0 * sem

@@ -285,6 +285,34 @@ class TestMixtureRange:
             mix.tail(5.0)
 
 
+    # the exponential sandwich_report instances 19 and 45 of seed 1, at t = 200 E S:
+    # scipy's Erlang tails flush to 0 there, while the tails are subnormal
+    # floats (mpmath, 50 dps)
+    @pytest.mark.parametrize(
+        "w, ref",
+        [
+            ((8.140927477570385, 5.804703666114568, 0.3838131363974503, 2.510441640402915,
+              0.19141181213129968, 0.40742392446449727, 5.285908038089396, 7.330496156709437),
+             3.4869184633642202184e-319),
+            ((3.5834570007328486, 4.310752199857048, 4.875069681709484, 7.081721277553747,
+              5.09477749080252, 0.35108535294550003, 0.11262778759943758, 0.28505692678339306),
+             4.673709022584965876e-314),
+        ],
+    )
+    def test_subnormal_tail_is_inverted(self, w, ref):
+        t = 200.0 * math.fsum(w)
+        with pytest.raises(MixtureUnavailableError):
+            hypoexp_mixture(w).tail(t)
+        value, source = exact_tail(EXP, w, t)
+        assert source == "cf_inversion"
+        assert abs(value - ref) <= 1e-4 * ref
+
+    def test_tail_below_the_smallest_float_stays_zero(self):
+        # 2 e^{-800} - e^{-1600} rounds to 0: the mixture answers
+        assert hypoexp_mixture([1.0, 0.5]).tail(800.0) == 0.0
+        assert laplace_mixture([1.0, 0.5]).tail(800.0) == 0.0
+
+
 class TestLaplaceAbsMoment:
     def test_frozen_moments(self):
         w = [2.0, 1.0]

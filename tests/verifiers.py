@@ -21,7 +21,7 @@ from exptails.core import (
     as_weights,
     check_seed,
 )
-from exptails.montecarlo import _chunks, _direct_chunk, _run_chunks, _substream
+from exptails.montecarlo import _chunks, _draw_sums, _run_chunks, _substream
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -136,13 +136,14 @@ def sample_sum(
         raise InvalidInputError(
             f"gaussian_mixture representation applies to Laplace sums, not {d.label()}"
         )
+    b = d.scales(w)
     weights = np.asarray(w.values, dtype=float)
 
     def worker(chunk: tuple[int, int]) -> np.ndarray:
         index, count = chunk
         rng = _substream(seed, index)
         if representation == "direct":
-            return _direct_chunk(d, weights, count, rng)
+            return _draw_sums(d.shape, b, 0.0, count, rng)
         return _mixture_chunk(weights, count, rng)
 
     return np.concatenate(_run_chunks(worker, _chunks(n), workers))
