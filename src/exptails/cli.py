@@ -32,7 +32,7 @@ from .core import (
 )
 from .harness import SandwichConfig, property_suite, sandwich_report
 from .montecarlo import is_tail, mc_tail
-from .oracle import exact_tail, laplace_abs_moment, p_ge_mean
+from .oracle import exact_tail, laplace_abs_norm, p_ge_mean
 
 _DISTS = ("exponential", "gamma", "laplace")
 
@@ -227,7 +227,7 @@ def _moment_rows(d: Distribution, w: WeightVector, config: RunConfig) -> list[di
     rows = []
     for p in config.p:
         lower, upper = moment_bounds(p, w, mode=config.mode)
-        exact = laplace_abs_moment(w, p) ** (1.0 / p)
+        exact = laplace_abs_norm(w, p)
         rows.append({"p": p, "lower": lower, "exact": exact, "upper": upper, "mode": config.mode})
     return rows
 

@@ -95,13 +95,18 @@ def _solve_cumulant_prime(b: np.ndarray, shape: float, target: float) -> float:
 
 
 def chernoff_tilt(d: Distribution, w: "WeightVector | Sequence[float]", target: float) -> float:
-    """Stationary tilt theta* with K'(theta*) = target, target above E S."""
+    """Stationary tilt theta* with K'(theta*) = target, target above E S.
+
+    Solved in units of the power of two ``w.unit``, where no weight scale
+    over- or underflows; the tilt scales as 1/unit.
+    """
     w = as_weights(w)
     target = float(target)
     mean_s = d.mean * w.l1
     if not target > mean_s:
         raise InvalidInputError(f"tilt target {target} must exceed the sum mean {mean_s}")
-    return _solve_cumulant_prime(d.scales(w), d.shape, target)
+    u = w.unit
+    return _solve_cumulant_prime(d.scales(w) / u, d.shape, target / u) / u
 
 
 def rate_function(d: Distribution, t: float) -> LegendreResult:

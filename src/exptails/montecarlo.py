@@ -17,7 +17,6 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import betaincinv, ndtri
 
 from .core import (
     Distribution,
@@ -31,7 +30,8 @@ from .legendre import chernoff_tilt, cumulant
 _CHUNK = 1 << 16
 _TILT_CLAMP = 0.999
 _CP_HIT_CUTOFF = 30
-_Z95 = float(ndtri(0.975))
+# the 0.975 standard normal quantile, float(scipy.special.ndtri(0.975)) bit for bit
+_Z95 = 1.959963984540054
 
 
 @dataclass(frozen=True)
@@ -77,6 +77,9 @@ def _binomial_interval(hits: int, n: int) -> tuple[float, float, float]:
     p = hits / n
     stderr = math.sqrt(p * (1.0 - p) / n)
     if hits < _CP_HIT_CUTOFF:
+        # imported here: scipy.special would double the import time of the package
+        from scipy.special import betaincinv
+
         lo = 0.0 if hits == 0 else float(betaincinv(hits, n - hits + 1, 0.025))
         hi = 1.0 if hits == n else float(betaincinv(hits + 1, n - hits, 0.975))
         return stderr, lo, hi

@@ -28,7 +28,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.special import gammaincc
 
 from .core import (
     Distribution,
@@ -40,6 +39,7 @@ from .core import (
     as_weights,
 )
 from .legendre import _solve_cumulant_prime, cumulant, cumulant_double_prime, cumulant_prime
+from .special import _LOG_TINIEST, gamma_upper_tail
 
 # Scales closer than this merge into one pole: raw partial fractions lose
 # ~eps/gap^2 of absolute coefficient accuracy, so below 1e-5 the merged
@@ -57,8 +57,8 @@ _MAX_HALVINGS = 10
 _BLOCK = 1 << 13
 # Rounding error of a trapezoid sum, relative to h * sum |terms|.
 _ROUNDING = 4.0 * sys.float_info.epsilon
-# log of the smallest positive float
-_LOG_TINIEST = math.log(math.ulp(0.0))
+# Veltkamp's splitting constant 2^27 + 1: halves of 26 bits multiply exactly
+_SPLIT = 134217729.0
 
 
 class MixtureSide(str, enum.Enum):
@@ -114,20 +114,23 @@ class ExpMixture:
             top = 0.5
         elif t <= 0.0:
             return 1.0
-        # a symmetric mixture's upper tail is half its Erlang sum: the scale is the range end
+        # a symmetric mixture's upper tail is half its Erlang sum: the scale is
+        # the range end.  A repeated scale alone leaves zero coefficients on its
+        # lower powers, whose Erlang tails need not be evaluated.
         value = top * math.fsum(
-            term.coef * gammaincc(term.power + 1, t / term.scale) for term in self.terms
+            term.coef * _erlang_tail(term.power, t, term.scale) for term in self.terms if term.coef
         )
         if value < sys.float_info.min:
-            # gammaincc flushes Erlang tails below the normal range to 0.  With
-            # x = t/scale >= k, Q(k+1, x) <= (k+1) x^k e^(-x) / k!, so the sum is
-            # bounded by sum |coef| times the bound at the largest scale and power
+            # Erlang tails below the normal range lose relative accuracy, and
+            # the signed sum may cancel into them.  With x = t/scale >= k,
+            # Q(k+1, x) <= (k+1) x^k e^(-x) / k!, so the sum is bounded by
+            # sum |coef| times the bound at the largest scale and power
             k = max(term.power for term in self.terms)
             x = t / max(term.scale for term in self.terms)
             log_term = k * math.log(x) - x - math.lgamma(k + 1)
             if log_term + math.log((k + 1) * self.coef_abs_sum) >= _LOG_TINIEST:
                 raise MixtureUnavailableError(
-                    f"mixture tail {value!r} is below the normal range, where it flushes to 0"
+                    f"mixture tail {value!r} is below the normal range, where it loses accuracy"
                 )
         if not 0.0 <= value <= top:
             err = abs(self.coef_sum - 1.0) + _ROUNDING * self.coef_abs_sum
@@ -137,6 +140,33 @@ class ExpMixture:
                 )
             value = min(max(value, 0.0), top)
         return value
+
+
+def _erlang_tail(k: int, t: float, scale: float) -> float:
+    """Q(k+1, t/scale), corrected for the rounding of the quotient t/scale.
+
+    The rounded quotient x is off by dx = (t - x scale)/scale, which would
+    grow the tail's relative error to about x eps.  t and scale are taken in
+    units of the power of two next to scale, where x scale splits error-free
+    (Dekker) without overflow; to first order the tail moves by
+    -dx x^k e^-x / k!.
+    """
+    m, e = math.frexp(scale)
+    r = math.ldexp(t, -e)
+    x = r / m
+    q = gamma_upper_tail(k, x)
+    if q == 0.0 or x < sys.float_info.min:
+        return q
+    p = x * m
+    hi = _SPLIT * x
+    x_hi = hi - (hi - x)
+    hi = _SPLIT * m
+    m_hi = hi - (hi - m)
+    x_lo, m_lo = x - x_hi, m - m_hi
+    p_err = ((x_hi * m_hi - p) + x_hi * m_lo + x_lo * m_hi) + x_lo * m_lo
+    dx = ((r - p) - p_err) / m
+    density = q if k == 0 else math.exp(k * math.log(x) - x - math.lgamma(k + 1))
+    return q - dx * density
 
 
 def _cluster_scales(values: Sequence[float], rtol: float = _CLUSTER_RTOL) -> list[tuple[float, int]]:
@@ -249,22 +279,26 @@ def laplace_tail(w: "WeightVector | Sequence[float]", t: float) -> float:
     return exact_tail(Distribution.laplace(), w, t)[0]
 
 
-def laplace_abs_moment(w: "WeightVector | Sequence[float]", p: float) -> float:
-    """E|S|^p for Laplace sums, p > 0, by contour inversion.
+def laplace_abs_norm(w: "WeightVector | Sequence[float]", p: float) -> float:
+    """The p-norm (E|S|^p)^(1/p) of a Laplace sum, p > 0, by contour inversion.
 
     E|S|^p = 2 Gamma(p+1) (1/2 pi i) int M(z) z^(-p-1) dz along
     Re z = theta, 0 < theta < 1/a_max; the contour crosses near
-    sqrt(p+1)/sigma, the saddle of M(z) z^(-p-1) for a Gaussian M.
+    sqrt(p+1)/sigma, the saddle of M(z) z^(-p-1) for a Gaussian M.  The
+    weights are taken in units of the power of two ``w.unit``, and the norm
+    scales with them.
     """
     w = as_weights(w)
     p = float(p)
     if not math.isfinite(p) or p <= 0.0:
         raise InvalidInputError(f"moment order must be positive, got {p!r}")
     d = Distribution.laplace()
-    b = d.scales(w)
-    theta = min(math.sqrt(p + 1.0) / (math.sqrt(d.variance) * w.l2), 0.5 / w.a_max)
+    u = w.unit
+    b = d.scales(w) / u
+    theta = min(math.sqrt(p + 1.0) / (math.sqrt(d.variance) * (w.l2 / u)), 0.5 / b.max())
     integral, _ = _bromwich(b, d.shape, theta, 0.0, p)
-    return 2.0 * math.exp(math.lgamma(p + 1.0) + cumulant(b, d.shape, theta)) * integral
+    moment = 2.0 * math.exp(math.lgamma(p + 1.0) + cumulant(b, d.shape, theta)) * integral
+    return u * moment ** (1.0 / p)
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import mpmath as mp
 import pytest
 from scipy.special import gammaincc
 
@@ -243,6 +244,31 @@ class TestSimulateCommand:
         truth = laplace_tail([1.0, 2.0], 3.0 * SIGMA21)
         assert abs(row["p_hat"] - truth) <= 4.0 * row["stderr"]
 
+    @pytest.mark.parametrize("dist", ["exponential", "laplace"])
+    @pytest.mark.parametrize("scale", [1e-200, 1e200])
+    def test_tilt_at_extreme_scales(self, capsys, dist, scale):
+        # the tilt solve divided by K'' = 0 at 1e-200 and stopped early at 1e200.
+        # For weights (a, 2a) and t = 3, a K'(theta) = 9 (3 E S) or 3 sqrt(10) (3 sigma)
+        argv = [
+            "simulate", "--dist", dist, "--weights", f"{scale:g},{2 * scale:g}",
+            "--t", "3", "--method", "tilted",
+        ]
+        row = run_json(capsys, argv)["rows"][0]
+        if dist == "exponential":
+            def k_prime(th):
+                return 1 / (1 - th) + 2 / (1 - 2 * th) - 9
+
+            truth = 2.0 * math.exp(-4.5) - math.exp(-9.0)  # P(2 Y_1 + Y_2 > 9)
+        else:
+            def k_prime(th):
+                return 2 * th / (1 - th**2) + 8 * th / (1 - 4 * th**2) - 3 * mp.sqrt(10)
+
+            truth = laplace_tail([1.0, 2.0], 3.0 * SIGMA21)
+        with mp.workdps(30):
+            want = float(mp.findroot(k_prime, (0.01, 0.49), solver="anderson"))
+        assert math.isclose(row["tilt_theta"] * scale, want, rel_tol=1e-12)
+        assert abs(row["p_hat"] - truth) <= 4.0 * row["stderr"]
+
 
 class TestMomentsCommand:
     def test_sandwich_holds(self, capsys):
@@ -253,6 +279,17 @@ class TestMomentsCommand:
             assert row["lower"] <= row["exact"] <= row["upper"]
             assert row["mode"] == "proof_derived"
         assert math.isclose(payload["rows"][1]["exact"], MOMENT_EXACT_P3_W21, rel_tol=1e-12)
+
+    @pytest.mark.parametrize("scale", [1e-200, 1e200])
+    def test_extreme_scales(self, capsys, scale):
+        # the contour ran in raw units: 1/0 at 1e-200, overflow at 1e200
+        argv = ["moments", "--dist", "laplace", "--p", "2,3"]
+        rows = run_json(capsys, [*argv, "--weights", f"{scale:g},{2 * scale:g}"])["rows"]
+        unit = run_json(capsys, [*argv, "--weights", "1,2"])["rows"]
+        assert math.isclose(rows[0]["exact"], SIGMA21 * scale, rel_tol=1e-14)
+        assert math.isclose(rows[1]["exact"], MOMENT_EXACT_P3_W21 * scale, rel_tol=1e-12)
+        for row, ref in zip(rows, unit):
+            assert math.isclose(row["exact"], ref["exact"] * scale, rel_tol=1e-14)
 
     def test_paper_mode_counterexample_is_visible(self, capsys):
         # the published constant overshoots E S^2 for a single weight; the
@@ -426,6 +463,32 @@ def test_cli_import_leaves_scipy_stats_out():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+def test_cli_runs_leave_scipy_special_out():
+    # Erlang tails are elementary and Clopper-Pearson intervals (under 30
+    # hits) load scipy.special on demand, so none of these runs imports it
+    src = str(Path(cli.__file__).parents[1])
+    runs = [
+        ["bounds", "--dist", "exponential", "--weights", "2,1", "--t", "2"],
+        ["exact", "--dist", "laplace", "--weights", "2,1,0.5", "--t", "0.5,3"],
+        ["verify", "--dist", "exponential", "--instances", "2", "--t", "2,3"],
+        ["simulate", "--dist", "exponential", "--weights", "2,1", "--t", "1",
+         "--samples", "1000"],
+    ]
+    code = (
+        f"import contextlib, io, json, sys; sys.path.insert(0, {src!r}); import exptails.cli\n"
+        f"for argv in {runs!r}:\n"
+        "    with contextlib.redirect_stdout(io.StringIO()) as out:\n"
+        "        assert exptails.cli.run(argv) == 0\n"
+        "row = json.loads(out.getvalue())['rows'][0]\n"
+        "print(row['p_hat'] * row['n'], 'scipy.special' in sys.modules)"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    hits, loaded = proc.stdout.split()
+    assert float(hits) >= 30  # the normal interval, not Clopper-Pearson
+    assert loaded == "False"
 
 
 def test_console_script_entry_point(tmp_path):

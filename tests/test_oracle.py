@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from scipy.special import gammaincc
@@ -19,7 +20,7 @@ from exptails.oracle import (
     exact_tail,
     hypoexp_mixture,
     hypoexp_tail,
-    laplace_abs_moment,
+    laplace_abs_norm,
     laplace_mixture,
     laplace_tail,
     p_ge_mean,
@@ -260,6 +261,15 @@ class TestExactTail:
         assert source == "cf_inversion"
         assert abs(value - HYPOEXP_ILL_AT_5) <= 1e-8
 
+    def test_thousand_equal_weights_stay_on_the_mixture(self):
+        # one Erlang(1000) term: e^-1500 underflows and 1500^999 overflows, so
+        # the tail is evaluated relative to its largest term
+        value, source = exact_tail(EXP, [1.0] * 1000, 1500.0)
+        assert source == "mixture"
+        with mp.workdps(40):
+            want = mp.gammainc(1000, 1500, mp.inf, regularized=True)
+        assert math.isclose(value, float(want), rel_tol=1e-13)
+
     def test_laplace_tail_just_above_zero_is_at_most_half(self):
         # the mixture's coefficient sum drifts above 1, once giving 0.5000000000000009
         w = (6.862283619576183, 4.567786612409471, 8.621840609032201, 0.5201142460805447)
@@ -316,37 +326,37 @@ class TestMixtureRange:
 class TestLaplaceAbsMoment:
     def test_frozen_moments(self):
         w = [2.0, 1.0]
-        assert math.isclose(laplace_abs_moment(w, 3.0), LAPLACE21_ABSMOMENT_P3, rel_tol=1e-12)
-        assert math.isclose(laplace_abs_moment(w, 2.5), LAPLACE21_ABSMOMENT_P25, rel_tol=1e-12)
-        assert math.isclose(laplace_abs_moment(w, 2.0), LAPLACE21_ABSMOMENT_P2, rel_tol=1e-12)
+        assert math.isclose(laplace_abs_norm(w, 3.0) ** 3.0, LAPLACE21_ABSMOMENT_P3, rel_tol=1e-12)
+        assert math.isclose(laplace_abs_norm(w, 2.5) ** 2.5, LAPLACE21_ABSMOMENT_P25, rel_tol=1e-12)
+        assert math.isclose(laplace_abs_norm(w, 2.0) ** 2.0, LAPLACE21_ABSMOMENT_P2, rel_tol=1e-12)
 
     def test_single_weight_closed_form(self):
         # E|aX|^p = a^p Gamma(p+1)
-        assert math.isclose(laplace_abs_moment([2.0], 4.0), 16.0 * 24.0, rel_tol=1e-12)
+        assert math.isclose(laplace_abs_norm([2.0], 4.0) ** 4.0, 16.0 * 24.0, rel_tol=1e-12)
 
     def test_variance_identity_random(self):
         rng = np.random.default_rng(19)
         for _ in range(10):
             w = random_weights(rng, max_n=6)
             want = 2.0 * sum(a * a for a in w)
-            assert math.isclose(laplace_abs_moment(w, 2.0), want, rel_tol=1e-9)
+            assert math.isclose(laplace_abs_norm(w, 2.0) ** 2.0, want, rel_tol=1e-9)
 
     def test_contour_fallback_fourth_moment(self):
         # E S^4 = 24 sum a_i^4 + 12 sum_{i != j} a_i^2 a_j^2 for Laplace summands
         sq = [a * a for a in ILL_CONDITIONED]
         want = 24.0 * sum(s * s for s in sq) + 12.0 * (sum(sq) ** 2 - sum(s * s for s in sq))
-        assert math.isclose(laplace_abs_moment(ILL_CONDITIONED, 4.0), want, rel_tol=1e-9)
+        assert math.isclose(laplace_abs_norm(ILL_CONDITIONED, 4.0) ** 4.0, want, rel_tol=1e-9)
 
     def test_quadrature_fallback(self):
         # weights that defeat the tail mixture; E S^2 = 2 sum a_i^2
         want = 2.0 * sum(a * a for a in ILL_CONDITIONED)
-        got = laplace_abs_moment(ILL_CONDITIONED, 2.0)
+        got = laplace_abs_norm(ILL_CONDITIONED, 2.0) ** 2.0
         assert math.isclose(got, want, rel_tol=1e-4)
 
     def test_invalid_order(self):
         for bad in (0.0, -1.0, math.nan):
             with pytest.raises(InvalidInputError):
-                laplace_abs_moment([1.0], bad)
+                laplace_abs_norm([1.0], bad)
 
 
 class TestEqualWeightGamma:

@@ -1,17 +1,71 @@
-"""Special functions: the h rate shape and Gaussian tails.
+"""Special functions: Erlang tails, the h rate shape and Gaussian tails.
 
 Frozen reference values come from tests/oracles/closed_forms.py (mpmath at
-50 significant digits).
+50 significant digits); Erlang tails are checked against mpmath directly.
 """
 
 import math
+import sys
 
+import mpmath as mp
 import numpy as np
 import pytest
 from verifiers import h_sup
 
 from exptails.core import InvalidInputError
-from exptails.special import gaussian_tail, gaussian_tail_lower, h_closed
+from exptails.special import gamma_upper_tail, gaussian_tail, gaussian_tail_lower, h_closed
+
+EPS = sys.float_info.epsilon
+
+
+def erlang_rel_errors(ks, xs):
+    """|gamma_upper_tail(k, x) / Q(k+1, x) - 1| with Q from mpmath at 40 digits,
+    over the tails in the normal float range."""
+    errors = []
+    with mp.workdps(40):
+        for k, x in zip(ks, xs):
+            k, x = int(k), float(x)
+            want = mp.gammainc(k + 1, x, mp.inf, regularized=True)
+            if want >= sys.float_info.min:
+                errors.append(float(abs(gamma_upper_tail(k, x) / want - 1)))
+    return np.array(errors)
+
+
+class TestGammaUpperTail:
+    def test_small_orders_within_16_eps(self):
+        # the orders of clusters up to the mixture's 64 scales, out to where
+        # e^-x nears the end of the normal range
+        rng = np.random.default_rng(23)
+        ks = rng.integers(0, 64, 2000)
+        xs = 10.0 ** rng.uniform(-3.0, math.log10(700.0), 2000)
+        assert erlang_rel_errors(ks, xs).max() <= 16 * EPS
+
+    def test_large_orders_around_the_mean(self):
+        # a cluster of up to 1000 equal weights is one Erlang term, evaluated
+        # from half to three times its mean, where e^-x under- and x^k overflows
+        rng = np.random.default_rng(29)
+        ks = rng.integers(64, 1000, 400)
+        xs = ks * rng.uniform(0.5, 3.0, 400)
+        errors = erlang_rel_errors(ks, xs)
+        assert len(errors) >= 300
+        assert errors.max() <= 4e-12
+
+    def test_closed_forms(self):
+        assert gamma_upper_tail(0, 2.5) == math.exp(-2.5)
+        assert math.isclose(gamma_upper_tail(1, 2.0), 3.0 * math.exp(-2.0), rel_tol=2 * EPS)
+        for k in (0, 5, 1000):
+            assert gamma_upper_tail(k, 0.0) == 1.0
+            assert gamma_upper_tail(k, math.inf) == 0.0
+
+    def test_below_the_smallest_float_is_zero(self):
+        assert gamma_upper_tail(3, 1e4) == 0.0
+        assert gamma_upper_tail(0, 800.0) == 0.0
+        assert gamma_upper_tail(10, 1e300) == 0.0
+
+    @pytest.mark.parametrize("k, x", [(-1, 1.0), (2, -1.0), (2, math.nan), (1.5, 1.0)])
+    def test_invalid_arguments(self, k, x):
+        with pytest.raises((InvalidInputError, TypeError)):
+            gamma_upper_tail(k, x)
 
 # closed_forms.py: h_at_* block
 H_FROZEN = {
