@@ -61,8 +61,9 @@ def _solve_cumulant_prime(b: np.ndarray, shape: float, target: float) -> float:
     """Solve K'(theta) = target for theta inside the domain of K.
 
     Safeguarded Newton: every step stays inside a shrinking bisection
-    bracket.  K' increases through the mean of S at theta = 0 to +inf at
-    1/max_j b_j, so targets above the mean have a root in (0, 1/max_j b_j).
+    bracket, and once a step is below the tolerance one more Newton step
+    from it brings the root to rounding level.  K' increases through the
+    mean of S at theta = 0 to +inf at 1/max_j b_j, so targets above the mean have a root in (0, 1/max_j b_j).
     Below the mean the root is negative: in (1/min_j b_j, 0) when a scale is
     negative, and otherwise in (-len(b)*shape/target, 0), where K'(theta) <
     len(b)*shape/|theta| (the target must be positive there).
@@ -87,7 +88,11 @@ def _solve_cumulant_prime(b: np.ndarray, shape: float, target: float) -> float:
         if not lo < nxt < hi:
             nxt = 0.5 * (lo + hi)
         if abs(nxt - theta) <= _THETA_TOL * max(1.0, abs(theta)):
-            return nxt
+            # the stop rule trails the root by up to the last step: one more
+            # Newton step from the converged iterate reaches rounding level
+            g = cumulant_prime(b, shape, nxt) - target
+            last = nxt - g / cumulant_double_prime(b, shape, nxt)
+            return last if lo <= last <= hi else nxt
         theta = nxt
     raise NumericFailureError(
         f"tilt solve did not reach {_THETA_TOL} after {_MAX_NEWTON_ITER} iterations"

@@ -25,7 +25,7 @@ import enum
 import math
 import sys
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -39,7 +39,7 @@ from .core import (
     as_weights,
 )
 from .legendre import _solve_cumulant_prime, cumulant, cumulant_double_prime, cumulant_prime
-from .special import _LOG_TINIEST, gamma_upper_tail
+from .special import _LOG_TINIEST, erlang_tails
 
 # Scales closer than this merge into one pole: raw partial fractions lose
 # ~eps/gap^2 of absolute coefficient accuracy, so below 1e-5 the merged
@@ -66,8 +66,7 @@ class MixtureSide(str, enum.Enum):
     TWO_SIDED = "two_sided"
 
 
-@dataclass(frozen=True)
-class MixtureTerm:
+class MixtureTerm(NamedTuple):
     """One exponential-polynomial tail term: coef * Q(power+1, t/scale)."""
 
     coef: float
@@ -115,11 +114,8 @@ class ExpMixture:
         elif t <= 0.0:
             return 1.0
         # a symmetric mixture's upper tail is half its Erlang sum: the scale is
-        # the range end.  A repeated scale alone leaves zero coefficients on its
-        # lower powers, whose Erlang tails need not be evaluated.
-        value = top * math.fsum(
-            term.coef * _erlang_tail(term.power, t, term.scale) for term in self.terms if term.coef
-        )
+        # the range end
+        value = top * math.fsum(_weighted_erlang_tails(self.terms, t))
         if value < sys.float_info.min:
             # Erlang tails below the normal range lose relative accuracy, and
             # the signed sum may cancel into them.  With x = t/scale >= k,
@@ -142,31 +138,48 @@ class ExpMixture:
         return value
 
 
-def _erlang_tail(k: int, t: float, scale: float) -> float:
-    """Q(k+1, t/scale), corrected for the rounding of the quotient t/scale.
+def _weighted_erlang_tails(terms: Sequence[MixtureTerm], t: float) -> list[float]:
+    """coef * Q(power+1, t/scale) for each term whose tail is not 0 at t.
 
-    The rounded quotient x is off by dx = (t - x scale)/scale, which would
+    The tails of a run of terms on one scale come from one pass of
+    ``erlang_tails`` up to the run's largest power; a simple pole (one term,
+    power 0) takes one exp.  Each tail is corrected for the rounding of the
+    quotient x = t/scale, which is off by dx = (t - x scale)/scale and would
     grow the tail's relative error to about x eps.  t and scale are taken in
     units of the power of two next to scale, where x scale splits error-free
-    (Dekker) without overflow; to first order the tail moves by
+    (Dekker) without overflow; to first order the tail of power k moves by
     -dx x^k e^-x / k!.
     """
-    m, e = math.frexp(scale)
-    r = math.ldexp(t, -e)
-    x = r / m
-    q = gamma_upper_tail(k, x)
-    if q == 0.0 or x < sys.float_info.min:
-        return q
-    p = x * m
-    hi = _SPLIT * x
-    x_hi = hi - (hi - x)
-    hi = _SPLIT * m
-    m_hi = hi - (hi - m)
-    x_lo, m_lo = x - x_hi, m - m_hi
-    p_err = ((x_hi * m_hi - p) + x_hi * m_lo + x_lo * m_hi) + x_lo * m_lo
-    dx = ((r - p) - p_err) / m
-    density = q if k == 0 else math.exp(k * math.log(x) - x - math.lgamma(k + 1))
-    return q - dx * density
+    out = []
+    i, n = 0, len(terms)
+    while i < n:
+        scale = terms[i].scale
+        j = i + 1
+        while j < n and terms[j].scale == scale:
+            j += 1
+        run, i = terms[i:j], j
+        if t / scale > 1e300:
+            continue  # every tail on the scale is 0, and t/scale may overflow
+        m, e = math.frexp(scale)
+        r = math.ldexp(t, -e)
+        x = r / m
+        dx = 0.0
+        if x >= sys.float_info.min:
+            p = x * m
+            hi = _SPLIT * x
+            x_hi = hi - (hi - x)
+            hi = _SPLIT * m
+            m_hi = hi - (hi - m)
+            x_lo, m_lo = x - x_hi, m - m_hi
+            p_err = ((x_hi * m_hi - p) + x_hi * m_lo + x_lo * m_hi) + x_lo * m_lo
+            dx = ((r - p) - p_err) / m
+        if len(run) == 1 and run[0].power == 0:
+            q = math.exp(-x)
+            out.append(run[0].coef * (q - dx * q))
+        else:
+            qs, ps = erlang_tails(max(term.power for term in run), x)
+            out.extend(term.coef * (qs[term.power] - dx * ps[term.power]) for term in run)
+    return out
 
 
 def _cluster_scales(values: Sequence[float], rtol: float = _CLUSTER_RTOL) -> list[tuple[float, int]]:
@@ -212,8 +225,14 @@ def _mixture(w: "WeightVector | Sequence[float]", side: MixtureSide) -> ExpMixtu
     contributes the factor (1 - e + e x)^(-m_k), e = b_k/b_j.  The two-sided
     (Laplace) MGF mirrors every pole, (1 + b_j z)^(-m_j): the pole's own
     mirror adds (2 - x)^(-m_j), and each other scale adds (1 + e - e x)^(-m_k)
-    after its factor.  Two-sided coefficients are doubled so that they sum
-    to 1, like the one-sided ones.
+    after its factor.  The coefficient of the pole's highest power is the
+    product at x = 0, prod_k (1 - e)^(-m_k), or two-sided
+    prod_k ((1 - e)(1 + e))^(-m_k) 2^(1 - m_j), doubled so that two-sided
+    coefficients sum to 1 like one-sided ones.  Only a repeated pole
+    (m_j > 1) has lower powers: the coefficient of power m_j - 1 - i is the
+    x^i coefficient of the truncated product of the factors' Taylor series.
+    The trust gate on sum |coef| is checked as each pole is produced, so a
+    build that fails it stops at the first pole past the cap.
     """
     w = as_weights(w)
     groups = _cluster_scales(w.values)
@@ -223,26 +242,38 @@ def _mixture(w: "WeightVector | Sequence[float]", side: MixtureSide) -> ExpMixtu
         )
     two_sided = side is MixtureSide.TWO_SIDED
     terms: list[MixtureTerm] = []
+    abs_sum = 0.0
     for j, (b, m) in enumerate(groups):
-        order = m - 1
-        factors = [_recip_power_series(2.0, -1.0, m, order)] if two_sided else []
-        for k, (bk, mk) in enumerate(groups):
-            if k == j:
-                continue
-            e = bk / b
-            factors.append(_recip_power_series(1.0 - e, e, mk, order))
+        others = [(bk / b, mk) for bk, mk in groups[:j] + groups[j + 1:]]
+        try:
             if two_sided:
-                factors.append(_recip_power_series(1.0 + e, -e, mk, order))
-        g = _series_product(factors, order)
-        for ell in range(1, m + 1):
-            coef = 2.0 * g[m - ell] if two_sided else g[m - ell]
-            terms.append(MixtureTerm(coef=coef, scale=b, power=ell - 1))
+                den = math.prod([((1.0 - e) * (1.0 + e)) ** mk for e, mk in others])
+                lead = 2.0 ** (1 - m) / den
+            else:
+                lead = 1.0 / math.prod([(1.0 - e) ** mk for e, mk in others])
+            coefs = [lead]
+            if m > 1:
+                order = m - 1
+                factors = [_recip_power_series(2.0, -1.0, m, order)] if two_sided else []
+                for e, mk in others:
+                    factors.append(_recip_power_series(1.0 - e, e, mk, order))
+                    if two_sided:
+                        factors.append(_recip_power_series(1.0 + e, -e, mk, order))
+                g = _series_product(factors, order)
+                coefs = [2.0 * c if two_sided else c for c in g[:0:-1]] + coefs
+        except (OverflowError, ZeroDivisionError) as exc:
+            raise MixtureUnavailableError(
+                f"partial-fraction coefficients of pole {j + 1} of {len(groups)} leave float range"
+            ) from exc
+        for power, coef in enumerate(coefs):
+            abs_sum += abs(coef)
+            terms.append(MixtureTerm(coef, b, power))
+        if not abs_sum <= _COEF_ABS_CAP:  # nan fails too
+            raise MixtureUnavailableError(
+                f"partial-fraction coefficients too large to trust (sum |coef| = {abs_sum:.3e}"
+                f" after {j + 1} of {len(groups)} poles)"
+            )
     mix = ExpMixture(tuple(terms), side)
-    abs_sum = mix.coef_abs_sum
-    if abs_sum > _COEF_ABS_CAP:
-        raise MixtureUnavailableError(
-            f"partial-fraction coefficients too large to trust (sum |coef| = {abs_sum:.3e})"
-        )
     drift = abs(mix.coef_sum - 1.0)
     if drift > _COEF_DRIFT_TOL:
         raise MixtureUnavailableError(
@@ -283,8 +314,9 @@ def laplace_abs_norm(w: "WeightVector | Sequence[float]", p: float) -> float:
     """The p-norm (E|S|^p)^(1/p) of a Laplace sum, p > 0, by contour inversion.
 
     E|S|^p = 2 Gamma(p+1) (1/2 pi i) int M(z) z^(-p-1) dz along
-    Re z = theta, 0 < theta < 1/a_max; the contour crosses near
-    sqrt(p+1)/sigma, the saddle of M(z) z^(-p-1) for a Gaussian M.  The
+    Re z = theta, 0 < theta < 1/a_max; the contour crosses at the saddle of
+    M(z) z^(-p-1), the root of z K'(z) = p + 1, which rises from 0 to
+    infinity over (0, 1/a_max) and approaches the pole as p grows.  The
     weights are taken in units of the power of two ``w.unit``, and the norm
     scales with them.
     """
@@ -295,7 +327,16 @@ def laplace_abs_norm(w: "WeightVector | Sequence[float]", p: float) -> float:
     d = Distribution.laplace()
     u = w.unit
     b = d.scales(w) / u
-    theta = min(math.sqrt(p + 1.0) / (math.sqrt(d.variance) * (w.l2 / u)), 0.5 / b.max())
+    # bisection to a few digits of the distance to either end of the interval
+    pole = 1.0 / b.max()
+    lo, hi = 0.0, pole
+    while hi - lo > 1e-3 * min(lo, pole - hi):
+        theta = 0.5 * (lo + hi)
+        if theta * cumulant_prime(b, d.shape, theta) > p + 1.0:
+            hi = theta
+        else:
+            lo = theta
+    theta = 0.5 * (lo + hi)
     integral, _ = _bromwich(b, d.shape, theta, 0.0, p)
     moment = 2.0 * math.exp(math.lgamma(p + 1.0) + cumulant(b, d.shape, theta)) * integral
     return u * moment ** (1.0 / p)

@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from verifiers import h_sup
@@ -81,6 +82,14 @@ class TestChernoffTilt:
         # 2 theta/(1-theta^2) = 3 gives theta = (sqrt(10)-1)/3; closed_forms.py
         # theta_star_at_3 (same stationarity as the h supremum)
         assert math.isclose(chernoff_tilt(LAP, [1.0], 3.0), 0.720759220056126444, rel_tol=1e-9)
+
+    def test_two_weights_to_the_last_bits(self):
+        # 1/(1-theta) + 2/(1-2 theta) = 9 is 18 theta^2 - 23 theta + 6 = 0, root
+        # (23 - sqrt(97))/36; stopping on the step size left it 1e-12 off
+        with mp.workdps(40):
+            root = float((23 - mp.sqrt(97)) / 36)
+        theta = chernoff_tilt(EXP, [1.0, 2.0], 9.0)
+        assert abs(theta - root) <= 4 * math.ulp(root)
 
     def test_stationarity_on_random_instances(self):
         rng = np.random.default_rng(11)

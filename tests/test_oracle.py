@@ -1,12 +1,15 @@
 """Exact-tail oracles: partial-fraction mixtures and CF inversion."""
 
 import math
+import re
 
 import mpmath as mp
 import numpy as np
 import pytest
 from scipy.special import gammaincc
+from verifiers import mixture_parity, seeded_weight_vectors
 
+import exptails.oracle as oracle
 from exptails.core import Distribution, InvalidInputError
 from exptails.oracle import (
     ExpMixture,
@@ -14,6 +17,7 @@ from exptails.oracle import (
     MixtureTerm,
     MixtureUnavailableError,
     _cluster_scales,
+    _mixture,
     _recip_power_series,
     _series_product,
     cf_tail_inversion,
@@ -25,6 +29,7 @@ from exptails.oracle import (
     laplace_tail,
     p_ge_mean,
 )
+from exptails.special import erlang_tails
 
 EXP = Distribution.exponential()
 LAP = Distribution.laplace()
@@ -129,6 +134,66 @@ class TestHypoexpMixture:
     def test_ill_conditioned_coefficients(self):
         with pytest.raises(MixtureUnavailableError, match="too large"):
             hypoexp_mixture(ILL_CONDITIONED)
+
+
+def mp_partial_fraction_tail(w, t, two_sided):
+    """P(S > t) from the partial fractions of distinct weights at 80 digits."""
+    with mp.workdps(80):
+        a = [mp.mpf(x) for x in w]
+        total = mp.mpf(0)
+        for j, aj in enumerate(a):
+            coef = mp.mpf(1)
+            for k, ak in enumerate(a):
+                if k != j:
+                    coef *= aj * aj / (aj * aj - ak * ak) if two_sided else aj / (aj - ak)
+            total += coef * mp.exp(-mp.mpf(t) / aj)
+        return float(total / 2 if two_sided else total)
+
+
+class TestMixtureParity:
+    """The closed-form product per pole against the all-series builder."""
+
+    def test_coefficients_and_gates_match_the_series_builder(self):
+        vectors = seeded_weight_vectors(1, 300, 24)
+        accepted, worst, flips = mixture_parity(_mixture, vectors)
+        assert accepted >= 250
+        assert worst <= 2.0  # ulp per weight
+        # summing the coefficients in another order moves the sum by rounding
+        # only, so the two builders part at the 1e-10 drift gate alone, and
+        # then the accepted mixture is a good one
+        assert len(flips) <= 0.02 * 2 * len(vectors)
+        for w, side, message in flips:
+            assert "do not sum to 1" in message
+            d = EXP if side is MixtureSide.ONE_SIDED else LAP
+            try:
+                mix = _mixture(w, side)
+            except MixtureUnavailableError:
+                continue
+            sigma = math.sqrt(d.variance) * math.sqrt(math.fsum(a * a for a in w))
+            for k in (-1.0, 0.0, 0.3, 1.0, 3.0, 8.0):
+                t = d.mean * math.fsum(w) + k * sigma
+                assert abs(mix.tail(t) - cf_tail_inversion(d, w, t)) <= 1e-8
+
+    def test_doomed_builds_raise_and_invert(self):
+        rng = np.random.default_rng(64)
+        wide = np.exp(rng.uniform(math.log(0.5), math.log(2.0), 64)).tolist()
+        for w in (ILL_CONDITIONED, wide):
+            for d, build, side in ((EXP, hypoexp_mixture, False), (LAP, laplace_mixture, True)):
+                with pytest.raises(MixtureUnavailableError):
+                    build(w)
+                sigma = math.sqrt(d.variance * math.fsum(a * a for a in w))
+                t = d.mean * math.fsum(w) + 2.0 * sigma
+                value, source = exact_tail(d, w, t)
+                assert source == "cf_inversion"
+                want = mp_partial_fraction_tail(w, t, side)
+                assert abs(value - want) <= 1e-9 * want
+
+    def test_cap_stops_at_the_first_pole_past_it(self):
+        rng = np.random.default_rng(64)
+        w = np.exp(rng.uniform(math.log(0.5), math.log(2.0), 64)).tolist()
+        with pytest.raises(MixtureUnavailableError, match=r"after (\d+) of 64 poles") as info:
+            hypoexp_mixture(w)
+        assert int(re.search(r"after (\d+) of", str(info.value)).group(1)) < 64
 
 
 class TestLaplaceMixture:
@@ -278,6 +343,44 @@ class TestExactTail:
         assert exact_tail(LAP, w, 0.0)[0] == 0.5
 
 
+class TestClusterTail:
+    """A cluster of equal scales is one Erlang pass, not one per power."""
+
+    @staticmethod
+    def reference(t):
+        # S = 2 G + E, G ~ gamma(999), E ~ exponential(1): P(S > t) =
+        # Q(999, c) + e^-2c int_0^c g^998 e^g dg / 998!, c = t/2, and the
+        # integral is 998! (e^c sum_k (-1)^(998-k) c^k/k! - 1)
+        with mp.workdps(60):
+            c = mp.mpf(t) / 2
+            alternating = mp.fsum(
+                (-1) ** (998 - k) * mp.exp(k * mp.log(c) - c - mp.loggamma(k + 1))
+                for k in range(999)
+            )
+            head = mp.gammainc(999, c, mp.inf, regularized=True)
+            return float(head + alternating - mp.exp(-2 * c))
+
+    @pytest.mark.parametrize("t", [1998.0, 2500.0])
+    def test_against_mpmath(self, t):
+        value, source = exact_tail(EXP, [2.0] * 999 + [1.0], t)
+        assert source == "mixture"
+        want = self.reference(t)
+        assert abs(value - want) <= 1e-12 * want
+
+    def test_one_pass_per_scale(self, monkeypatch):
+        calls = []
+
+        def counted(k, x):
+            calls.append(k)
+            return erlang_tails(k, x)
+
+        monkeypatch.setattr(oracle, "erlang_tails", counted)
+        hypoexp_mixture([2.0] * 999 + [1.0]).tail(1998.0)
+        laplace_mixture([2.0] * 3 + [1.0] * 2).tail(3.0)
+        # simple poles take one exp and no pass
+        assert calls == [998, 1, 2]
+
+
 class TestMixtureRange:
     def test_within_error_bound_is_the_range_end(self):
         mix = ExpMixture((MixtureTerm(1.0 + 1e-12, 1.0, 0),), MixtureSide.ONE_SIDED)
@@ -317,6 +420,19 @@ class TestMixtureRange:
         assert source == "cf_inversion"
         assert abs(value - ref) <= 1e-4 * ref
 
+    def test_coefficients_past_float_range_are_rejected(self):
+        # (1 - 1.00002)^100 underflows to 0 and (1 - 1.00002)^-100 overflows
+        for w in ([1.0] + [1.00002] * 100, [1.0] * 100 + [1.00002]):
+            for d, build in ((EXP, hypoexp_mixture), (LAP, laplace_mixture)):
+                with pytest.raises(MixtureUnavailableError):
+                    build(w)
+                assert exact_tail(d, w, 0.5 * d.mean * sum(w) + 1.0)[1] == "cf_inversion"
+
+    def test_quotient_past_float_range_is_a_zero_tail(self):
+        # t/scale = 1e310 overflows, and the tail there is 0
+        assert exact_tail(EXP, [1e-300], 1e10) == (0.0, "mixture")
+        assert exact_tail(EXP, [1e-300, 1.0], 1e10) == (0.0, "mixture")
+
     def test_tail_below_the_smallest_float_stays_zero(self):
         # 2 e^{-800} - e^{-1600} rounds to 0: the mixture answers
         assert hypoexp_mixture([1.0, 0.5]).tail(800.0) == 0.0
@@ -352,6 +468,15 @@ class TestLaplaceAbsMoment:
         want = 2.0 * sum(a * a for a in ILL_CONDITIONED)
         got = laplace_abs_norm(ILL_CONDITIONED, 2.0) ** 2.0
         assert math.isclose(got, want, rel_tol=1e-4)
+
+    @pytest.mark.parametrize("p", [2.0, 20.0, 30.0, 40.0])
+    def test_high_orders_closed_form(self, p):
+        # E|2 X_1 + X_2|^p = Gamma(p+1) (4/3 2^p - 1/3); at p = 30 and 40 the
+        # saddle is near the pole at 1/2, where a contour placed by the
+        # Gaussian rule did not converge
+        with mp.workdps(40):
+            want = float((mp.gamma(p + 1) * (mp.mpf(4) / 3 * 2**p - mp.mpf(1) / 3)) ** (1 / p))
+        assert math.isclose(laplace_abs_norm([2.0, 1.0], p), want, rel_tol=1e-11)
 
     def test_invalid_order(self):
         for bad in (0.0, -1.0, math.nan):

@@ -13,7 +13,13 @@ import pytest
 from verifiers import h_sup
 
 from exptails.core import InvalidInputError
-from exptails.special import gamma_upper_tail, gaussian_tail, gaussian_tail_lower, h_closed
+from exptails.special import (
+    erlang_tails,
+    gamma_upper_tail,
+    gaussian_tail,
+    gaussian_tail_lower,
+    h_closed,
+)
 
 EPS = sys.float_info.epsilon
 
@@ -66,6 +72,38 @@ class TestGammaUpperTail:
     def test_invalid_arguments(self, k, x):
         with pytest.raises((InvalidInputError, TypeError)):
             gamma_upper_tail(k, x)
+
+class TestErlangTails:
+    """All powers of one scale in one pass: Q(p+1, x) and x^p e^-x / p!, p <= k."""
+
+    @pytest.mark.parametrize("k, x", [(5, 0.3), (40, 12.5), (40, 80.0), (300, 250.0),
+                                      (999, 999.0), (999, 1500.0), (200, 900.0)])
+    def test_each_power_matches_its_own_tail(self, k, x):
+        tails, terms = erlang_tails(k, x)
+        assert len(tails) == len(terms) == k + 1
+        for p in range(k + 1):
+            want = gamma_upper_tail(p, x)
+            if want >= sys.float_info.min:
+                assert abs(tails[p] - want) <= 4 * math.ulp(want), (p, tails[p], want)
+
+    @pytest.mark.parametrize("k, x", [(40, 12.5), (300, 250.0), (999, 1500.0)])
+    def test_against_mpmath(self, k, x):
+        tails, terms = erlang_tails(k, x)
+        with mp.workdps(40):
+            for p in range(0, k + 1, max(1, k // 25)):
+                want = mp.gammainc(p + 1, x, mp.inf, regularized=True)
+                term = mp.exp(p * mp.log(x) - x - mp.loggamma(p + 1))
+                if want >= sys.float_info.min:
+                    assert abs(tails[p] / want - 1) <= 4e-12
+                if term >= sys.float_info.min:
+                    assert abs(terms[p] / term - 1) <= 4e-12
+
+    def test_simple_and_degenerate(self):
+        assert erlang_tails(0, 2.5) == ([math.exp(-2.5)], [math.exp(-2.5)])
+        assert erlang_tails(3, 0.0) == ([1.0] * 4, [1.0, 0.0, 0.0, 0.0])
+        assert erlang_tails(3, math.inf) == ([0.0] * 4, [0.0] * 4)
+        assert erlang_tails(3, 1e4) == ([0.0] * 4, [0.0] * 4)
+
 
 # closed_forms.py: h_at_* block
 H_FROZEN = {

@@ -4,7 +4,10 @@
 package computes in closed form: the supremum behind the Laplace rate shape
 h, and the infimum that the tail-shift ratio r(v) bounds from below.
 ``sample_sum`` draws the sums themselves, so that the samplers behind the
-Monte Carlo estimators can be checked in law.
+Monte Carlo estimators can be checked in law.  ``series_mixture`` builds the
+partial-fraction mixture with every coefficient from a truncated power-series
+product, the general form that the package's closed-form product per pole
+must reproduce.
 """
 
 import math
@@ -22,6 +25,18 @@ from exptails.core import (
     check_seed,
 )
 from exptails.montecarlo import _chunks, _draw_sums, _run_chunks, _substream
+from exptails.oracle import (
+    _COEF_ABS_CAP,
+    _COEF_DRIFT_TOL,
+    _MAX_DISTINCT_SCALES,
+    ExpMixture,
+    MixtureSide,
+    MixtureTerm,
+    MixtureUnavailableError,
+    _cluster_scales,
+    _recip_power_series,
+    _series_product,
+)
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -147,3 +162,104 @@ def sample_sum(
         return _mixture_chunk(weights, count, rng)
 
     return np.concatenate(_run_chunks(worker, _chunks(n), workers))
+
+
+def series_mixture(w: "WeightVector | list[float]", side: MixtureSide) -> ExpMixture:
+    """The partial-fraction mixture with every pole's coefficients from a series product.
+
+    Around the pole z = 1/b_j, with z = (1 - x)/b_j, each other clustered
+    scale contributes the factor (1 - e + e x)^(-m_k), e = b_k/b_j; the
+    two-sided MGF adds the pole's mirror (2 - x)^(-m_j) and (1 + e - e x)^(-m_k)
+    per other scale.  The truncated product of the factors' Taylor series
+    gives all m_j coefficients of the pole.  The same trust gates as the
+    package's builder apply, to the finished mixture.
+    """
+    w = as_weights(w)
+    groups = _cluster_scales(w.values)
+    if len(groups) > _MAX_DISTINCT_SCALES:
+        raise MixtureUnavailableError(
+            f"{len(groups)} distinct scales exceeds the partial-fraction cap {_MAX_DISTINCT_SCALES}"
+        )
+    two_sided = side is MixtureSide.TWO_SIDED
+    terms: list[MixtureTerm] = []
+    for j, (b, m) in enumerate(groups):
+        order = m - 1
+        factors = [_recip_power_series(2.0, -1.0, m, order)] if two_sided else []
+        for k, (bk, mk) in enumerate(groups):
+            if k == j:
+                continue
+            e = bk / b
+            factors.append(_recip_power_series(1.0 - e, e, mk, order))
+            if two_sided:
+                factors.append(_recip_power_series(1.0 + e, -e, mk, order))
+        g = _series_product(factors, order)
+        for ell in range(1, m + 1):
+            coef = 2.0 * g[m - ell] if two_sided else g[m - ell]
+            terms.append(MixtureTerm(coef=coef, scale=b, power=ell - 1))
+    mix = ExpMixture(tuple(terms), side)
+    abs_sum = mix.coef_abs_sum
+    if abs_sum > _COEF_ABS_CAP:
+        raise MixtureUnavailableError(
+            f"partial-fraction coefficients too large to trust (sum |coef| = {abs_sum:.3e})"
+        )
+    drift = abs(mix.coef_sum - 1.0)
+    if drift > _COEF_DRIFT_TOL:
+        raise MixtureUnavailableError(
+            f"partial-fraction coefficients do not sum to 1 (off by {drift:.3e})"
+        )
+    return mix
+
+
+def seeded_weight_vectors(seed: int, count: int, n_max: int) -> list[list[float]]:
+    """``count`` weight vectors with n uniform in 1..n_max.
+
+    Each is log-uniform on 0.1-10 or on 0.5-2 (even odds), and in about 30%
+    of the vectors of n >= 2 some weights copy others at a relative gap of 0,
+    1e-7 or 1e-3: equal, merged by the clustering pass, and kept apart.
+    """
+    rng = np.random.default_rng(seed)
+    out = []
+    for _ in range(count):
+        n = int(rng.integers(1, n_max + 1))
+        lo, hi = (0.1, 10.0) if rng.random() < 0.5 else (0.5, 2.0)
+        w = np.exp(rng.uniform(math.log(lo), math.log(hi), n))
+        if n > 1 and rng.random() < 0.3:
+            gap = (0.0, 1e-7, 1e-3)[int(rng.integers(3))]
+            copies = int(rng.integers(1, n))
+            for src, dst in zip(rng.integers(0, n, copies), rng.choice(n, copies, replace=False)):
+                if src != dst:
+                    w[dst] = w[src] * (1.0 + gap * rng.uniform(0.5, 1.5))
+        out.append(w.tolist())
+    return out
+
+
+def mixture_parity(build, vectors) -> tuple[int, float, list]:
+    """Compare ``build(w, side)`` with ``series_mixture`` on both sides of each vector.
+
+    Returns (accepted, worst, flips): the number of (vector, side) pairs
+    both builders accept, the largest coefficient difference over them in
+    units of n ulp of the series coefficient, and (w, side, message) for
+    each pair that exactly one of them rejects, with that one's message.
+    """
+    accepted, worst, flips = 0, 0.0, []
+    for w in vectors:
+        for side in MixtureSide:
+            got = want = None
+            try:
+                got = build(w, side)
+            except MixtureUnavailableError as exc:
+                got_err = str(exc)
+            try:
+                want = series_mixture(w, side)
+            except MixtureUnavailableError as exc:
+                want_err = str(exc)
+            if (got is None) != (want is None):
+                flips.append((w, side, got_err if got is None else want_err))
+                continue
+            if got is None:
+                continue
+            accepted += 1
+            assert [t[1:] for t in got.terms] == [t[1:] for t in want.terms]  # scale, power
+            for a, b in zip(got.terms, want.terms):
+                worst = max(worst, abs(a.coef - b.coef) / math.ulp(b.coef) / len(w))
+    return accepted, worst, flips
