@@ -49,11 +49,11 @@ _COEF_ABS_CAP = 1e12
 _COEF_DRIFT_TOL = 1e-10
 _MAX_DISTINCT_SCALES = 64
 # Contour inversion: relative agreement of successive trapezoid sums, the
-# largest u walked out to, the number of step halvings from h = 1/2, and the
-# complex entries per node block (128 KB).
+# largest u walked out to, the number of step halvings from h = 1/8, and the
+# entries per array of a node block (64 KB of floats).
 _INV_RTOL = 1e-12
 _U_MAX = 30.0
-_MAX_HALVINGS = 10
+_MAX_HALVINGS = 8
 _BLOCK = 1 << 13
 # Rounding error of a trapezoid sum, relative to h * sum |terms|.
 _ROUNDING = 4.0 * sys.float_info.epsilon
@@ -266,8 +266,9 @@ def _mixture(w: "WeightVector | Sequence[float]", side: MixtureSide) -> ExpMixtu
                 f"partial-fraction coefficients of pole {j + 1} of {len(groups)} leave float range"
             ) from exc
         for power, coef in enumerate(coefs):
-            abs_sum += abs(coef)
-            terms.append(MixtureTerm(coef, b, power))
+            if coef != 0.0:  # a lone pole's lower powers are exactly 0
+                abs_sum += abs(coef)
+                terms.append(MixtureTerm(coef, b, power))
         if not abs_sum <= _COEF_ABS_CAP:  # nan fails too
             raise MixtureUnavailableError(
                 f"partial-fraction coefficients too large to trust (sum |coef| = {abs_sum:.3e}"
@@ -317,8 +318,10 @@ def laplace_abs_norm(w: "WeightVector | Sequence[float]", p: float) -> float:
     Re z = theta, 0 < theta < 1/a_max; the contour crosses at the saddle of
     M(z) z^(-p-1), the root of z K'(z) = p + 1, which rises from 0 to
     infinity over (0, 1/a_max) and approaches the pole as p grows.  The
-    weights are taken in units of the power of two ``w.unit``, and the norm
-    scales with them.
+    moment is assembled in log space from the integral normalised by
+    M(theta) theta^(-p-1), so that orders whose moment overflows keep their
+    norm.  The weights are taken in units of the power of two ``w.unit``,
+    and the norm scales with them.
     """
     w = as_weights(w)
     p = float(p)
@@ -338,8 +341,14 @@ def laplace_abs_norm(w: "WeightVector | Sequence[float]", p: float) -> float:
             lo = theta
     theta = 0.5 * (lo + hi)
     integral, _ = _bromwich(b, d.shape, theta, 0.0, p)
-    moment = 2.0 * math.exp(math.lgamma(p + 1.0) + cumulant(b, d.shape, theta)) * integral
-    return u * moment ** (1.0 / p)
+    if not integral > 0.0:
+        raise NumericFailureError(f"contour integral of the absolute moment is {integral!r}")
+    # E|S|^p itself may leave float range while its p-th root does not
+    log_moment = (
+        math.log(2.0) + math.lgamma(p + 1.0) + cumulant(b, d.shape, theta)
+        - (p + 1.0) * math.log(theta) + math.log(integral)
+    )
+    return u * math.exp(log_moment / p)
 
 
 # ---------------------------------------------------------------------------
@@ -348,7 +357,7 @@ def laplace_abs_norm(w: "WeightVector | Sequence[float]", p: float) -> float:
 
 
 def _bromwich(b: np.ndarray, shape: float, theta: float, t: float, p: float) -> tuple[float, float]:
-    """(1/2 pi i) int M(z) e^{-zt} z^(-p-1) dz / (M(theta) e^{-theta t}) and its error.
+    """(1/2 pi i) int M(z) e^{-zt} (z/theta)^(-p-1) dz / (M(theta) e^{-theta t}) and its error.
 
     M is the moment generating function of sum_j b_j G_j, G_j i.i.d.
     gamma(shape), and theta is real with 0 < |theta| and b_j theta < 1.
@@ -361,50 +370,69 @@ def _bromwich(b: np.ndarray, shape: float, theta: float, t: float, p: float) -> 
     at 1/max_j b_j; a negative scale's branch point lies beyond the pole),
     and c = w/2: the integrand decays double exponentially in u and is
     analytic in a strip of half-width about pi/4 around the real u axis, so
-    the trapezoid rule converges geometrically.  The step halves
-    from 1/2 until two successive sums agree to _INV_RTOL relative; that
-    difference, or the sum's rounding error if larger, is the error
-    estimate.  Nodes are evaluated in blocks of at most _BLOCK complex
-    entries, so memory stays bounded for any n.
+    the trapezoid rule converges geometrically.  The step halves from 1/8
+    until two successive sums agree to _INV_RTOL relative; that difference,
+    or the sum's rounding error if larger, is the error estimate.  The first
+    sum walks out in one chunk of nodes, no further than _U_MAX, and stops at
+    the first four whose last two terms are negligible.  The sums over the
+    scales run in blocks of nodes of at most _BLOCK entries per array, so
+    memory stays bounded for any n.
     """
     coef = b / (1.0 - b * theta)
+    coef2 = coef * coef
     dist = min(abs(theta), 1.0 / b.max() - theta)
     width = min(1.0 / math.sqrt(cumulant_double_prime(b, shape, theta)), dist)
     bend = 0.5 * width
     rows = max(1, _BLOCK // len(b))
 
     def integrand(u: np.ndarray) -> np.ndarray:
-        out = np.empty(len(u), dtype=complex)
+        sh, ch = np.sinh(u), np.cosh(u)
+        x, y = bend * (ch - 1.0), width * sh
+        # log M(z) - log M(theta) = -shape * sum_j log(1 - c_j dz), dz = x + iy,
+        # from the real and imaginary parts of each log, summed apart over
+        # real outer products, block by block: arg(1 - c dz) = -atan2(cy, 1 - cx),
+        # and log|1 - c dz| is half log1p(c^2 |dz|^2 - 2 cx), accurate near 0
+        r2 = x * x + y * y
+        minus_arg, log_abs2 = np.empty(len(u)), np.empty(len(u))
         for lo in range(0, len(u), rows):
-            sh, ch = np.sinh(u[lo:lo + rows]), np.cosh(u[lo:lo + rows])
-            dz = bend * (ch - 1.0) + 1j * width * sh
-            # log M(z) - log M(theta) = -shape * sum_j log1p(r_j); log1p of a
-            # complex r spelled out, because numpy's loses accuracy near 0
-            r = -np.multiply.outer(dz, coef)
-            log1p = 0.5 * np.log1p(r.real * (2.0 + r.real) + r.imag**2) + 1j * np.arctan2(
-                r.imag, 1.0 + r.real
-            )
-            z = theta + dz
-            out[lo:lo + rows] = (
-                np.exp(-shape * log1p.sum(axis=1) - dz * t)
-                * (bend * sh + 1j * width * ch)
-                * z ** (-p - 1.0)
-            )
-        return out
+            block = slice(lo, lo + rows)
+            cx = np.multiply.outer(x[block], coef)
+            minus_arg[block] = np.arctan2(np.multiply.outer(y[block], coef), 1.0 - cx).sum(axis=1)
+            q = np.multiply.outer(r2[block], coef2)
+            q -= cx
+            q -= cx
+            log_abs2[block] = np.log1p(q).sum(axis=1)
+        # |theta/z| <= 1 wherever p > 0 (there theta > 0), so its power
+        # cannot overflow
+        dz = x + 1j * y
+        return (
+            np.exp(shape * (1j * minus_arg - 0.5 * log_abs2) - dz * t)
+            * (bend * sh + 1j * width * ch)
+            * np.reciprocal(1.0 + dz / theta) ** (p + 1.0)
+        )
 
-    # Half-line trapezoid sum (the integrand is conjugate-symmetric in u);
-    # the first pass walks out until the terms are negligible.
-    h, nodes, total, mass = 0.5, 0, 0.0, 0.0
+    # Half-line trapezoid sum (the integrand is conjugate-symmetric in u).
+    h = 0.125
+    chunk = 4 * max(1, rows // 4)
+    last = 4 * int(_U_MAX / h / 4)  # nodes below u = _U_MAX, in fours
+    nodes, total, mass = 0, 0.0, 0.0
     while True:
-        f = integrand(h * np.arange(nodes, nodes + 4))
+        f = integrand(h * np.arange(nodes, min(nodes + chunk, last)))
         if nodes == 0:
             f[0] *= 0.5
+        # the first four nodes whose last two terms are negligible against
+        # the sum through them end the walk
+        fours = np.abs(f).reshape(-1, 4)[:, 2:].max(axis=1)
+        sums = total + np.cumsum(f.imag)[3::4]
+        done = np.flatnonzero(fours <= 1e-16 * np.abs(sums))
+        if len(done):
+            f = f[:4 * done[0] + 4]
         total += f.imag.sum()
         mass += np.abs(f.imag).sum()
-        nodes += 4
-        if np.abs(f[-2:]).max() <= 1e-16 * abs(total):
+        nodes += len(f)
+        if len(done):
             break
-        if nodes * h > _U_MAX:
+        if nodes >= last:
             raise NumericFailureError(
                 f"contour integrand still at {np.abs(f[-1]):.3e} at u = {_U_MAX}"
             )
@@ -490,6 +518,8 @@ def cf_tail_inversion(d: Distribution, w: "WeightVector | Sequence[float]", t: f
     except (OverflowError, ZeroDivisionError) as exc:
         # far below the scale the saddle, near -n*shape/t, squares past float range
         raise NumericFailureError(f"saddle point out of float range at threshold {t!r}") from exc
+    # the integrand's (z/theta)^-1 carries a factor theta; take it out
+    integral, err = integral / theta, err / abs(theta)
     # integral * M(theta) e^{-theta t} in log space; a part above e is out of
     # range whatever its error, so the exponent stops there (no overflow)
     log_part = cumulant(b, d.shape, theta) - theta * t_u + math.log(abs(integral))

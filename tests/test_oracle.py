@@ -2,6 +2,7 @@
 
 import math
 import re
+from types import SimpleNamespace
 
 import mpmath as mp
 import numpy as np
@@ -10,7 +11,7 @@ from scipy.special import gammaincc
 from verifiers import mixture_parity, seeded_weight_vectors
 
 import exptails.oracle as oracle
-from exptails.core import Distribution, InvalidInputError
+from exptails.core import Distribution, InvalidInputError, NumericFailureError
 from exptails.oracle import (
     ExpMixture,
     MixtureSide,
@@ -282,6 +283,21 @@ class TestCfInversion:
             with pytest.raises(InvalidInputError):
                 cf_tail_inversion(EXP, [1.0], bad)
 
+    def test_walk_out_stops_before_u_max(self, monkeypatch):
+        # the integrand is far from negligible at u = 1: the walk raises
+        # without evaluating a node past the limit
+        nodes = []
+
+        def sinh(u):
+            nodes.extend(u)
+            return np.sinh(u)
+
+        monkeypatch.setattr(oracle, "_U_MAX", 1.0)
+        monkeypatch.setattr(oracle, "np", SimpleNamespace(**{**vars(np), "sinh": sinh}))
+        with pytest.raises(NumericFailureError, match="still at"):
+            cf_tail_inversion(GAMMA05, [2.0, 1.0], 3.0)
+        assert 0.0 < max(nodes) < 1.0
+
     def test_agrees_with_mixture_on_random_instances(self):
         rng = np.random.default_rng(3)
         for _ in range(5):
@@ -380,6 +396,15 @@ class TestClusterTail:
         # simple poles take one exp and no pass
         assert calls == [998, 1, 2]
 
+    def test_lone_cluster_is_one_term(self):
+        # a lone pole's lower powers have coefficient exactly 0 and are left
+        # out: the mixture is the single Erlang(10000) tail
+        mix = hypoexp_mixture([1.0] * 10000)
+        assert mix.terms == (MixtureTerm(1.0, 1.0, 9999),)
+        with mp.workdps(40):
+            want = float(mp.gammainc(10000, 10500, mp.inf, regularized=True))
+        assert math.isclose(mix.tail(10500.0), want, rel_tol=1e-13)
+
 
 class TestMixtureRange:
     def test_within_error_bound_is_the_range_end(self):
@@ -469,13 +494,14 @@ class TestLaplaceAbsMoment:
         got = laplace_abs_norm(ILL_CONDITIONED, 2.0) ** 2.0
         assert math.isclose(got, want, rel_tol=1e-4)
 
-    @pytest.mark.parametrize("p", [2.0, 20.0, 30.0, 40.0])
+    @pytest.mark.parametrize("p", [2.0, 20.0, 30.0, 40.0, 300.0, 1000.0])
     def test_high_orders_closed_form(self, p):
         # E|2 X_1 + X_2|^p = Gamma(p+1) (4/3 2^p - 1/3); at p = 30 and 40 the
         # saddle is near the pole at 1/2, where a contour placed by the
-        # Gaussian rule did not converge
+        # Gaussian rule did not converge; at p = 300 and 1000 the moment
+        # overflows a float while the norm does not
         with mp.workdps(40):
-            want = float((mp.gamma(p + 1) * (mp.mpf(4) / 3 * 2**p - mp.mpf(1) / 3)) ** (1 / p))
+            want = float((mp.gamma(p + 1) * (mp.mpf(4) / 3 * mp.mpf(2) ** p - mp.mpf(1) / 3)) ** (1 / p))
         assert math.isclose(laplace_abs_norm([2.0, 1.0], p), want, rel_tol=1e-11)
 
     def test_invalid_order(self):

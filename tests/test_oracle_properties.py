@@ -6,12 +6,16 @@ deterministic.
 
 import math
 
+import mpmath as mp
+import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.special import gammaincc
 
-from exptails.core import Distribution
-from exptails.oracle import cf_tail_inversion, hypoexp_mixture, laplace_mixture
+from exptails.core import Distribution, as_weights
+from exptails.legendre import _solve_cumulant_prime, cumulant_double_prime
+from exptails.oracle import _bromwich, cf_tail_inversion, hypoexp_mixture, laplace_mixture
 
 PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=150)
 
@@ -73,3 +77,37 @@ def test_agrees_with_laplace_mixture(weights, z):
     t = z * math.sqrt(d.variance) * math.hypot(*weights)
     ref = laplace_mixture(weights).tail(t)
     assert abs(cf_tail_inversion(d, weights, t) - ref) <= 1e-10 * ref
+
+
+@pytest.mark.parametrize("n", [1, 8, 64, 1000])
+@pytest.mark.parametrize("d", [Distribution.exponential(), Distribution.gamma(0.5), Distribution.laplace()],
+                         ids=lambda d: d.label())
+def test_contour_integral_does_not_depend_on_theta(d, n):
+    # P(S > t) = exp(K(theta) - theta t) I(theta) / theta for every theta in
+    # (0, 1/b_max), I being the normalised integral; the nodes of each theta
+    # fall elsewhere on its own hyperbola.  theta moves a quarter of the way to
+    # either end of the domain, but at most one saddle width 1/sqrt(K''): far
+    # beyond it, M(theta) e^(-theta t) exceeds the tail so much that the
+    # integral cancels below rounding (by e^17 for a quarter of the domain at
+    # n = 1000), and no trapezoid sum meets the 1e-12 agreement there
+    rng = np.random.default_rng(n)
+    w = as_weights(np.exp(rng.uniform(math.log(0.5), math.log(2.0), n)).tolist())
+    b = d.scales(w) / w.unit
+    mean = d.mean * w.l1 / w.unit
+    sigma = math.sqrt(d.variance) * w.l2 / w.unit
+    end = 1.0 / b.max()
+    for z in (0.3, 3.0, 8.0, 30.0):
+        t = mean + z * sigma
+        star = _solve_cumulant_prime(b, d.shape, t)
+        width = min(1.0 / math.sqrt(cumulant_double_prime(b, d.shape, star)), star, end - star)
+        tails = []
+        for theta in (star - min(0.25 * star, width), star, star + min(0.25 * (end - star), width)):
+            integral, err = _bromwich(b, d.shape, theta, t, 0.0)
+            with mp.workdps(30):
+                th = mp.mpf(theta)
+                rate = mp.fsum(-d.shape * mp.log1p(-mp.mpf(v) * th) for v in b.tolist()) - th * t
+                scale = mp.exp(rate) / th
+                tails.append((scale * integral, scale * err))
+        (lo, lo_err), (mid, mid_err), (hi, hi_err) = tails
+        assert abs(lo - mid) <= lo_err + mid_err, (z, lo, mid)
+        assert abs(hi - mid) <= hi_err + mid_err, (z, hi, mid)

@@ -259,7 +259,9 @@ def mixture_parity(build, vectors) -> tuple[int, float, list]:
             if got is None:
                 continue
             accepted += 1
-            assert [t[1:] for t in got.terms] == [t[1:] for t in want.terms]  # scale, power
-            for a, b in zip(got.terms, want.terms):
+            # the builder leaves out exactly the terms whose series coefficient is 0
+            want_terms = [t for t in want.terms if t.coef != 0.0]
+            assert [t[1:] for t in got.terms] == [t[1:] for t in want_terms]  # scale, power
+            for a, b in zip(got.terms, want_terms):
                 worst = max(worst, abs(a.coef - b.coef) / math.ulp(b.coef) / len(w))
     return accepted, worst, flips
