@@ -84,10 +84,15 @@ def _solve_cumulant_prime(b: np.ndarray, shape: float, target: float) -> float:
         else:
             lo = theta
         step = g / cumulant_double_prime(b, shape, theta)
+        tol = _THETA_TOL * max(1.0, abs(theta))
         nxt = theta - step
-        if not lo < nxt < hi:
+        # at the root the step rounds to about 0 and nxt lands on the bracket
+        # end just set to theta: a converged step is taken as it is
+        converged = abs(step) <= tol
+        if not converged and not lo < nxt < hi:
             nxt = 0.5 * (lo + hi)
-        if abs(nxt - theta) <= _THETA_TOL * max(1.0, abs(theta)):
+            converged = abs(nxt - theta) <= tol
+        if converged:
             # the stop rule trails the root by up to the last step: one more
             # Newton step from the converged iterate reaches rounding level
             g = cumulant_prime(b, shape, nxt) - target

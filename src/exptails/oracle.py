@@ -373,10 +373,12 @@ def _bromwich(b: np.ndarray, shape: float, theta: float, t: float, p: float) -> 
     the trapezoid rule converges geometrically.  The step halves from 1/8
     until two successive sums agree to _INV_RTOL relative; that difference,
     or the sum's rounding error if larger, is the error estimate.  The first
-    sum walks out in one chunk of nodes, no further than _U_MAX, and stops at
-    the first four whose last two terms are negligible.  The sums over the
-    scales run in blocks of nodes of at most _BLOCK entries per array, so
-    memory stays bounded for any n.
+    sum walks out, no further than _U_MAX, and stops at the first four nodes
+    whose last two terms are negligible; each call of the walk takes up to 64
+    nodes and the midpoints between them, which the first halving sums, so an
+    inversion that halves once makes one call.  The sums over the scales run
+    in blocks of nodes of at most _BLOCK entries per array, so memory stays
+    bounded for any n.
     """
     coef = b / (1.0 - b * theta)
     coef2 = coef * coef
@@ -412,33 +414,48 @@ def _bromwich(b: np.ndarray, shape: float, theta: float, t: float, p: float) -> 
         )
 
     # Half-line trapezoid sum (the integrand is conjugate-symmetric in u).
+    # 64 nodes is a typical walk's length: a walk of few scales does not
+    # evaluate every node below _U_MAX
     h = 0.125
-    chunk = 4 * max(1, rows // 4)
+    span = 4 * max(1, rows // 4)
+    chunk = min(span, 64)
     last = 4 * int(_U_MAX / h / 4)  # nodes below u = _U_MAX, in fours
-    nodes, total, mass = 0, 0.0, 0.0
+    nodes, walked = 0, 0.0
+    evens, odds = [], []
     while True:
-        f = integrand(h * np.arange(nodes, min(nodes + chunk, last)))
+        f = integrand(0.5 * h * np.arange(2 * nodes, 2 * min(nodes + chunk, last)))
+        even, odd = f[0::2], f[1::2]
         if nodes == 0:
-            f[0] *= 0.5
+            even[0] *= 0.5
         # the first four nodes whose last two terms are negligible against
         # the sum through them end the walk
-        fours = np.abs(f).reshape(-1, 4)[:, 2:].max(axis=1)
-        sums = total + np.cumsum(f.imag)[3::4]
+        fours = np.abs(even).reshape(-1, 4)[:, 2:].max(axis=1)
+        sums = walked + np.cumsum(even.imag)[3::4]
         done = np.flatnonzero(fours <= 1e-16 * np.abs(sums))
         if len(done):
-            f = f[:4 * done[0] + 4]
-        total += f.imag.sum()
-        mass += np.abs(f.imag).sum()
-        nodes += len(f)
+            even, odd = even[:4 * done[0] + 4], odd[:4 * done[0] + 4]
+        evens.append(even.imag)
+        odds.append(odd.imag)
+        walked += evens[-1].sum()
+        nodes += len(even)
         if len(done):
             break
         if nodes >= last:
             raise NumericFailureError(
-                f"contour integrand still at {np.abs(f[-1]):.3e} at u = {_U_MAX}"
+                f"contour integrand still at {np.abs(even[-1]):.3e} at u = {_U_MAX}"
             )
+    # the walked terms are summed in runs of span nodes, whatever the chunk,
+    # so the sum does not depend on how many nodes a call takes
+    f = np.concatenate(evens)
+    total, mass = 0.0, 0.0
+    for lo in range(0, nodes, span):
+        total += f[lo:lo + span].sum()
+        mass += np.abs(f[lo:lo + span]).sum()
     estimate = h * total
-    for _ in range(_MAX_HALVINGS):
-        f = integrand(h * (np.arange(nodes) + 0.5)).imag
+    f = np.concatenate(odds)
+    for halving in range(_MAX_HALVINGS):
+        if halving:
+            f = integrand(h * (np.arange(nodes) + 0.5)).imag
         total += f.sum()
         mass += np.abs(f).sum()
         h, nodes = 0.5 * h, 2 * nodes

@@ -1,14 +1,16 @@
 """Sandwich campaigns and the invariant property suite."""
 
 import csv
+import dataclasses
 import io
 import json
 import math
 
 import pytest
 
+from exptails import harness
 from exptails.cli import _COLUMNS, _table_csv
-from exptails.core import Distribution, InvalidInputError, json_dumps
+from exptails.core import Distribution, InvalidInputError, json_dumps, threshold_unit
 from exptails.harness import (
     PropertySuiteReport,
     SandwichConfig,
@@ -17,7 +19,7 @@ from exptails.harness import (
     random_instances,
     sandwich_report,
 )
-from exptails.oracle import laplace_tail
+from exptails.oracle import exact_tail, laplace_tail
 
 EXP = Distribution.exponential()
 LAP = Distribution.laplace()
@@ -77,6 +79,27 @@ class TestSandwichReport:
 
     def test_zero_instances(self):
         assert sandwich_report(small_config(LAP, instances=0)) == []
+
+    @pytest.mark.parametrize("d", [LAP, EXP, Distribution.gamma(0.5), Distribution.gamma(2.0)],
+                             ids=lambda d: d.label())
+    def test_deep_thresholds_pass(self, d):
+        rows = sandwich_report(small_config(d, instances=5, t_grid=(50.0, 200.0)))
+        assert all(r.passed for r in rows)
+
+    def test_lower_bound_above_a_deep_tail_fails(self, monkeypatch):
+        # at 50 sigma the Laplace tails are far below 1e-12, where an absolute
+        # tolerance would pass any lower bound
+        sandwich_pair = harness.sandwich_pair
+
+        def raised_lower(d, w, stats, t, floor):
+            lower, upper = sandwich_pair(d, w, stats, t, floor)
+            exact = exact_tail(d, w, t * threshold_unit(d, stats))[0]
+            return dataclasses.replace(lower, value=1.1 * exact), upper
+
+        monkeypatch.setattr(harness, "sandwich_pair", raised_lower)
+        rows = sandwich_report(small_config(LAP, instances=3, t_grid=(50.0,)))
+        assert all(0.0 < r.exact < 1e-12 for r in rows)
+        assert not any(r.passed for r in rows)
 
 
 @pytest.fixture(scope="module")

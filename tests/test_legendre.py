@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from verifiers import h_sup
 
+from exptails import legendre
 from exptails.core import Distribution, InvalidInputError, UnsupportedLawError
 from exptails.legendre import chernoff_tilt, cumulant, cumulant_prime, rate_function
 from exptails.special import h_closed
@@ -103,6 +104,40 @@ class TestChernoffTilt:
                 assert 0.0 < theta < 1.0 / max(w)
                 achieved = cumulant_prime(d.scales(w), d.shape, theta)
                 assert math.isclose(achieved, target, rel_tol=1e-9)
+
+    def test_matches_mpmath_root(self):
+        # thresholds 1 to 30 sigma above the mean, where rounding of K' moves
+        # the root by a few ulp at most; stopping on a bisection point after
+        # a converged Newton step left roots as far as 1e-11 off
+        rng = np.random.default_rng(3)
+        for i in range(300):
+            d = (EXP, LAP, None)[i % 3] or Distribution.gamma(10.0 ** rng.uniform(-2.0, 3.0))
+            n = int(rng.integers(1, 13))
+            w = np.exp(rng.uniform(math.log(0.1), math.log(10.0), n)).tolist()
+            sigma = math.sqrt(d.variance) * math.hypot(*w)
+            target = d.mean * math.fsum(w) + 30.0 ** rng.uniform(0.0, 1.0) * sigma
+            theta = chernoff_tilt(d, w, target)
+            with mp.workdps(40):
+                b = [mp.mpf(v) for v in d.scales(w).tolist()]
+                root = mp.mpf(theta)
+                for _ in range(8):
+                    k1 = mp.fsum(d.shape * v / (1 - v * root) for v in b) - target
+                    root -= k1 / mp.fsum(d.shape * (v / (1 - v * root)) ** 2 for v in b)
+                assert abs(theta - root) <= 1e-14 * root, (d.label(), w, target)
+
+    def test_converged_solve_stops(self, monkeypatch):
+        # an oracle_sweep threshold of an equal-weight sum that took 34
+        # Newton iterations when a converged step fell on the bracket end
+        evaluations = []
+
+        def counted(*args):
+            evaluations.append(args)
+            return cumulant_prime(*args)
+
+        monkeypatch.setattr(legendre, "cumulant_prime", counted)
+        chernoff_tilt(Distribution.gamma(3.2003041941695285), [0.14627827318435258] * 8,
+                      18.255628424904334)
+        assert len(evaluations) <= 12
 
     def test_target_must_exceed_mean(self):
         with pytest.raises(InvalidInputError):

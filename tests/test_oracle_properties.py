@@ -13,7 +13,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.special import gammaincc
 
-from exptails.core import Distribution, as_weights
+from exptails import oracle
+from exptails.core import Distribution, NumericFailureError, as_weights
 from exptails.legendre import _solve_cumulant_prime, cumulant_double_prime
 from exptails.oracle import _bromwich, cf_tail_inversion, hypoexp_mixture, laplace_mixture
 
@@ -79,8 +80,73 @@ def test_agrees_with_laplace_mixture(weights, z):
     assert abs(cf_tail_inversion(d, weights, t) - ref) <= 1e-10 * ref
 
 
+def _seeded_scales(d, n):
+    """n weights log-uniform on [0.5, 2] seeded by n, and the law's scales in units of w.unit."""
+    rng = np.random.default_rng(n)
+    w = as_weights(np.exp(rng.uniform(math.log(0.5), math.log(2.0), n)).tolist())
+    return w, d.scales(w) / w.unit
+
+
+_EXP, _LAP, _HALF = Distribution.exponential(), Distribution.laplace(), Distribution.gamma(0.5)
+_SMALL_SHAPE = Distribution.gamma(0.01)
+
+# (law, n, theta, t, p, integral, error), recorded with the engine at commit
+# 4d96c42: saddles above and below the mean (theta < 0), shapes whose walk
+# spans several calls, and the order p = 3 of laplace_abs_norm
+_CONTOUR_TABLE = [
+    (_EXP, 1, 0.7378089788641198, 4.066093102605765, 0.0, 0.06785618870895123, 7.443908548335794e-17),
+    (_HALF, 1, 0.9610921460255009, 22.071976681238613, 0.0, 0.010479064558595081, 1.433951612840827e-17),
+    (_EXP, 8, 0.4562406451255536, 37.4589575065507, 0.0, 0.0175041648292667, 1.1043592643970544e-16),
+    (Distribution.gamma(3.2), 8, 0.4875206657804345, 218.6316694157629, 0.0, 0.004519045443971526,
+     4.038342206499287e-18),
+    (_LAP, 8, 0.3729588673893503, 14.929859877460174, 0.0, 0.03455377306856013, 3.087119926393895e-17),
+    (_EXP, 8, -1.0618504800995725, 4.02844116174672, 0.0, 0.24246629070244288, 2.1535397613311878e-16),
+    (_HALF, 8, -0.5943062023303857, 2.662823887591265, 0.0, 0.2059714602350648, 2.8271597168564594e-16),
+    (_SMALL_SHAPE, 8, 0.49802260153493094, 1.1487699535767573, 0.0, 0.01532013218252078,
+     1.0839822823500894e-16),
+    (_HALF, 64, 0.2653950801847325, 56.38974795384952, 0.0, 0.030162860281106083, 2.6790002224192444e-17),
+    (_LAP, 64, 0.38004299628328736, 109.10594557749879, 0.0, 0.015329976743140909, 1.3615754517762572e-17),
+    (Distribution.gamma(1000.0), 64, 0.0009823476387037845, 71956.25443278477, 0.0, 0.0003920442156732767,
+     3.5051305041386126e-19),
+    (_SMALL_SHAPE, 120, 0.495665439401471, 4.66810225149632, 0.0, 0.03585041916931445, 4.8774021403963066e-17),
+    (_EXP, 1000, 0.00821442497422809, 1073.3277277784853, 0.0, 0.0032440521774164525, 2.892349773431593e-18),
+    (_LAP, 1000, 0.14934750610020295, 408.5070118347538, 0.0, 0.007159665447949514, 6.434477312122481e-18),
+    (_HALF, 1000, 0.417105248832194, 1297.1984221125822, 0.0, 0.005051678488615784, 3.5251147719553978e-15),
+    (_LAP, 8, 0.3361380669563512, 0.0, 3.0, 0.0428323672709773, 3.804858761016296e-17),
+]
+
+
+@pytest.mark.parametrize("d, n, theta, t, p, integral, err", _CONTOUR_TABLE,
+                         ids=[f"{row[0].label()}-{row[1]}-{row[2]:.3g}-p{row[4]:g}" for row in _CONTOUR_TABLE])
+def test_contour_values_are_fixed(d, n, theta, t, p, integral, err):
+    # the nodes, their order of summation and the stop rules fix every bit
+    _, b = _seeded_scales(d, n)
+    assert _bromwich(b, d.shape, theta, t, p) == (integral, err)
+
+
+def test_unconverged_inversion_stops_at_the_last_halving(monkeypatch):
+    # the walk-out's one call takes 64 nodes and their midpoints, so it
+    # carries the first halving of the W nodes it keeps; the second to the
+    # last halving evaluate 2W, 4W, ..., 128W midpoints, and no call follows
+    sizes = []
+    sinh = np.sinh
+
+    def counted(u):
+        sizes.append(len(u))
+        return sinh(u)
+
+    monkeypatch.setattr(np, "sinh", counted)
+    monkeypatch.setattr(oracle, "_INV_RTOL", -1.0)
+    _, b = _seeded_scales(_EXP, 8)
+    with pytest.raises(NumericFailureError, match="did not converge"):
+        _bromwich(b, 1.0, 0.4562406451255536, 37.4589575065507, 0.0)
+    walk, halvings = sizes[0], sizes[1:]
+    assert halvings == [halvings[0] * 2**k for k in range(oracle._MAX_HALVINGS - 1)]
+    assert walk == 128 and halvings[0] < walk
+
+
 @pytest.mark.parametrize("n", [1, 8, 64, 1000])
-@pytest.mark.parametrize("d", [Distribution.exponential(), Distribution.gamma(0.5), Distribution.laplace()],
+@pytest.mark.parametrize("d", [_EXP, _HALF, _LAP],
                          ids=lambda d: d.label())
 def test_contour_integral_does_not_depend_on_theta(d, n):
     # P(S > t) = exp(K(theta) - theta t) I(theta) / theta for every theta in
@@ -90,9 +156,7 @@ def test_contour_integral_does_not_depend_on_theta(d, n):
     # beyond it, M(theta) e^(-theta t) exceeds the tail so much that the
     # integral cancels below rounding (by e^17 for a quarter of the domain at
     # n = 1000), and no trapezoid sum meets the 1e-12 agreement there
-    rng = np.random.default_rng(n)
-    w = as_weights(np.exp(rng.uniform(math.log(0.5), math.log(2.0), n)).tolist())
-    b = d.scales(w) / w.unit
+    w, b = _seeded_scales(d, n)
     mean = d.mean * w.l1 / w.unit
     sigma = math.sqrt(d.variance) * w.l2 / w.unit
     end = 1.0 / b.max()
