@@ -5,7 +5,9 @@ the cumulant generating function of S = sum_j b_j G_j is
 K(theta) = -shape sum_j log1p(-b_j theta) for every law, finite for
 b_j theta < 1.  K, K' and K'' feed the saddle point of the contour-inversion
 oracle and the Chernoff tilt of the importance sampler; each is one
-expression over the array, summed with math.fsum.
+expression over the array, summed with math.fsum.  The shape is one scalar
+for every scale, or an array of one shape per scale (the contour merges
+equal scales into one column of the summed shape).
 """
 
 from __future__ import annotations
@@ -37,27 +39,27 @@ class LegendreResult:
     theta_star: float
 
 
-def cumulant(b: np.ndarray, shape: float, theta: float) -> float:
+def cumulant(b: np.ndarray, shape: "np.ndarray | float", theta: float) -> float:
     """K(theta) = log E exp(theta S); +inf outside the domain max_j b_j theta < 1."""
     x = (b * theta).tolist()
     if max(x) >= 1.0:
         return math.inf
     # libm's log1p term by term: numpy's differs from it in the last bit, and
     # K reaches the printed tails and importance-sampling estimates
-    return math.fsum([-shape * math.log1p(-v) for v in x])
+    return math.fsum((-shape * np.array([math.log1p(-v) for v in x])).tolist())
 
 
-def cumulant_prime(b: np.ndarray, shape: float, theta: float) -> float:
+def cumulant_prime(b: np.ndarray, shape: "np.ndarray | float", theta: float) -> float:
     """K'(theta) = sum_j b_j shape / (1 - b_j theta) inside the domain."""
     return math.fsum((b * (shape / (1.0 - b * theta))).tolist())
 
 
-def cumulant_double_prime(b: np.ndarray, shape: float, theta: float) -> float:
+def cumulant_double_prime(b: np.ndarray, shape: "np.ndarray | float", theta: float) -> float:
     """K''(theta) = sum_j b_j^2 shape / (1 - b_j theta)^2 inside the domain."""
     return math.fsum((b * b * (shape / (1.0 - b * theta) ** 2)).tolist())
 
 
-def _solve_cumulant_prime(b: np.ndarray, shape: float, target: float) -> float:
+def _solve_cumulant_prime(b: np.ndarray, shape: "np.ndarray | float", target: float) -> float:
     """Solve K'(theta) = target for theta inside the domain of K.
 
     Safeguarded Newton: every step stays inside a shrinking bisection
@@ -66,15 +68,17 @@ def _solve_cumulant_prime(b: np.ndarray, shape: float, target: float) -> float:
     mean of S at theta = 0 to +inf at 1/max_j b_j, so targets above the mean have a root in (0, 1/max_j b_j).
     Below the mean the root is negative: in (1/min_j b_j, 0) when a scale is
     negative, and otherwise in (-len(b)*shape/target, 0), where K'(theta) <
-    len(b)*shape/|theta| (the target must be positive there).
+    len(b)*shape/|theta| (the target must be positive there); with one
+    shape per scale, their sum stands for len(b)*shape.
     """
-    if target > shape * math.fsum(b.tolist()):
+    if target > math.fsum((b * shape).tolist()):
         b_max = b.max()
         lo, hi = 0.0, (1.0 - 1e-12) / b_max
         theta = min(0.5 / b_max, hi)
     else:
         b_min = b.min()
-        lo = (1.0 - 1e-12) / b_min if b_min < 0.0 else -len(b) * shape / target
+        total = math.fsum(np.broadcast_to(shape, b.shape).tolist())
+        lo = (1.0 - 1e-12) / b_min if b_min < 0.0 else -total / target
         hi = 0.0
         theta = 0.5 * lo
     for _ in range(_MAX_NEWTON_ITER):

@@ -3,16 +3,18 @@
 ``exact_tail`` is the one place that picks how a tail is computed:
 
 * a partial-fraction mixture of the moment generating function (closed
-  form and fast) for exponential and Laplace summands, when its
-  coefficients pass the trust gates; one expansion serves both laws, the
-  Laplace MGF being the exponential one with every pole mirrored, and
+  form and fast) for exponential and Laplace summands of distinct weights
+  (simple poles), when its coefficients pass the trust gates; one expansion
+  serves both laws, the Laplace MGF being the exponential one with every
+  pole mirrored, and
 * otherwise Bromwich inversion of the moment generating function by the
   trapezoid rule on a hyperbolic contour through the saddle point, with
   relative accuracy of about 1e-12 and an error estimate; it raises instead
   of returning a value outside [0, 1].  The engine reads only the signed
   scales of ``Distribution.scales`` (every law is gamma(shape) on them),
-  taken in units of a power of two next to the largest weight so that no
-  weight scale over- or underflows.  Far below the scale of a gamma or
+  with equal scales merged into one column of the summed shape, taken in
+  units of a power of two next to the largest weight so that no weight
+  scale over- or underflows.  Far below the scale of a gamma or
   exponential sum, where the saddle point leaves float range, the leading
   small-t term of P(S <= t) answers.
 
@@ -39,12 +41,8 @@ from .core import (
     as_weights,
 )
 from .legendre import _solve_cumulant_prime, cumulant, cumulant_double_prime, cumulant_prime
-from .special import _LOG_TINIEST, erlang_tails
+from .special import _LOG_TINIEST
 
-# Scales closer than this merge into one pole: raw partial fractions lose
-# ~eps/gap^2 of absolute coefficient accuracy, so below 1e-5 the merged
-# (confluent) form is strictly more accurate (model error O(gap^2)).
-_CLUSTER_RTOL = 1e-5
 _COEF_ABS_CAP = 1e12
 _COEF_DRIFT_TOL = 1e-10
 _MAX_DISTINCT_SCALES = 64
@@ -67,20 +65,19 @@ class MixtureSide(str, enum.Enum):
 
 
 class MixtureTerm(NamedTuple):
-    """One exponential-polynomial tail term: coef * Q(power+1, t/scale)."""
+    """One exponential tail term: coef * e^(-t/scale)."""
 
     coef: float
     scale: float
-    power: int
 
 
 @dataclass(frozen=True)
 class ExpMixture:
-    """Tail of a weighted sum as a signed mixture of Erlang tails.
+    """Tail of a weighted sum as a signed mixture of exponential tails.
 
     One-sided mixtures satisfy tail(0) = sum(coef) = 1; two-sided (symmetric)
     mixtures store coefficients summing to 1 and evaluate the upper tail as
-    half the coefficient-weighted Erlang tails, so tail(0+) = 1/2.
+    half the coefficient-weighted exponential tails, so tail(0+) = 1/2.
     """
 
     terms: tuple[MixtureTerm, ...]
@@ -113,18 +110,39 @@ class ExpMixture:
             top = 0.5
         elif t <= 0.0:
             return 1.0
-        # a symmetric mixture's upper tail is half its Erlang sum: the scale is
-        # the range end
-        value = top * math.fsum(_weighted_erlang_tails(self.terms, t))
+        # e^-x is corrected for the rounding of x = t/scale, which is off by
+        # dx = (t - x scale)/scale and would grow the tail's relative error to
+        # about x eps.  In units of the power of two next to scale, x scale
+        # splits error-free (Dekker) without overflow; to first order the tail
+        # moves by -dx e^-x
+        parts = []
+        for coef, scale in self.terms:
+            if t / scale > 1e300:
+                continue  # the tail is 0, and t/scale may overflow
+            m, e = math.frexp(scale)
+            r = math.ldexp(t, -e)
+            x = r / m
+            dx = 0.0
+            if x >= sys.float_info.min:
+                p = x * m
+                hi = _SPLIT * x
+                x_hi = hi - (hi - x)
+                hi = _SPLIT * m
+                m_hi = hi - (hi - m)
+                x_lo, m_lo = x - x_hi, m - m_hi
+                p_err = ((x_hi * m_hi - p) + x_hi * m_lo + x_lo * m_hi) + x_lo * m_lo
+                dx = ((r - p) - p_err) / m
+            q = math.exp(-x)
+            parts.append(coef * (q - dx * q))
+        # a symmetric mixture's upper tail is half its exponential sum: the
+        # scale is the range end
+        value = top * math.fsum(parts)
         if value < sys.float_info.min:
-            # Erlang tails below the normal range lose relative accuracy, and
-            # the signed sum may cancel into them.  With x = t/scale >= k,
-            # Q(k+1, x) <= (k+1) x^k e^(-x) / k!, so the sum is bounded by
-            # sum |coef| times the bound at the largest scale and power
-            k = max(term.power for term in self.terms)
+            # exponential tails below the normal range lose relative accuracy,
+            # and the signed sum may cancel into them; it is bounded by
+            # sum |coef| times the tail at the largest scale
             x = t / max(term.scale for term in self.terms)
-            log_term = k * math.log(x) - x - math.lgamma(k + 1)
-            if log_term + math.log((k + 1) * self.coef_abs_sum) >= _LOG_TINIEST:
+            if math.log(self.coef_abs_sum) - x >= _LOG_TINIEST:
                 raise MixtureUnavailableError(
                     f"mixture tail {value!r} is below the normal range, where it loses accuracy"
                 )
@@ -138,141 +156,44 @@ class ExpMixture:
         return value
 
 
-def _weighted_erlang_tails(terms: Sequence[MixtureTerm], t: float) -> list[float]:
-    """coef * Q(power+1, t/scale) for each term whose tail is not 0 at t.
-
-    The tails of a run of terms on one scale come from one pass of
-    ``erlang_tails`` up to the run's largest power; a simple pole (one term,
-    power 0) takes one exp.  Each tail is corrected for the rounding of the
-    quotient x = t/scale, which is off by dx = (t - x scale)/scale and would
-    grow the tail's relative error to about x eps.  t and scale are taken in
-    units of the power of two next to scale, where x scale splits error-free
-    (Dekker) without overflow; to first order the tail of power k moves by
-    -dx x^k e^-x / k!.
-    """
-    out = []
-    i, n = 0, len(terms)
-    while i < n:
-        scale = terms[i].scale
-        j = i + 1
-        while j < n and terms[j].scale == scale:
-            j += 1
-        run, i = terms[i:j], j
-        if t / scale > 1e300:
-            continue  # every tail on the scale is 0, and t/scale may overflow
-        m, e = math.frexp(scale)
-        r = math.ldexp(t, -e)
-        x = r / m
-        dx = 0.0
-        if x >= sys.float_info.min:
-            p = x * m
-            hi = _SPLIT * x
-            x_hi = hi - (hi - x)
-            hi = _SPLIT * m
-            m_hi = hi - (hi - m)
-            x_lo, m_lo = x - x_hi, m - m_hi
-            p_err = ((x_hi * m_hi - p) + x_hi * m_lo + x_lo * m_hi) + x_lo * m_lo
-            dx = ((r - p) - p_err) / m
-        if len(run) == 1 and run[0].power == 0:
-            q = math.exp(-x)
-            out.append(run[0].coef * (q - dx * q))
-        else:
-            qs, ps = erlang_tails(max(term.power for term in run), x)
-            out.extend(term.coef * (qs[term.power] - dx * ps[term.power]) for term in run)
-    return out
-
-
-def _cluster_scales(values: Sequence[float], rtol: float = _CLUSTER_RTOL) -> list[tuple[float, int]]:
-    """Group sorted scales whose neighbors differ by <= rtol relatively.
-
-    Returns (representative, multiplicity) pairs, representative = group mean.
-    """
-    groups: list[list[float]] = []
-    for v in sorted(values):
-        if groups and v <= groups[-1][-1] * (1.0 + rtol):
-            groups[-1].append(v)
-        else:
-            groups.append([v])
-    return [(math.fsum(g) / len(g), len(g)) for g in groups]
-
-
-def _recip_power_series(d0: float, e0: float, m: int, order: int) -> list[float]:
-    """Taylor coefficients of (d0 + e0*z)^(-m) around z=0, up to z^order."""
-    coefs = [d0 ** (-m)]
-    ratio = e0 / d0
-    for i in range(1, order + 1):
-        coefs.append(coefs[-1] * (-(m + i - 1) / i) * ratio)
-    return coefs
-
-
-def _series_product(factors: list[list[float]], order: int) -> list[float]:
-    acc = [1.0] + [0.0] * order
-    for f in factors:
-        out = [0.0] * (order + 1)
-        for i, ai in enumerate(acc):
-            if ai == 0.0:
-                continue
-            for j in range(min(order - i, len(f) - 1) + 1):
-                out[i + j] += ai * f[j]
-        acc = out
-    return acc
-
-
 def _mixture(w: "WeightVector | Sequence[float]", side: MixtureSide) -> ExpMixture:
-    """Partial fractions of the MGF prod_j (1 - b_j z)^(-m_j) over the clustered scales.
+    """Partial fractions of the MGF prod_j (1 - b_j z)^(-1) over distinct scales.
 
-    Around the pole z = 1/b_j, with z = (1 - x)/b_j, each other scale
-    contributes the factor (1 - e + e x)^(-m_k), e = b_k/b_j.  The two-sided
-    (Laplace) MGF mirrors every pole, (1 + b_j z)^(-m_j): the pole's own
-    mirror adds (2 - x)^(-m_j), and each other scale adds (1 + e - e x)^(-m_k)
-    after its factor.  The coefficient of the pole's highest power is the
-    product at x = 0, prod_k (1 - e)^(-m_k), or two-sided
-    prod_k ((1 - e)(1 + e))^(-m_k) 2^(1 - m_j), doubled so that two-sided
-    coefficients sum to 1 like one-sided ones.  Only a repeated pole
-    (m_j > 1) has lower powers: the coefficient of power m_j - 1 - i is the
-    x^i coefficient of the truncated product of the factors' Taylor series.
-    The trust gate on sum |coef| is checked as each pole is produced, so a
+    The coefficient of the pole z = 1/b_j, poles in ascending order of
+    scale, is prod_{k != j} (1 - e_k)^(-1), e_k = b_k/b_j; the two-sided
+    (Laplace) MGF mirrors every pole, and it becomes prod_{k != j}
+    ((1 - e_k)(1 + e_k))^(-1), which sums to 1 like the one-sided ones.
+    Equal scales make a repeated pole, with a factor 1 - e_k = 0: the build
+    raises.  The trust gate on sum |coef| is checked pole by pole, so a
     build that fails it stops at the first pole past the cap.
     """
     w = as_weights(w)
-    groups = _cluster_scales(w.values)
-    if len(groups) > _MAX_DISTINCT_SCALES:
+    n = len(w)
+    if n > _MAX_DISTINCT_SCALES:
         raise MixtureUnavailableError(
-            f"{len(groups)} distinct scales exceeds the partial-fraction cap {_MAX_DISTINCT_SCALES}"
+            f"{n} weights exceed the partial-fraction cap of {_MAX_DISTINCT_SCALES} distinct scales"
         )
+    scales = sorted(w.values)
     two_sided = side is MixtureSide.TWO_SIDED
     terms: list[MixtureTerm] = []
     abs_sum = 0.0
-    for j, (b, m) in enumerate(groups):
-        others = [(bk / b, mk) for bk, mk in groups[:j] + groups[j + 1:]]
+    for j, b in enumerate(scales):
+        others = [bk / b for bk in scales[:j] + scales[j + 1:]]
         try:
             if two_sided:
-                den = math.prod([((1.0 - e) * (1.0 + e)) ** mk for e, mk in others])
-                lead = 2.0 ** (1 - m) / den
+                coef = 1.0 / math.prod([(1.0 - e) * (1.0 + e) for e in others])
             else:
-                lead = 1.0 / math.prod([(1.0 - e) ** mk for e, mk in others])
-            coefs = [lead]
-            if m > 1:
-                order = m - 1
-                factors = [_recip_power_series(2.0, -1.0, m, order)] if two_sided else []
-                for e, mk in others:
-                    factors.append(_recip_power_series(1.0 - e, e, mk, order))
-                    if two_sided:
-                        factors.append(_recip_power_series(1.0 + e, -e, mk, order))
-                g = _series_product(factors, order)
-                coefs = [2.0 * c if two_sided else c for c in g[:0:-1]] + coefs
-        except (OverflowError, ZeroDivisionError) as exc:
-            raise MixtureUnavailableError(
-                f"partial-fraction coefficients of pole {j + 1} of {len(groups)} leave float range"
-            ) from exc
-        for power, coef in enumerate(coefs):
-            if coef != 0.0:  # a lone pole's lower powers are exactly 0
-                abs_sum += abs(coef)
-                terms.append(MixtureTerm(coef, b, power))
+                coef = 1.0 / math.prod([1.0 - e for e in others])
+        except ZeroDivisionError as exc:
+            clash = b in scales[j + 1:j + 2]
+            why = f"coincides with pole {j + 2}" if clash else "leaves float range"
+            raise MixtureUnavailableError(f"pole {j + 1} of {n} {why}") from exc
+        abs_sum += abs(coef)
+        terms.append(MixtureTerm(coef, b))
         if not abs_sum <= _COEF_ABS_CAP:  # nan fails too
             raise MixtureUnavailableError(
                 f"partial-fraction coefficients too large to trust (sum |coef| = {abs_sum:.3e}"
-                f" after {j + 1} of {len(groups)} poles)"
+                f" after {j + 1} of {n} poles)"
             )
     mix = ExpMixture(tuple(terms), side)
     drift = abs(mix.coef_sum - 1.0)
@@ -286,8 +207,8 @@ def _mixture(w: "WeightVector | Sequence[float]", side: MixtureSide) -> ExpMixtu
 def hypoexp_mixture(w: "WeightVector | Sequence[float]") -> ExpMixture:
     """Mixture for sum_i a_i Y_i, Y_i iid exponential(1).
 
-    Distinct scales give B_j = prod_{k!=j} a_j/(a_j - a_k); scales equal
-    within ~1e-5 merge into one repeated pole (Erlang terms).
+    B_j = prod_{k!=j} a_j/(a_j - a_k) and the tail sum_j B_j e^{-t/a_j};
+    equal weights raise MixtureUnavailableError.
     """
     return _mixture(w, MixtureSide.ONE_SIDED)
 
@@ -295,8 +216,8 @@ def hypoexp_mixture(w: "WeightVector | Sequence[float]") -> ExpMixture:
 def laplace_mixture(w: "WeightVector | Sequence[float]") -> ExpMixture:
     """Symmetric mixture for sum_i a_i X_i, X_i iid standard Laplace.
 
-    Distinct scales give A_j = prod_{k!=j} a_j^2/(a_j^2 - a_k^2) and the
-    upper tail sum_j (A_j/2) e^{-t/a_j}.
+    A_j = prod_{k!=j} a_j^2/(a_j^2 - a_k^2) and the upper tail
+    sum_j (A_j/2) e^{-t/a_j}; equal weights raise MixtureUnavailableError.
     """
     return _mixture(w, MixtureSide.TWO_SIDED)
 
@@ -329,23 +250,24 @@ def laplace_abs_norm(w: "WeightVector | Sequence[float]", p: float) -> float:
         raise InvalidInputError(f"moment order must be positive, got {p!r}")
     d = Distribution.laplace()
     u = w.unit
-    b = d.scales(w) / u
+    b, count = _columns(d.scales(w) / u)
+    shape = count * d.shape
     # bisection to a few digits of the distance to either end of the interval
     pole = 1.0 / b.max()
     lo, hi = 0.0, pole
     while hi - lo > 1e-3 * min(lo, pole - hi):
         theta = 0.5 * (lo + hi)
-        if theta * cumulant_prime(b, d.shape, theta) > p + 1.0:
+        if theta * cumulant_prime(b, shape, theta) > p + 1.0:
             hi = theta
         else:
             lo = theta
     theta = 0.5 * (lo + hi)
-    integral, _ = _bromwich(b, d.shape, theta, 0.0, p)
+    integral, _ = _bromwich(b, d.shape, theta, 0.0, p, count)
     if not integral > 0.0:
         raise NumericFailureError(f"contour integral of the absolute moment is {integral!r}")
     # E|S|^p itself may leave float range while its p-th root does not
     log_moment = (
-        math.log(2.0) + math.lgamma(p + 1.0) + cumulant(b, d.shape, theta)
+        math.log(2.0) + math.lgamma(p + 1.0) + cumulant(b, shape, theta)
         - (p + 1.0) * math.log(theta) + math.log(integral)
     )
     return u * math.exp(log_moment / p)
@@ -356,11 +278,26 @@ def laplace_abs_norm(w: "WeightVector | Sequence[float]", p: float) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _bromwich(b: np.ndarray, shape: float, theta: float, t: float, p: float) -> tuple[float, float]:
+def _columns(b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct entries of b in order of first occurrence, and the count of each.
+
+    gamma(shape) taken m times on one scale is gamma(m shape) on it, so the
+    contour takes one column per distinct scale, of shape count * shape.
+    """
+    values, first, count = np.unique(b, return_index=True, return_counts=True)
+    order = np.argsort(first)
+    return values[order], count[order].astype(float)
+
+
+def _bromwich(
+    b: np.ndarray, shape: float, theta: float, t: float, p: float, count: "np.ndarray | float" = 1.0
+) -> tuple[float, float]:
     """(1/2 pi i) int M(z) e^{-zt} (z/theta)^(-p-1) dz / (M(theta) e^{-theta t}) and its error.
 
-    M is the moment generating function of sum_j b_j G_j, G_j i.i.d.
-    gamma(shape), and theta is real with 0 < |theta| and b_j theta < 1.
+    M is the moment generating function of sum_j b_j G_j, G_j independent
+    gamma(count_j shape), and theta is real with 0 < |theta| and b_j theta < 1.
+    The sums over the scales weight each column by its count and take the
+    shape after them.
 
     The contour is the hyperbola z(u) = theta + c (cosh u - 1) + i w sinh u,
     u real, which crosses the real axis only at theta and opens to the
@@ -383,27 +320,32 @@ def _bromwich(b: np.ndarray, shape: float, theta: float, t: float, p: float) -> 
     coef = b / (1.0 - b * theta)
     coef2 = coef * coef
     dist = min(abs(theta), 1.0 / b.max() - theta)
-    width = min(1.0 / math.sqrt(cumulant_double_prime(b, shape, theta)), dist)
+    width = min(1.0 / math.sqrt(cumulant_double_prime(b, count * shape, theta)), dist)
     bend = 0.5 * width
     rows = max(1, _BLOCK // len(b))
 
     def integrand(u: np.ndarray) -> np.ndarray:
         sh, ch = np.sinh(u), np.cosh(u)
         x, y = bend * (ch - 1.0), width * sh
-        # log M(z) - log M(theta) = -shape * sum_j log(1 - c_j dz), dz = x + iy,
-        # from the real and imaginary parts of each log, summed apart over
-        # real outer products, block by block: arg(1 - c dz) = -atan2(cy, 1 - cx),
-        # and log|1 - c dz| is half log1p(c^2 |dz|^2 - 2 cx), accurate near 0
+        # log M(z) - log M(theta) = -shape * sum_j count_j log(1 - c_j dz),
+        # dz = x + iy, from the real and imaginary parts of each log, summed
+        # apart over real outer products, block by block:
+        # arg(1 - c dz) = -atan2(cy, 1 - cx), and log|1 - c dz| is half
+        # log1p(c^2 |dz|^2 - 2 cx), accurate near 0
         r2 = x * x + y * y
         minus_arg, log_abs2 = np.empty(len(u)), np.empty(len(u))
         for lo in range(0, len(u), rows):
             block = slice(lo, lo + rows)
             cx = np.multiply.outer(x[block], coef)
-            minus_arg[block] = np.arctan2(np.multiply.outer(y[block], coef), 1.0 - cx).sum(axis=1)
+            arg = np.arctan2(np.multiply.outer(y[block], coef), 1.0 - cx)
+            arg *= count
+            minus_arg[block] = arg.sum(axis=1)
             q = np.multiply.outer(r2[block], coef2)
             q -= cx
             q -= cx
-            log_abs2[block] = np.log1p(q).sum(axis=1)
+            np.log1p(q, out=q)
+            q *= count
+            log_abs2[block] = q.sum(axis=1)
         # |theta/z| <= 1 wherever p > 0 (there theta > 0), so its power
         # cannot overflow
         dz = x + 1j * y
@@ -479,7 +421,8 @@ def cf_tail_inversion(d: Distribution, w: "WeightVector | Sequence[float]", t: f
     negative below the mean, and is held at least 1/sigma (or 1/(2 a_max)
     above the mean, if smaller) away from the pole at 0.  The weights and t
     are taken in units of the power of two ``w.unit``, so the result does not
-    depend on their scale.  The integral is
+    depend on their scale, and equal scales are one column of their summed
+    shape.  The integral is
     scaled by M(theta) e^{-theta t} and the answer assembled in log space,
     so tails far below the scale keep their relative accuracy (about 1e-12).
     Below the mean of a nonnegative sum, the small-t form of P(S <= t)
@@ -521,17 +464,18 @@ def cf_tail_inversion(d: Distribution, w: "WeightVector | Sequence[float]", t: f
     # in units of the power of two w.unit no weight scale over- or underflows,
     # and rescaling by it is exact
     u = w.unit
-    b, t_u = d.scales(w) / u, t / u
+    b, count = _columns(d.scales(w) / u)
+    shape, t_u = count * d.shape, t / u
     hold = 1.0 / (math.sqrt(d.variance) * (w.l2 / u))
     hold = min(hold, 0.5 / b.max()) if above else -hold
     try:
         # K' increases, so the saddle lies between 0 and the hold exactly
         # when K'(hold) is at or past t; the solve is skipped then
-        if (cumulant_prime(b, d.shape, hold) >= t_u) == above:
+        if (cumulant_prime(b, shape, hold) >= t_u) == above:
             theta = hold
         else:
-            theta = _solve_cumulant_prime(b, d.shape, t_u)
-        integral, err = _bromwich(b, d.shape, theta, t_u, 0.0)
+            theta = _solve_cumulant_prime(b, shape, t_u)
+        integral, err = _bromwich(b, d.shape, theta, t_u, 0.0, count)
     except (OverflowError, ZeroDivisionError) as exc:
         # far below the scale the saddle, near -n*shape/t, squares past float range
         raise NumericFailureError(f"saddle point out of float range at threshold {t!r}") from exc
@@ -539,7 +483,7 @@ def cf_tail_inversion(d: Distribution, w: "WeightVector | Sequence[float]", t: f
     integral, err = integral / theta, err / abs(theta)
     # integral * M(theta) e^{-theta t} in log space; a part above e is out of
     # range whatever its error, so the exponent stops there (no overflow)
-    log_part = cumulant(b, d.shape, theta) - theta * t_u + math.log(abs(integral))
+    log_part = cumulant(b, shape, theta) - theta * t_u + math.log(abs(integral))
     part = math.copysign(math.exp(min(log_part, 1.0)), integral)
     err *= abs(part / integral)
     tail = part if theta > 0.0 else 1.0 + part

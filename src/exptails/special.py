@@ -1,6 +1,5 @@
-"""Scalar special functions: the Erlang tails of the mixture oracle, the
-Laplace rate shape h of the bounds, and the standard normal tail with its
-lower bound.
+"""Scalar special functions: the Erlang tail Q(k+1, x), the Laplace rate
+shape h of the bounds, and the standard normal tail with its lower bound.
 
 Each is elementary float arithmetic; nothing here imports scipy.
 """
@@ -18,69 +17,50 @@ _X_DIRECT = 700.0
 _LOG_TINIEST = math.log(math.ulp(0.0))
 
 
-def erlang_tails(k: int, x: float) -> tuple[list[float], list[float]]:
-    """Q(p+1, x) and x^p e^-x / p! for p = 0..k, an integer k >= 0 and x >= 0, in one pass.
+def gamma_upper_tail(k: int, x: float) -> float:
+    """Q(k+1, x) = e^-x sum_{j<=k} x^j/j! for an integer k >= 0 and x >= 0.
 
-    Q(p+1, x) = e^-x sum_{j<=p} x^j/j! is the regularized upper incomplete
-    gamma function at integer order, the tail P(G > x) of an Erlang(p+1)
-    variable G, and x^p e^-x / p! is its last Poisson term, the density of G
-    at x.  Q(1, x) is e^-x.  Each sum is taken relative to its largest term,
-    at j0 = min(p, floor(x)).  Up to floor(x) that term is the last one, and
-    the sum is x^p e^-x / p! times the Horner value 1 + (p/x)(1 + ((p-1)/x)
-    (...)) on the ratios j/x <= 1, which takes one step per power; past
-    floor(x) the largest term stays, and the terms after it add up forward on
-    the ratios x/j < 1.  All terms are positive, so nothing cancels.  The
-    largest term is e^-x times j0 factors x/m >= 1; past x = 700, e^-x is
-    split into 2^i equal factors interleaved with them, so that no partial
-    product over- or underflows.  The relative error is a few eps times
-    sqrt(p + 1); results below the normal range lose relative accuracy, and
-    those below the smallest subnormal are 0.
+    The regularized upper incomplete gamma function at integer order, the
+    tail P(G > x) of an Erlang(k+1) variable G; Q(1, x) is e^-x.  The sum is
+    taken relative to its largest term, at j0 = min(k, floor(x)): up to it
+    the Horner value 1 + (j0/x)(1 + ((j0-1)/x)(...)) on the ratios j/x <= 1,
+    past it a forward sum on the ratios x/j < 1.  All terms are positive, so
+    nothing cancels.  The largest term is e^-x times j0 factors x/m >= 1;
+    past x = 700, e^-x is split into 2^i equal factors, interleaved with them
+    while the product is at least 1 and applied after them otherwise, so that
+    no partial product over- or underflows.  The relative error is a few eps
+    times sqrt(k + 1); results below the normal range lose relative
+    accuracy, and those below the smallest subnormal are 0.
     """
     k = operator.index(k)
     x = float(x)
     if k < 0 or not x >= 0.0:
-        raise InvalidInputError(f"erlang_tails needs k >= 0 and x >= 0, got {k!r}, {x!r}")
+        raise InvalidInputError(f"gamma_upper_tail needs k >= 0 and x >= 0, got {k!r}, {x!r}")
     if k == 0 or x == math.inf:
-        q = math.exp(-x)
-        return [q] * (k + 1), [q] * (k + 1)
+        return math.exp(-x)
     top = min(k, math.floor(x))
     if x <= _X_DIRECT:
         lead, pieces, down = math.exp(-x), 0, 1.0
     else:
         log_lead = top * math.log(x) - x - math.lgamma(top + 1)
         if log_lead + math.log(k + 1) < _LOG_TINIEST - 1.0:
-            return [0.0] * (k + 1), [0.0] * (k + 1)
+            return 0.0
         pieces = 1 << math.ceil(math.log2(x / _X_DIRECT))
         lead, down = 1.0, math.exp(-x / pieces)
-    tails, terms = [], []
     below = 1.0
-    for m in range(top + 1):
-        if m:
-            if pieces and lead >= 1.0:
-                lead *= down
-                pieces -= 1
-            lead *= x / m
-            below = 1.0 + below * m / x
-        # the pieces still due; each is below e^-350, so a few reach 0
-        term = lead
-        for _ in range(pieces):
-            term *= down
-            if term == 0.0:
-                break
-        terms.append(term)
-        tails.append(term * below)
+    for m in range(1, top + 1):
+        if pieces and lead >= 1.0:
+            lead *= down
+            pieces -= 1
+        lead *= x / m
+        below = 1.0 + below * m / x
+    for _ in range(pieces):  # the pieces still due
+        lead *= down
     above, ratio = 0.0, 1.0
     for j in range(top + 1, k + 1):
         ratio *= x / j
         above += ratio
-        terms.append(term * ratio)
-        tails.append(term * (below + above))
-    return tails, terms
-
-
-def gamma_upper_tail(k: int, x: float) -> float:
-    """Q(k+1, x), the last Erlang tail of ``erlang_tails(k, x)``."""
-    return erlang_tails(k, x)[0][-1]
+    return lead * (below + above)
 
 
 def h_closed(u: float) -> float:

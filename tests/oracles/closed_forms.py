@@ -45,6 +45,23 @@ print("# sympy apart (2,1,1):", emit_parts)
 t = mp.mpf(4)
 emit("hypoexp211_tail_at_4", 4 * mp.exp(-2) - 2 * mp.exp(-4) - (1 + 4) * mp.exp(-4))
 
+
+# weights (1, 1.000008), a relative gap of 8e-6: partial fractions at 60
+# digits, from the float value of the second weight
+def near_pair_tail(t, two_sided):
+    with mp.workdps(60):
+        a1, a2 = mp.mpf(1.0), mp.mpf(1.000008)
+        if two_sided:
+            c1, c2 = a1**2 / (a1**2 - a2**2) / 2, a2**2 / (a2**2 - a1**2) / 2
+        else:
+            c1, c2 = a1 / (a1 - a2), a2 / (a2 - a1)
+        return c1 * mp.exp(-t / a1) + c2 * mp.exp(-t / a2)
+
+
+for t_near in (200, 600):
+    emit(f"hypoexp_near_pair_tail_at_{t_near}", near_pair_tail(t_near, False))
+    emit(f"laplace_near_pair_tail_at_{t_near}", near_pair_tail(t_near, True))
+
 # gamma shape 2, weights (2,1): MGF (1-2s)^-2 (1-s)^-2
 F2 = 1 / ((1 - 2 * s) ** 2 * (1 - s) ** 2)
 print("# sympy apart gamma2 (2,1):", sympy.apart(F2, s))

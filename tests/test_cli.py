@@ -416,8 +416,8 @@ class TestVerifyCommand:
 
 
 # Byte-exact stdout of one argument set per case, with the timestamp masked.
-# The Laplace exact grid stays on the mixture route on both sides of 0.  The
-# simulate cases span four sampling chunks.
+# The Laplace exact grid has a repeated weight and takes the contour on both
+# sides of 0.  The simulate cases span four sampling chunks.
 GOLDEN_CASES = {
     "bounds_exponential.csv": ["bounds", "--dist", "exponential", "--weights", "2,1,0.5",
                                "--t", "0.5,1,2,5", "--format", "csv"],

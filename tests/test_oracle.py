@@ -8,7 +8,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 from scipy.special import gammaincc
-from verifiers import mixture_parity, seeded_weight_vectors
+from verifiers import mixture_parity, mp_partial_fraction_tail, seeded_weight_vectors
 
 import exptails.oracle as oracle
 from exptails.core import Distribution, InvalidInputError, NumericFailureError
@@ -17,10 +17,7 @@ from exptails.oracle import (
     MixtureSide,
     MixtureTerm,
     MixtureUnavailableError,
-    _cluster_scales,
     _mixture,
-    _recip_power_series,
-    _series_product,
     cf_tail_inversion,
     exact_tail,
     hypoexp_mixture,
@@ -30,7 +27,6 @@ from exptails.oracle import (
     laplace_tail,
     p_ge_mean,
 )
-from exptails.special import erlang_tails
 
 EXP = Distribution.exponential()
 LAP = Distribution.laplace()
@@ -39,8 +35,8 @@ GAMMA05 = Distribution.gamma(0.5)
 
 SIGMA21 = math.sqrt(10.0)  # std of 2 X_1 + X_2 for standard Laplace X_i
 
-# Scales 3e-5 apart: too far apart for the clustering pass to merge, close
-# enough that the partial-fraction coefficients (~6e12) fail the trust gates.
+# Scales 3e-5 apart: the partial-fraction coefficients (~6e12) fail the
+# trust gates.
 ILL_CONDITIONED = (1.0, 1.0 + 3e-5, 1.0 + 6e-5, 1.0 + 9e-5)
 
 # Frozen reference values from tests/oracles/closed_forms.py (mpmath, 50 dps).
@@ -64,6 +60,8 @@ LAPLACE21_ABSMOMENT_P25 = 23.9584990894940575071
 LAPLACE21_ABSMOMENT_P2 = 10.0
 HYPOEXP_ILL_AT_5 = 0.265057499423848858718
 LAPLACE_ILL_AT_3 = 0.132256772130214267814
+HYPOEXP_NEAR_PAIR = {200.0: 2.78384741684854104754e-85, 600.0: 1.5967109826102325161e-258}
+LAPLACE_NEAR_PAIR = {200.0: 6.99424365526348700168e-86, 600.0: 3.99841938845019048711e-259}
 
 
 def random_weights(rng, max_n=8):
@@ -83,29 +81,33 @@ class TestHypoexpMixture:
         assert coefs == [-1.0, 2.0]
 
     def test_repeated_scale_is_erlang(self):
-        mix = hypoexp_mixture([1.0, 1.0])
-        assert math.isclose(mix.tail(2.0), ERLANG2_AT_2, rel_tol=1e-12)
-        assert max(t.power for t in mix.terms) == 1
+        # a repeated pole has no simple partial fractions: the contour takes
+        # the equal weights as one gamma(2) column
+        value, source = exact_tail(EXP, [1.0, 1.0], 2.0)
+        assert source == "cf_inversion"
+        assert math.isclose(value, ERLANG2_AT_2, rel_tol=1e-12)
 
     def test_confluent_block_frozen(self):
         # one simple pole at 2 plus a double pole at 1
-        mix = hypoexp_mixture([2.0, 1.0, 1.0])
-        assert math.isclose(mix.tail(4.0), HYPOEXP211_AT_4, rel_tol=1e-11)
-        assert math.isclose(mix.coef_sum, 1.0, abs_tol=1e-12)
+        with pytest.raises(MixtureUnavailableError, match="pole 1 of 3 coincides with pole 2"):
+            hypoexp_mixture([2.0, 1.0, 1.0])
+        value, source = exact_tail(EXP, [2.0, 1.0, 1.0], 4.0)
+        assert source == "cf_inversion"
+        assert math.isclose(value, HYPOEXP211_AT_4, rel_tol=1e-11)
 
     def test_nearly_equal_scales_merge(self):
-        mix = hypoexp_mixture([1.0, 1.0 + 1e-12])
-        assert math.isclose(mix.tail(2.0), ERLANG2_AT_2, rel_tol=1e-9)
+        # the tail of two scales 1e-12 apart is the Erlang(2) tail to 1e-12
+        value, source = exact_tail(EXP, [1.0, 1.0 + 1e-12], 2.0)
+        assert source == "cf_inversion"
+        assert math.isclose(value, ERLANG2_AT_2, rel_tol=1e-9)
 
     def test_small_gap_merges_instead_of_blowing_up(self):
-        # a 1e-6 relative gap would cost ~1e-4 of coefficient accuracy if
-        # kept distinct; merged, the model error is O(gap^2)
+        # a 1e-6 relative gap costs the coefficients ~eps/gap of accuracy;
+        # whichever route answers, the tail stays near the partial fractions
         w = (1.0, 1.0 + 1e-6, 2.5)
-        mix = hypoexp_mixture(w)
-        assert max(term.power for term in mix.terms) == 1
-        assert math.isclose(mix.coef_sum, 1.0, abs_tol=1e-12)
         t = 0.8 * sum(w)
-        assert abs(mix.tail(t) - cf_tail_inversion(EXP, w, t)) <= 1e-8
+        value, _ = exact_tail(EXP, w, t)
+        assert abs(value - mp_partial_fraction_tail(w, t, False)) <= 1e-8
 
     def test_single_weight_residue(self):
         mix = hypoexp_mixture([2.0])
@@ -137,43 +139,22 @@ class TestHypoexpMixture:
             hypoexp_mixture(ILL_CONDITIONED)
 
 
-def mp_partial_fraction_tail(w, t, two_sided):
-    """P(S > t) from the partial fractions of distinct weights at 80 digits."""
-    with mp.workdps(80):
-        a = [mp.mpf(x) for x in w]
-        total = mp.mpf(0)
-        for j, aj in enumerate(a):
-            coef = mp.mpf(1)
-            for k, ak in enumerate(a):
-                if k != j:
-                    coef *= aj * aj / (aj * aj - ak * ak) if two_sided else aj / (aj - ak)
-            total += coef * mp.exp(-mp.mpf(t) / aj)
-        return float(total / 2 if two_sided else total)
-
-
 class TestMixtureParity:
-    """The closed-form product per pole against the all-series builder."""
+    """The closed-form product per pole against a 50-digit product."""
 
-    def test_coefficients_and_gates_match_the_series_builder(self):
+    def test_coefficients_and_gates_match_mpmath(self):
         vectors = seeded_weight_vectors(1, 300, 24)
-        accepted, worst, flips = mixture_parity(_mixture, vectors)
+        accepted, worst, rejected = mixture_parity(_mixture, vectors)
         assert accepted >= 250
         assert worst <= 2.0  # ulp per weight
-        # summing the coefficients in another order moves the sum by rounding
-        # only, so the two builders part at the 1e-10 drift gate alone, and
-        # then the accepted mixture is a good one
-        assert len(flips) <= 0.02 * 2 * len(vectors)
-        for w, side, message in flips:
-            assert "do not sum to 1" in message
-            d = EXP if side is MixtureSide.ONE_SIDED else LAP
-            try:
-                mix = _mixture(w, side)
-            except MixtureUnavailableError:
-                continue
-            sigma = math.sqrt(d.variance) * math.sqrt(math.fsum(a * a for a in w))
-            for k in (-1.0, 0.0, 0.3, 1.0, 3.0, 8.0):
-                t = d.mean * math.fsum(w) + k * sigma
-                assert abs(mix.tail(t) - cf_tail_inversion(d, w, t)) <= 1e-8
+        # every vector with equal weights is rejected; the others only by the
+        # trust gates, and the contour answers for them
+        repeated = sum(2 for w in vectors if len(set(w)) < len(w))
+        assert repeated >= 30
+        assert sum(len(set(w)) < len(w) for w, _, _ in rejected) == repeated
+        for w, _, message in rejected:
+            if len(set(w)) == len(w):
+                assert re.search("too large|do not sum to 1", message), message
 
     def test_doomed_builds_raise_and_invert(self):
         rng = np.random.default_rng(64)
@@ -206,15 +187,17 @@ class TestLaplaceMixture:
         assert math.isclose(mix.tail(1.5 * SIGMA21), LAPLACE21_AT_15SIGMA, rel_tol=1e-12)
 
     def test_repeated_scales_frozen(self):
-        assert math.isclose(laplace_mixture([1.0, 1.0]).tail(3.0), LAPLACE11_AT_3, rel_tol=1e-12)
-        assert math.isclose(
-            laplace_mixture([1.0, 1.0, 1.0]).tail(3.0), LAPLACE111_AT_3, rel_tol=1e-12
-        )
+        for w, want in (([1.0, 1.0], LAPLACE11_AT_3), ([1.0, 1.0, 1.0], LAPLACE111_AT_3)):
+            value, source = exact_tail(LAP, w, 3.0)
+            assert source == "cf_inversion"
+            assert math.isclose(value, want, rel_tol=1e-12)
 
     def test_confluent_block_frozen(self):
-        mix = laplace_mixture([2.0, 1.0, 1.0])
-        t = 1.5 * math.sqrt(12.0)
-        assert math.isclose(mix.tail(t), LAPLACE211_AT_15SIGMA, rel_tol=1e-10)
+        with pytest.raises(MixtureUnavailableError, match="coincides"):
+            laplace_mixture([2.0, 1.0, 1.0])
+        value, source = exact_tail(LAP, [2.0, 1.0, 1.0], 1.5 * math.sqrt(12.0))
+        assert source == "cf_inversion"
+        assert math.isclose(value, LAPLACE211_AT_15SIGMA, rel_tol=1e-10)
 
     def test_symmetry_and_center(self):
         rng = np.random.default_rng(11)
@@ -342,14 +325,22 @@ class TestExactTail:
         assert source == "cf_inversion"
         assert abs(value - HYPOEXP_ILL_AT_5) <= 1e-8
 
-    def test_thousand_equal_weights_stay_on_the_mixture(self):
-        # one Erlang(1000) term: e^-1500 underflows and 1500^999 overflows, so
-        # the tail is evaluated relative to its largest term
+    def test_thousand_equal_weights_are_one_column(self):
+        # the contour takes the equal weights as one gamma(1000) column
         value, source = exact_tail(EXP, [1.0] * 1000, 1500.0)
-        assert source == "mixture"
+        assert source == "cf_inversion"
         with mp.workdps(40):
             want = mp.gammainc(1000, 1500, mp.inf, regularized=True)
         assert math.isclose(value, float(want), rel_tol=1e-13)
+
+    @pytest.mark.parametrize("t", [200.0, 600.0])
+    @pytest.mark.parametrize("law", ["exponential", "laplace"])
+    def test_near_pair_is_not_merged(self, law, t):
+        # merged into one repeated pole, scales 8e-6 apart put the tail 1e-7
+        # (t = 200) and 1e-6 (t = 600) off in relative terms
+        d, want = (EXP, HYPOEXP_NEAR_PAIR) if law == "exponential" else (LAP, LAPLACE_NEAR_PAIR)
+        value, _ = exact_tail(d, [1.0, 1.000008], t)
+        assert abs(value - want[t]) <= 1e-12 * want[t]
 
     def test_laplace_tail_just_above_zero_is_at_most_half(self):
         # the mixture's coefficient sum drifts above 1, once giving 0.5000000000000009
@@ -360,7 +351,7 @@ class TestExactTail:
 
 
 class TestClusterTail:
-    """A cluster of equal scales is one Erlang pass, not one per power."""
+    """A cluster of equal scales is one contour column of the summed shape."""
 
     @staticmethod
     def reference(t):
@@ -379,45 +370,38 @@ class TestClusterTail:
     @pytest.mark.parametrize("t", [1998.0, 2500.0])
     def test_against_mpmath(self, t):
         value, source = exact_tail(EXP, [2.0] * 999 + [1.0], t)
-        assert source == "mixture"
+        assert source == "cf_inversion"
         want = self.reference(t)
         assert abs(value - want) <= 1e-12 * want
 
-    def test_one_pass_per_scale(self, monkeypatch):
-        calls = []
-
-        def counted(k, x):
-            calls.append(k)
-            return erlang_tails(k, x)
-
-        monkeypatch.setattr(oracle, "erlang_tails", counted)
-        hypoexp_mixture([2.0] * 999 + [1.0]).tail(1998.0)
-        laplace_mixture([2.0] * 3 + [1.0] * 2).tail(3.0)
-        # simple poles take one exp and no pass
-        assert calls == [998, 1, 2]
-
     def test_lone_cluster_is_one_term(self):
-        # a lone pole's lower powers have coefficient exactly 0 and are left
-        # out: the mixture is the single Erlang(10000) tail
-        mix = hypoexp_mixture([1.0] * 10000)
-        assert mix.terms == (MixtureTerm(1.0, 1.0, 9999),)
+        # the single Erlang(10000) tail
+        value, source = exact_tail(EXP, [1.0] * 10000, 10500.0)
+        assert source == "cf_inversion"
         with mp.workdps(40):
             want = float(mp.gammainc(10000, 10500, mp.inf, regularized=True))
-        assert math.isclose(mix.tail(10500.0), want, rel_tol=1e-13)
+        assert math.isclose(value, want, rel_tol=1e-13)
+
+    @pytest.mark.parametrize("m, a, t", [(2, 1.0, 2.0), (7, 0.3, 4.0), (1000, 2.0, 2600.0)])
+    def test_equal_weights_are_one_gamma_column(self, m, a, t):
+        # m exponential summands on one scale are one gamma(m) summand on it
+        got = cf_tail_inversion(EXP, [a] * m, t)
+        want = cf_tail_inversion(Distribution.gamma(float(m)), [a], t)
+        assert math.isclose(got, want, rel_tol=1e-13)
 
 
 class TestMixtureRange:
     def test_within_error_bound_is_the_range_end(self):
-        mix = ExpMixture((MixtureTerm(1.0 + 1e-12, 1.0, 0),), MixtureSide.ONE_SIDED)
+        mix = ExpMixture((MixtureTerm(1.0 + 1e-12, 1.0),), MixtureSide.ONE_SIDED)
         assert mix.tail(1e-300) == 1.0
-        mix = ExpMixture((MixtureTerm(1.0 + 1e-12, 1.0, 0),), MixtureSide.TWO_SIDED)
+        mix = ExpMixture((MixtureTerm(1.0 + 1e-12, 1.0),), MixtureSide.TWO_SIDED)
         assert mix.tail(1e-300) == 0.5
         assert mix.tail(-1e-300) == 0.5
 
     def test_beyond_error_bound_raises(self):
         # 2 e^{-t} - e^{-t/10} is -0.59 at t = 5 although the coefficients sum to 1
         mix = ExpMixture(
-            (MixtureTerm(2.0, 1.0, 0), MixtureTerm(-1.0, 10.0, 0)), MixtureSide.ONE_SIDED
+            (MixtureTerm(2.0, 1.0), MixtureTerm(-1.0, 10.0)), MixtureSide.ONE_SIDED
         )
         with pytest.raises(MixtureUnavailableError):
             mix.tail(5.0)
@@ -446,8 +430,10 @@ class TestMixtureRange:
         assert abs(value - ref) <= 1e-4 * ref
 
     def test_coefficients_past_float_range_are_rejected(self):
-        # (1 - 1.00002)^100 underflows to 0 and (1 - 1.00002)^-100 overflows
-        for w in ([1.0] + [1.00002] * 100, [1.0] * 100 + [1.00002]):
+        # 64 scales 1e-7 apart: the product of the first pole's 63 factors
+        # underflows to 0; 101 weights fail the cap before any product
+        near = [1.0 + k * 1e-7 for k in range(64)]
+        for w in ([1.0] + [1.00002] * 100, [1.0] * 100 + [1.00002], near):
             for d, build in ((EXP, hypoexp_mixture), (LAP, laplace_mixture)):
                 with pytest.raises(MixtureUnavailableError):
                     build(w)
@@ -564,21 +550,3 @@ class TestPGeMean:
         for _ in range(10):
             w = random_weights(rng, max_n=6)
             assert 0.0 < p_ge_mean(EXP, w) < 1.0
-
-
-class TestSeriesHelpers:
-    def test_cluster_scales_merges_close_values(self):
-        groups = _cluster_scales([1.0, 1.0 + 5e-10, 3.0])
-        assert [m for _, m in groups] == [2, 1]
-        assert math.isclose(groups[0][0], 1.0 + 2.5e-10, rel_tol=1e-12)
-        assert groups[1][0] == 3.0
-
-    def test_recip_power_series_binomial(self):
-        # (2 - z)^{-3} = 1/8 + 3/16 z + 3/16 z^2 + ...
-        got = _recip_power_series(2.0, -1.0, 3, 2)
-        want = [0.125, 0.1875, 0.1875]
-        assert np.allclose(got, want, rtol=1e-15)
-
-    def test_series_product_truncates(self):
-        got = _series_product([[1.0, 1.0], [1.0, 2.0, 3.0]], 2)
-        assert got == [1.0, 3.0, 5.0]

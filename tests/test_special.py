@@ -14,7 +14,6 @@ from verifiers import h_sup
 
 from exptails.core import InvalidInputError
 from exptails.special import (
-    erlang_tails,
     gamma_upper_tail,
     gaussian_tail,
     gaussian_tail_lower,
@@ -39,16 +38,15 @@ def erlang_rel_errors(ks, xs):
 
 class TestGammaUpperTail:
     def test_small_orders_within_16_eps(self):
-        # the orders of clusters up to the mixture's 64 scales, out to where
-        # e^-x nears the end of the normal range
+        # orders below 64, out to where e^-x nears the end of the normal range
         rng = np.random.default_rng(23)
         ks = rng.integers(0, 64, 2000)
         xs = 10.0 ** rng.uniform(-3.0, math.log10(700.0), 2000)
         assert erlang_rel_errors(ks, xs).max() <= 16 * EPS
 
     def test_large_orders_around_the_mean(self):
-        # a cluster of up to 1000 equal weights is one Erlang term, evaluated
-        # from half to three times its mean, where e^-x under- and x^k overflows
+        # orders up to 1000, from half to three times the mean, where e^-x
+        # under- and x^k overflows
         rng = np.random.default_rng(29)
         ks = rng.integers(64, 1000, 400)
         xs = ks * rng.uniform(0.5, 3.0, 400)
@@ -74,35 +72,37 @@ class TestGammaUpperTail:
             gamma_upper_tail(k, x)
 
 class TestErlangTails:
-    """All powers of one scale in one pass: Q(p+1, x) and x^p e^-x / p!, p <= k."""
+    """Q(p+1, x) for every power p <= k on one x."""
 
     @pytest.mark.parametrize("k, x", [(5, 0.3), (40, 12.5), (40, 80.0), (300, 250.0),
                                       (999, 999.0), (999, 1500.0), (200, 900.0)])
     def test_each_power_matches_its_own_tail(self, k, x):
-        tails, terms = erlang_tails(k, x)
-        assert len(tails) == len(terms) == k + 1
-        for p in range(k + 1):
-            want = gamma_upper_tail(p, x)
-            if want >= sys.float_info.min:
-                assert abs(tails[p] - want) <= 4 * math.ulp(want), (p, tails[p], want)
+        # the Poisson partial sums e^-x sum_{j<=p} x^j/j! at 40 digits
+        with mp.workdps(40):
+            term = mp.exp(-mp.mpf(x))
+            want = term
+            for p in range(k + 1):
+                if p:
+                    term *= mp.mpf(x) / p
+                    want += term
+                if want >= sys.float_info.min:
+                    assert abs(gamma_upper_tail(p, x) / want - 1) <= 4e-12, p
 
-    @pytest.mark.parametrize("k, x", [(40, 12.5), (300, 250.0), (999, 1500.0)])
+    @pytest.mark.parametrize("k, x", [(40, 12.5), (300, 250.0), (999, 1500.0), (9999, 10500.0)])
     def test_against_mpmath(self, k, x):
-        tails, terms = erlang_tails(k, x)
         with mp.workdps(40):
             for p in range(0, k + 1, max(1, k // 25)):
                 want = mp.gammainc(p + 1, x, mp.inf, regularized=True)
-                term = mp.exp(p * mp.log(x) - x - mp.loggamma(p + 1))
                 if want >= sys.float_info.min:
-                    assert abs(tails[p] / want - 1) <= 4e-12
-                if term >= sys.float_info.min:
-                    assert abs(terms[p] / term - 1) <= 4e-12
+                    assert abs(gamma_upper_tail(p, x) / want - 1) <= 4e-12
 
     def test_simple_and_degenerate(self):
-        assert erlang_tails(0, 2.5) == ([math.exp(-2.5)], [math.exp(-2.5)])
-        assert erlang_tails(3, 0.0) == ([1.0] * 4, [1.0, 0.0, 0.0, 0.0])
-        assert erlang_tails(3, math.inf) == ([0.0] * 4, [0.0] * 4)
-        assert erlang_tails(3, 1e4) == ([0.0] * 4, [0.0] * 4)
+        assert gamma_upper_tail(0, 2.5) == math.exp(-2.5)
+        # one exp past the split of e^-x, where it is subnormal
+        assert gamma_upper_tail(0, 720.0) == math.exp(-720.0) > 0.0
+        assert gamma_upper_tail(3, 0.0) == 1.0
+        assert gamma_upper_tail(3, math.inf) == 0.0
+        assert gamma_upper_tail(3, 1e4) == 0.0
 
 
 # closed_forms.py: h_at_* block

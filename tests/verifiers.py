@@ -4,14 +4,15 @@
 package computes in closed form: the supremum behind the Laplace rate shape
 h, and the infimum that the tail-shift ratio r(v) bounds from below.
 ``sample_sum`` draws the sums themselves, so that the samplers behind the
-Monte Carlo estimators can be checked in law.  ``series_mixture`` builds the
-partial-fraction mixture with every coefficient from a truncated power-series
-product, the general form that the package's closed-form product per pole
-must reproduce.
+Monte Carlo estimators can be checked in law.  ``mp_mixture_coefficients``
+takes the partial-fraction product per pole at 50 digits, which the
+package's float product must reproduce, and ``mp_partial_fraction_tail``
+sums the partial fractions of distinct weights at 80 digits.
 """
 
 import math
 
+import mpmath as mp
 import numpy as np
 from scipy.special import gammaincc
 
@@ -25,18 +26,7 @@ from exptails.core import (
     check_seed,
 )
 from exptails.montecarlo import _chunks, _draw_sums, _run_chunks, _substream
-from exptails.oracle import (
-    _COEF_ABS_CAP,
-    _COEF_DRIFT_TOL,
-    _MAX_DISTINCT_SCALES,
-    ExpMixture,
-    MixtureSide,
-    MixtureTerm,
-    MixtureUnavailableError,
-    _cluster_scales,
-    _recip_power_series,
-    _series_product,
-)
+from exptails.oracle import MixtureSide, MixtureUnavailableError
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -164,50 +154,43 @@ def sample_sum(
     return np.concatenate(_run_chunks(worker, _chunks(n), workers))
 
 
-def series_mixture(w: "WeightVector | list[float]", side: MixtureSide) -> ExpMixture:
-    """The partial-fraction mixture with every pole's coefficients from a series product.
+def mp_partial_fraction_tail(w, t, two_sided):
+    """P(S > t) from the partial fractions of distinct weights at 80 digits."""
+    with mp.workdps(80):
+        a = [mp.mpf(x) for x in w]
+        total = mp.mpf(0)
+        for j, aj in enumerate(a):
+            coef = mp.mpf(1)
+            for k, ak in enumerate(a):
+                if k != j:
+                    coef *= aj * aj / (aj * aj - ak * ak) if two_sided else aj / (aj - ak)
+            total += coef * mp.exp(-mp.mpf(t) / aj)
+        return float(total / 2 if two_sided else total)
 
-    Around the pole z = 1/b_j, with z = (1 - x)/b_j, each other clustered
-    scale contributes the factor (1 - e + e x)^(-m_k), e = b_k/b_j; the
-    two-sided MGF adds the pole's mirror (2 - x)^(-m_j) and (1 + e - e x)^(-m_k)
-    per other scale.  The truncated product of the factors' Taylor series
-    gives all m_j coefficients of the pole.  The same trust gates as the
-    package's builder apply, to the finished mixture.
+
+def mp_mixture_coefficients(w: "list[float]", side: MixtureSide) -> "list[float] | None":
+    """Each pole's partial-fraction coefficient, by ascending scale, from a 50-digit product.
+
+    The coefficient of the pole at scale b_j is prod_{k != j} (1 - e_k)^(-1),
+    two-sided prod_{k != j} ((1 - e_k)(1 + e_k))^(-1), e_k = b_k/b_j.  Each
+    ratio e_k is the float quotient the package forms; the rest is taken in
+    mpmath, so a comparison measures the rounding of the product, not the
+    conditioning of the ratios, which costs both sides the same eps/|1 - e_k|
+    per factor.  Equal weights make a repeated pole, which has no such
+    coefficients: the result is None.
     """
-    w = as_weights(w)
-    groups = _cluster_scales(w.values)
-    if len(groups) > _MAX_DISTINCT_SCALES:
-        raise MixtureUnavailableError(
-            f"{len(groups)} distinct scales exceeds the partial-fraction cap {_MAX_DISTINCT_SCALES}"
-        )
-    two_sided = side is MixtureSide.TWO_SIDED
-    terms: list[MixtureTerm] = []
-    for j, (b, m) in enumerate(groups):
-        order = m - 1
-        factors = [_recip_power_series(2.0, -1.0, m, order)] if two_sided else []
-        for k, (bk, mk) in enumerate(groups):
-            if k == j:
-                continue
-            e = bk / b
-            factors.append(_recip_power_series(1.0 - e, e, mk, order))
-            if two_sided:
-                factors.append(_recip_power_series(1.0 + e, -e, mk, order))
-        g = _series_product(factors, order)
-        for ell in range(1, m + 1):
-            coef = 2.0 * g[m - ell] if two_sided else g[m - ell]
-            terms.append(MixtureTerm(coef=coef, scale=b, power=ell - 1))
-    mix = ExpMixture(tuple(terms), side)
-    abs_sum = mix.coef_abs_sum
-    if abs_sum > _COEF_ABS_CAP:
-        raise MixtureUnavailableError(
-            f"partial-fraction coefficients too large to trust (sum |coef| = {abs_sum:.3e})"
-        )
-    drift = abs(mix.coef_sum - 1.0)
-    if drift > _COEF_DRIFT_TOL:
-        raise MixtureUnavailableError(
-            f"partial-fraction coefficients do not sum to 1 (off by {drift:.3e})"
-        )
-    return mix
+    scales = sorted(w)
+    if len(set(scales)) < len(scales):
+        return None
+    out = []
+    with mp.workdps(50):
+        for j, b in enumerate(scales):
+            coef = mp.mpf(1)
+            for bk in scales[:j] + scales[j + 1:]:
+                e = mp.mpf(bk / b)
+                coef /= (1 - e) * (1 + e) if side is MixtureSide.TWO_SIDED else 1 - e
+            out.append(float(coef))
+    return out
 
 
 def seeded_weight_vectors(seed: int, count: int, n_max: int) -> list[list[float]]:
@@ -215,7 +198,8 @@ def seeded_weight_vectors(seed: int, count: int, n_max: int) -> list[list[float]
 
     Each is log-uniform on 0.1-10 or on 0.5-2 (even odds), and in about 30%
     of the vectors of n >= 2 some weights copy others at a relative gap of 0,
-    1e-7 or 1e-3: equal, merged by the clustering pass, and kept apart.
+    1e-7 or 1e-3: a repeated pole, a pair the trust gates reject, and a pair
+    they may accept.
     """
     rng = np.random.default_rng(seed)
     out = []
@@ -234,34 +218,26 @@ def seeded_weight_vectors(seed: int, count: int, n_max: int) -> list[list[float]
 
 
 def mixture_parity(build, vectors) -> tuple[int, float, list]:
-    """Compare ``build(w, side)`` with ``series_mixture`` on both sides of each vector.
+    """Compare ``build(w, side)`` with ``mp_mixture_coefficients`` on both sides of each vector.
 
-    Returns (accepted, worst, flips): the number of (vector, side) pairs
-    both builders accept, the largest coefficient difference over them in
-    units of n ulp of the series coefficient, and (w, side, message) for
-    each pair that exactly one of them rejects, with that one's message.
+    Returns (accepted, worst, rejected): the number of (vector, side) pairs
+    the builder accepts, the largest coefficient difference over them in
+    units of n ulp of the reference coefficient, and (w, side, message) for
+    each pair it rejects.  An accepted pair must have distinct weights, and
+    one term per weight at its scale.
     """
-    accepted, worst, flips = 0, 0.0, []
+    accepted, worst, rejected = 0, 0.0, []
     for w in vectors:
         for side in MixtureSide:
-            got = want = None
             try:
                 got = build(w, side)
             except MixtureUnavailableError as exc:
-                got_err = str(exc)
-            try:
-                want = series_mixture(w, side)
-            except MixtureUnavailableError as exc:
-                want_err = str(exc)
-            if (got is None) != (want is None):
-                flips.append((w, side, got_err if got is None else want_err))
+                rejected.append((w, side, str(exc)))
                 continue
-            if got is None:
-                continue
+            want = mp_mixture_coefficients(w, side)
+            assert want is not None, f"equal weights accepted: {w}"
             accepted += 1
-            # the builder leaves out exactly the terms whose series coefficient is 0
-            want_terms = [t for t in want.terms if t.coef != 0.0]
-            assert [t[1:] for t in got.terms] == [t[1:] for t in want_terms]  # scale, power
-            for a, b in zip(got.terms, want_terms):
-                worst = max(worst, abs(a.coef - b.coef) / math.ulp(b.coef) / len(w))
-    return accepted, worst, flips
+            assert [t.scale for t in got.terms] == sorted(w)
+            for term, coef in zip(got.terms, want):
+                worst = max(worst, abs(term.coef - coef) / math.ulp(coef) / len(w))
+    return accepted, worst, rejected
