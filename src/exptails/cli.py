@@ -159,8 +159,9 @@ def _resolve_thresholds(
     return [(x / unit, x) for x in config.threshold]
 
 
-def _bound_rows(d: Distribution, w: WeightVector, pairs: list[tuple[float, float]]) -> list[dict]:
-    stats = weight_stats(w, d)
+def _bound_rows(
+    d: Distribution, w: WeightVector, stats: WeightStats, pairs: list[tuple[float, float]]
+) -> list[dict]:
     rows: list[dict] = []
     p_mean = p_ge_mean(d, w) if d.nonnegative else None
     for t, threshold in pairs:
@@ -305,7 +306,7 @@ def _run_table_subcommand(args: argparse.Namespace, config: RunConfig) -> int:
         stats = weight_stats(w, d)
         pairs = _resolve_thresholds(config, d, stats)
         if args.subcommand == "bounds":
-            rows = _bound_rows(d, w, pairs)
+            rows = _bound_rows(d, w, stats, pairs)
         elif args.subcommand == "exact":
             rows = _exact_rows(d, w, pairs)
         else:

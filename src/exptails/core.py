@@ -182,8 +182,6 @@ def parse_weights(text: str) -> WeightVector:
             data = json.loads(stripped)
         except json.JSONDecodeError as exc:
             raise InvalidInputError(f"invalid JSON weight array: {exc}") from exc
-        if not isinstance(data, list):
-            raise InvalidInputError(f"expected a JSON array of numbers, got {type(data).__name__}")
         return as_weights(data)
     try:
         parts = [float(p) for p in stripped.split(",") if p.strip()]

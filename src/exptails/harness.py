@@ -27,7 +27,7 @@ from .core import (
     threshold_unit,
     weight_stats,
 )
-from .oracle import exact_tail, hypoexp_tail, laplace_tail, p_ge_mean
+from .oracle import exact_tail, p_ge_mean
 from .special import gaussian_tail, gaussian_tail_lower, h_closed
 
 # relative tolerance of the sandwich check, on both sides
@@ -177,7 +177,7 @@ def _prop_squared_weight_floor(seed: int) -> PropertyResult:
     witness = ""
     for w in random_instances(seed, 50):
         squared = WeightVector(tuple(v * v for v in w))
-        p = hypoexp_tail(squared, squared.l1)
+        p = exact_tail(Distribution.exponential(), squared, squared.l1)[0]
         if p < worst:
             worst = p
             witness = _fmt_weights(w)
@@ -220,6 +220,7 @@ def _prop_h_regimes(_: int) -> PropertyResult:
 
 def _prop_decay_propagation(seed: int) -> PropertyResult:
     """P(S > u + v) >= exp(-v/a_max) P(S > u) for exponential sums."""
+    d = Distribution.exponential()
     failures = []
     instances = random_instances(seed, 10)
     for w in instances:
@@ -228,8 +229,8 @@ def _prop_decay_propagation(seed: int) -> PropertyResult:
             for v_mult in (0.5, 1.0):
                 u = u_mult * mean_s
                 v = v_mult * w.a_max
-                lhs = hypoexp_tail(w, u + v)
-                rhs = math.exp(-v / w.a_max) * hypoexp_tail(w, u)
+                lhs = exact_tail(d, w, u + v)[0]
+                rhs = math.exp(-v / w.a_max) * exact_tail(d, w, u)[0]
                 if lhs < rhs * (1.0 - 1e-9) - 1e-15:
                     failures.append((w, u, v))
     passed = not failures
@@ -266,9 +267,10 @@ def _prop_asymptotic_order(seed: int) -> PropertyResult:
     t = 50.0
     bad = []
     instances = random_instances(seed, 10)
+    d = Distribution.laplace()
     for w in instances:
-        stats = weight_stats(w, Distribution.laplace())
-        tail = laplace_tail(w, t * stats.sigma)
+        stats = weight_stats(w, d)
+        tail = exact_tail(d, w, t * stats.sigma)[0]
         ratio = -math.log(tail) / (stats.alpha_sym * t)
         if not (0.9 <= ratio <= 1.1):
             bad.append((w, ratio))

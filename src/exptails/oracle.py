@@ -1,6 +1,7 @@
 """Exact tail oracles for weighted sums.
 
-``exact_tail`` is the one place that picks how a tail is computed:
+``exact_tail`` is the one place that knows the threshold domain and picks
+how the upper tail P(S > x), x > 0, is computed:
 
 * a partial-fraction mixture of the moment generating function (closed
   form and fast) for exponential and Laplace summands of distinct weights
@@ -16,14 +17,14 @@
   units of a power of two next to the largest weight so that no weight
   scale over- or underflows.  Far below the scale of a gamma or
   exponential sum, where the saddle point leaves float range, the leading
-  small-t term of P(S <= t) answers.
+  small-t term of P(S <= t) answers; far above it, where the Chernoff
+  bound is below the smallest float, the tail is 0.
 
 The tests drive both on the same instances and require agreement.
 """
 
 from __future__ import annotations
 
-import enum
 import math
 import sys
 from dataclasses import dataclass
@@ -59,11 +60,6 @@ _ROUNDING = 4.0 * sys.float_info.epsilon
 _SPLIT = 134217729.0
 
 
-class MixtureSide(str, enum.Enum):
-    ONE_SIDED = "one_sided"
-    TWO_SIDED = "two_sided"
-
-
 class MixtureTerm(NamedTuple):
     """One exponential tail term: coef * e^(-t/scale)."""
 
@@ -73,15 +69,15 @@ class MixtureTerm(NamedTuple):
 
 @dataclass(frozen=True)
 class ExpMixture:
-    """Tail of a weighted sum as a signed mixture of exponential tails.
+    """P(S > t) at t > 0 as ``top`` times a signed mixture of exponential tails.
 
-    One-sided mixtures satisfy tail(0) = sum(coef) = 1; two-sided (symmetric)
-    mixtures store coefficients summing to 1 and evaluate the upper tail as
-    half the coefficient-weighted exponential tails, so tail(0+) = 1/2.
+    The coefficients sum to 1.  ``top`` is the tail at 0+: 1 for a
+    nonnegative sum, 1/2 for a symmetric (Laplace) one, whose upper tail is
+    half the coefficient-weighted exponential tails.
     """
 
     terms: tuple[MixtureTerm, ...]
-    side: MixtureSide
+    top: float
 
     @property
     def coef_sum(self) -> float:
@@ -92,24 +88,17 @@ class ExpMixture:
         return math.fsum(abs(t.coef) for t in self.terms)
 
     def tail(self, t: float) -> float:
-        """P(S > t); symmetric mixtures accept negative t and give 1/2 at 0.
+        """P(S > t) for finite t > 0; ``exact_tail`` answers the other thresholds.
 
-        The range at t > 0 is [0, 1/2] for a symmetric mixture and [0, 1]
-        otherwise.  A value within the error bound |sum coef - 1| +
-        4 eps sum |coef| of a range end is that end; one further out raises
-        MixtureUnavailableError, and so does a value below the normal range
-        where the tail may still be a nonzero (subnormal) float.
+        The range is [0, top].  A value within the error bound
+        |sum coef - 1| + 4 eps sum |coef| of a range end is that end; one
+        further out raises MixtureUnavailableError, and so does a value below
+        the normal range where the tail may still be a nonzero (subnormal)
+        float.
         """
         t = float(t)
-        top = 1.0
-        if self.side is MixtureSide.TWO_SIDED:
-            if t < 0.0:
-                return 1.0 - self.tail(-t)
-            if t == 0.0:
-                return 0.5
-            top = 0.5
-        elif t <= 0.0:
-            return 1.0
+        if not 0.0 < t < math.inf:  # at t < 0 the terms grow: a wrong value, not an error
+            raise InvalidInputError(f"threshold must be positive and finite, got {t!r}")
         # e^-x is corrected for the rounding of x = t/scale, which is off by
         # dx = (t - x scale)/scale and would grow the tail's relative error to
         # about x eps.  In units of the power of two next to scale, x scale
@@ -136,7 +125,7 @@ class ExpMixture:
             parts.append(coef * (q - dx * q))
         # a symmetric mixture's upper tail is half its exponential sum: the
         # scale is the range end
-        value = top * math.fsum(parts)
+        value = self.top * math.fsum(parts)
         if value < sys.float_info.min:
             # exponential tails below the normal range lose relative accuracy,
             # and the signed sum may cancel into them; it is bounded by
@@ -146,17 +135,17 @@ class ExpMixture:
                 raise MixtureUnavailableError(
                     f"mixture tail {value!r} is below the normal range, where it loses accuracy"
                 )
-        if not 0.0 <= value <= top:
+        if not 0.0 <= value <= self.top:
             err = abs(self.coef_sum - 1.0) + _ROUNDING * self.coef_abs_sum
-            if not -err <= value <= top + err:
+            if not -err <= value <= self.top + err:
                 raise MixtureUnavailableError(
-                    f"mixture tail {value!r} leaves [0, {top}] by more than {err:.3e}"
+                    f"mixture tail {value!r} leaves [0, {self.top}] by more than {err:.3e}"
                 )
-            value = min(max(value, 0.0), top)
+            value = min(max(value, 0.0), self.top)
         return value
 
 
-def _mixture(w: "WeightVector | Sequence[float]", side: MixtureSide) -> ExpMixture:
+def _mixture(w: "WeightVector | Sequence[float]", two_sided: bool) -> ExpMixture:
     """Partial fractions of the MGF prod_j (1 - b_j z)^(-1) over distinct scales.
 
     The coefficient of the pole z = 1/b_j, poles in ascending order of
@@ -174,7 +163,6 @@ def _mixture(w: "WeightVector | Sequence[float]", side: MixtureSide) -> ExpMixtu
             f"{n} weights exceed the partial-fraction cap of {_MAX_DISTINCT_SCALES} distinct scales"
         )
     scales = sorted(w.values)
-    two_sided = side is MixtureSide.TWO_SIDED
     terms: list[MixtureTerm] = []
     abs_sum = 0.0
     for j, b in enumerate(scales):
@@ -195,7 +183,7 @@ def _mixture(w: "WeightVector | Sequence[float]", side: MixtureSide) -> ExpMixtu
                 f"partial-fraction coefficients too large to trust (sum |coef| = {abs_sum:.3e}"
                 f" after {j + 1} of {n} poles)"
             )
-    mix = ExpMixture(tuple(terms), side)
+    mix = ExpMixture(tuple(terms), 0.5 if two_sided else 1.0)
     drift = abs(mix.coef_sum - 1.0)
     if drift > _COEF_DRIFT_TOL:
         raise MixtureUnavailableError(
@@ -210,7 +198,7 @@ def hypoexp_mixture(w: "WeightVector | Sequence[float]") -> ExpMixture:
     B_j = prod_{k!=j} a_j/(a_j - a_k) and the tail sum_j B_j e^{-t/a_j};
     equal weights raise MixtureUnavailableError.
     """
-    return _mixture(w, MixtureSide.ONE_SIDED)
+    return _mixture(w, False)
 
 
 def laplace_mixture(w: "WeightVector | Sequence[float]") -> ExpMixture:
@@ -219,17 +207,7 @@ def laplace_mixture(w: "WeightVector | Sequence[float]") -> ExpMixture:
     A_j = prod_{k!=j} a_j^2/(a_j^2 - a_k^2) and the upper tail
     sum_j (A_j/2) e^{-t/a_j}; equal weights raise MixtureUnavailableError.
     """
-    return _mixture(w, MixtureSide.TWO_SIDED)
-
-
-def hypoexp_tail(w: "WeightVector | Sequence[float]", t: float) -> float:
-    """P(sum_i a_i Y_i > t), exact; contour inversion when the mixture is unusable."""
-    return exact_tail(Distribution.exponential(), w, t)[0]
-
-
-def laplace_tail(w: "WeightVector | Sequence[float]", t: float) -> float:
-    """P(sum_i a_i X_i > t) for Laplace summands, any real t."""
-    return exact_tail(Distribution.laplace(), w, t)[0]
+    return _mixture(w, True)
 
 
 def laplace_abs_norm(w: "WeightVector | Sequence[float]", p: float) -> float:
@@ -413,7 +391,7 @@ def _bromwich(
 
 
 def cf_tail_inversion(d: Distribution, w: "WeightVector | Sequence[float]", t: float) -> float:
-    """P(S > t) by numerical inversion of the moment generating function M.
+    """P(S > t) at t > 0 by numerical inversion of the moment generating function M.
 
     P(S > t) = (1/2 pi i) int M(z) e^{-zt} dz / z along Re z = theta for
     0 < theta < 1/a_max; for theta < 0 the line passes the pole at 0 and the
@@ -422,40 +400,34 @@ def cf_tail_inversion(d: Distribution, w: "WeightVector | Sequence[float]", t: f
     above the mean, if smaller) away from the pole at 0.  The weights and t
     are taken in units of the power of two ``w.unit``, so the result does not
     depend on their scale, and equal scales are one column of their summed
-    shape.  The integral is
-    scaled by M(theta) e^{-theta t} and the answer assembled in log space,
-    so tails far below the scale keep their relative accuracy (about 1e-12).
-    Below the mean of a nonnegative sum, the small-t form of P(S <= t)
-    answers instead wherever its bracket is below rounding.
+    shape.  The integral is scaled by M(theta) e^{-theta t} and the answer
+    assembled in log space, so tails far below the scale keep their relative
+    accuracy (about 1e-12).  Where the Chernoff bound M(theta) e^{-theta t}
+    (theta > 0) is below the smallest float, the tail is 0 without a
+    contour.  Below the mean of a nonnegative sum, the small-t form of
+    P(S <= t) answers instead wherever its bracket is below rounding.
 
     Raises NumericFailureError if the trapezoid sums do not converge, the
     saddle is out of float range, or the tail leaves the law's range at t
-    ([0, 1], or [0, 1/2] for Laplace at t > 0) by more than the error
-    estimate err.  A value within err of a range end is that end.
+    ([0, 1], or [0, 1/2] for Laplace) by more than the error estimate err.
+    A value within err of a range end is that end.
     """
     w = as_weights(w)
     t = float(t)
-    if not math.isfinite(t):
-        raise InvalidInputError(f"threshold must be finite, got {t!r}")
-    if d.nonnegative:
-        if t <= 0.0:
-            return 1.0
-        top = 1.0
-    else:
-        if t < 0.0:
-            return 1.0 - cf_tail_inversion(d, w, -t)
-        if t == 0.0:
-            return 0.5
-        top = 0.5
+    if not 0.0 < t < math.inf:
+        raise InvalidInputError(f"threshold must be positive and finite, got {t!r}")
+    top = 1.0 if d.nonnegative else 0.5
     above = t >= d.mean * w.l1
     if d.nonnegative and not above:
         # S has density x^(N-1) E[exp(-x sum_i U_i/a_i)] / (Gamma(N) prod_i a_i^shape),
         # N = n shape, U ~ Dirichlet(shape, ..., shape), so P(S <= t) lies in
         # [lead (1 - c), lead] with lead = t^N / (Gamma(N+1) prod_i a_i^shape)
         # and c = t shape sum_i (1/a_i) / (N+1).  1 - lead is the tail where the
-        # interval's width, at most lead min(c, 1), is below its rounding
+        # interval's width, at most lead min(c, 1), is below its rounding.  The
+        # logs are taken apart: t/a_i may be subnormal or 0
         n_shape = len(w) * d.shape
-        log_lead = d.shape * math.fsum(math.log(t / a) for a in w) - math.lgamma(n_shape + 1.0)
+        log_t = math.log(t)
+        log_lead = d.shape * math.fsum(log_t - math.log(a) for a in w) - math.lgamma(n_shape + 1.0)
         if log_lead < 0.0:
             tail = -math.expm1(log_lead)
             c = t * d.shape * math.fsum(1.0 / a for a in w) / (n_shape + 1.0)
@@ -475,6 +447,10 @@ def cf_tail_inversion(d: Distribution, w: "WeightVector | Sequence[float]", t: f
             theta = hold
         else:
             theta = _solve_cumulant_prime(b, shape, t_u)
+        # at theta > 0, P(S > t) <= M(theta) e^{-theta t}, the Chernoff bound
+        log_bound = cumulant(b, shape, theta) - theta * t_u
+        if theta > 0.0 and log_bound < _LOG_TINIEST - 1.0:
+            return 0.0
         integral, err = _bromwich(b, d.shape, theta, t_u, 0.0, count)
     except (OverflowError, ZeroDivisionError) as exc:
         # far below the scale the saddle, near -n*shape/t, squares past float range
@@ -483,7 +459,7 @@ def cf_tail_inversion(d: Distribution, w: "WeightVector | Sequence[float]", t: f
     integral, err = integral / theta, err / abs(theta)
     # integral * M(theta) e^{-theta t} in log space; a part above e is out of
     # range whatever its error, so the exponent stops there (no overflow)
-    log_part = cumulant(b, shape, theta) - theta * t_u + math.log(abs(integral))
+    log_part = log_bound + math.log(abs(integral))
     part = math.copysign(math.exp(min(log_part, 1.0)), integral)
     err *= abs(part / integral)
     tail = part if theta > 0.0 else 1.0 + part
@@ -497,17 +473,37 @@ def cf_tail_inversion(d: Distribution, w: "WeightVector | Sequence[float]", t: f
 def exact_tail(d: Distribution, w: "WeightVector | Sequence[float]", threshold: float) -> tuple[float, str]:
     """(P(S > threshold), source tag): mixture when usable, else contour inversion.
 
-    The mixture covers exponential and Laplace summands whose partial-fraction
-    coefficients pass the trust gates; every other case is inverted.
+    The one place that knows the threshold domain: a non-finite threshold
+    raises InvalidInputError; at or below 0 a nonnegative sum's tail is 1,
+    and a symmetric sum's is 1/2 at 0 and 1 - P(S > -t) below it, so the
+    routes compute only P(S > x) at x > 0.  The mixture covers exponential
+    and Laplace summands whose partial-fraction coefficients pass the trust
+    gates; every other case is inverted.  The tag is ``mixture`` when the
+    law's mixture builds and, where it is evaluated, passes its range gate.
     """
     w = as_weights(w)
-    mixture = {LawKind.EXPONENTIAL: hypoexp_mixture, LawKind.LAPLACE: laplace_mixture}.get(d.kind)
+    t = float(threshold)
+    if not math.isfinite(t):
+        raise InvalidInputError(f"threshold must be finite, got {t!r}")
+    build = {LawKind.EXPONENTIAL: hypoexp_mixture, LawKind.LAPLACE: laplace_mixture}.get(d.kind)
+    try:
+        mixture = None if build is None else build(w)
+    except MixtureUnavailableError:
+        mixture = None
+    source = "cf_inversion" if mixture is None else "mixture"
+    if t <= 0.0 and d.nonnegative:
+        return 1.0, source
+    if t == 0.0:
+        return 0.5, source
+    x = abs(t)
     if mixture is not None:
         try:
-            return mixture(w).tail(threshold), "mixture"
+            tail = mixture.tail(x)
         except MixtureUnavailableError:
-            pass
-    return cf_tail_inversion(d, w, float(threshold)), "cf_inversion"
+            mixture = None
+    if mixture is None:
+        tail, source = cf_tail_inversion(d, w, x), "cf_inversion"
+    return (1.0 - tail if t < 0.0 else tail), source
 
 
 def p_ge_mean(d: Distribution, w: "WeightVector | Sequence[float]") -> float:

@@ -14,11 +14,12 @@ from scipy.special import gammaincc
 
 import exptails.cli as cli
 import exptails.harness as harness
-from exptails.core import NumericFailureError
+from exptails.core import Distribution, NumericFailureError
 from exptails.harness import PropertyResult, PropertySuiteReport
 from exptails.cli import run
-from exptails.oracle import laplace_tail
+from exptails.oracle import exact_tail
 
+LAP = Distribution.laplace()
 SIGMA21 = math.sqrt(10.0)  # std of 2 X_1 + X_2 for standard Laplace X_i
 
 # Frozen reference values from tests/oracles/closed_forms.py (mpmath, 50 dps).
@@ -63,6 +64,24 @@ class TestUsageErrors:
     def test_exit_code_one(self, capsys, argv):
         assert run(argv) == 1
         capsys.readouterr()
+
+    @pytest.mark.parametrize(
+        "weights, thresholds",
+        [
+            ("2,1", ["--t", "1,x"]),
+            ("2,1", ["--t", ","]),
+            ("2,1", ["--threshold", "nan"]),
+            ("2,1", ["--t", "inf"]),
+            ("[1,", ["--t", "2"]),
+            ('[1, "x"]', ["--t", "2"]),
+        ],
+    )
+    def test_bad_values_are_one_line_errors(self, capsys, weights, thresholds):
+        argv = ["exact", "--dist", "exponential", "--weights", weights, *thresholds]
+        assert run(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("exptails: error:"), captured.err
+        assert captured.out == ""
 
     def test_numeric_failure_exit_code(self, capsys, monkeypatch):
         def broken(d, w, threshold):
@@ -173,6 +192,25 @@ class TestExactCommand:
         )
         assert payload["rows"][0]["tail"] == 1.0
 
+    def test_gamma_threshold_at_the_smallest_float(self, capsys):
+        # t/a_i underflows to 0 here: the small-t form takes log t - log a_i
+        payload = run_json(
+            capsys,
+            ["exact", "--dist", "gamma", "--shape", "0.5", "--weights", "2,1",
+             "--threshold", "5e-324"],
+        )
+        assert payload["rows"][0]["tail"] == 1.0
+
+    def test_gamma_threshold_past_the_smallest_tail(self, capsys):
+        # the Chernoff bound is below the smallest float: the tail is 0
+        payload = run_json(
+            capsys,
+            ["exact", "--dist", "gamma", "--shape", "0.5", "--weights", "2,1",
+             "--threshold", "1e14"],
+        )
+        assert payload["rows"][0] == {"t": 1e14 / 1.5, "threshold": 1e14, "tail": 0.0,
+                                      "source": "cf_inversion"}
+
     def test_small_gamma_shape_far_below_the_scale(self, capsys):
         payload = run_json(
             capsys,
@@ -241,7 +279,7 @@ class TestSimulateCommand:
         ]
         row = run_json(capsys, argv)["rows"][0]
         assert math.isclose(row["threshold"], 3.0 * SIGMA21 * 1e200, rel_tol=1e-15)
-        truth = laplace_tail([1.0, 2.0], 3.0 * SIGMA21)
+        truth = exact_tail(LAP, [1.0, 2.0], 3.0 * SIGMA21)[0]
         assert abs(row["p_hat"] - truth) <= 4.0 * row["stderr"]
 
     @pytest.mark.parametrize("dist", ["exponential", "laplace"])
@@ -263,7 +301,7 @@ class TestSimulateCommand:
             def k_prime(th):
                 return 2 * th / (1 - th**2) + 8 * th / (1 - 4 * th**2) - 3 * mp.sqrt(10)
 
-            truth = laplace_tail([1.0, 2.0], 3.0 * SIGMA21)
+            truth = exact_tail(LAP, [1.0, 2.0], 3.0 * SIGMA21)[0]
         with mp.workdps(30):
             want = float(mp.findroot(k_prime, (0.01, 0.49), solver="anderson"))
         assert math.isclose(row["tilt_theta"] * scale, want, rel_tol=1e-12)

@@ -19,7 +19,7 @@ from exptails.harness import (
     random_instances,
     sandwich_report,
 )
-from exptails.oracle import exact_tail, laplace_tail
+from exptails.oracle import exact_tail
 
 EXP = Distribution.exponential()
 LAP = Distribution.laplace()
@@ -71,7 +71,7 @@ class TestSandwichReport:
         cfg = small_config(LAP, instances=3, t_grid=(2.0,))
         for row in sandwich_report(cfg):
             sigma = math.sqrt(2.0 * sum(v * v for v in row.weights))
-            assert math.isclose(row.exact, laplace_tail(row.weights, 2.0 * sigma), rel_tol=1e-12)
+            assert math.isclose(row.exact, exact_tail(LAP, row.weights, 2.0 * sigma)[0], rel_tol=1e-12)
 
     def test_deterministic(self):
         cfg = small_config(EXP, instances=5)

@@ -17,7 +17,7 @@ from exptails.montecarlo import (
     is_tail,
     mc_tail,
 )
-from exptails.oracle import hypoexp_tail, laplace_tail
+from exptails.oracle import exact_tail
 
 EXP = Distribution.exponential()
 LAP = Distribution.laplace()
@@ -103,7 +103,7 @@ class TestMcTail:
         est = mc_tail(EXP, [2.0, 1.0], 20.0, n=100_000, seed=2)
         hits = round(est.p_hat * est.n)
         assert 0 < hits < 30
-        truth = hypoexp_tail([2.0, 1.0], 20.0)
+        truth = exact_tail(EXP, [2.0, 1.0], 20.0)[0]
         assert est.ci_low <= truth <= est.ci_high
         assert est.ci_low > 0.0
 
@@ -130,7 +130,7 @@ class TestImportanceSampling:
 
     def test_laplace_deep_tail_matches_oracle(self):
         t = 5.0 * SIGMA21
-        truth = laplace_tail([2.0, 1.0], t)
+        truth = exact_tail(LAP, [2.0, 1.0], t)[0]
         est = is_tail(LAP, [2.0, 1.0], t, n=100_000, seed=1)
         assert abs(est.p_hat - truth) <= 4.0 * est.stderr
         assert est.stderr / est.p_hat <= 0.02
@@ -138,7 +138,7 @@ class TestImportanceSampling:
         assert est.tilt_theta > 0.0
 
     def test_exponential_deep_tail_matches_oracle(self):
-        truth = hypoexp_tail([2.0, 1.0], 20.0)
+        truth = exact_tail(EXP, [2.0, 1.0], 20.0)[0]
         est = is_tail(EXP, [2.0, 1.0], 20.0, n=100_000, seed=4)
         assert abs(est.p_hat - truth) <= 4.0 * est.stderr
         assert est.stderr / est.p_hat <= 0.02
@@ -165,7 +165,7 @@ class TestImportanceSampling:
         # plain MC at p ~ 1e-6 would need ~1e8 draws for this stderr
         t = 26.8
         n = 100_000
-        truth = laplace_tail([2.0, 1.0], t)
+        truth = exact_tail(LAP, [2.0, 1.0], t)[0]
         assert truth < 5e-6
         est = is_tail(LAP, [2.0, 1.0], t, n=n, seed=17)
         plain_var = truth * (1.0 - truth) / n

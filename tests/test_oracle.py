@@ -14,17 +14,14 @@ import exptails.oracle as oracle
 from exptails.core import Distribution, InvalidInputError, NumericFailureError
 from exptails.oracle import (
     ExpMixture,
-    MixtureSide,
     MixtureTerm,
     MixtureUnavailableError,
     _mixture,
     cf_tail_inversion,
     exact_tail,
     hypoexp_mixture,
-    hypoexp_tail,
     laplace_abs_norm,
     laplace_mixture,
-    laplace_tail,
     p_ge_mean,
 )
 
@@ -32,6 +29,7 @@ EXP = Distribution.exponential()
 LAP = Distribution.laplace()
 GAMMA2 = Distribution.gamma(2.0)
 GAMMA05 = Distribution.gamma(0.5)
+GAMMA_TINY = Distribution.gamma(1e-3)
 
 SIGMA21 = math.sqrt(10.0)  # std of 2 X_1 + X_2 for standard Laplace X_i
 
@@ -69,10 +67,17 @@ def random_weights(rng, max_n=8):
     return np.exp(rng.uniform(math.log(0.1), math.log(10.0), n)).tolist()
 
 
+def two_or_wide(n):
+    """[2, 1], or n weights log-uniform on [0.5, 2] seeded by n."""
+    if n == 2:
+        return [2.0, 1.0]
+    return np.exp(np.random.default_rng(n).uniform(math.log(0.5), math.log(2.0), n)).tolist()
+
+
 class TestHypoexpMixture:
     def test_distinct_scales_frozen(self):
         mix = hypoexp_mixture([2.0, 1.0])
-        assert mix.side is MixtureSide.ONE_SIDED
+        assert mix.top == 1.0
         assert math.isclose(mix.tail(2.0), HYPOEXP21_AT_2, rel_tol=1e-12)
         assert math.isclose(mix.tail(3.0), HYPOEXP21_AT_3, rel_tol=1e-12)
         assert math.isclose(mix.tail(6.0), HYPOEXP21_AT_6, rel_tol=1e-12)
@@ -121,10 +126,13 @@ class TestHypoexpMixture:
             w = random_weights(rng)
             mix = hypoexp_mixture(w)
             assert math.isclose(mix.coef_sum, 1.0, abs_tol=1e-8)
-            assert mix.tail(0.0) == 1.0
-            assert mix.tail(-1.0) == 1.0
+            assert exact_tail(EXP, w, 0.0) == (1.0, "mixture")
+            assert exact_tail(EXP, w, -1.0) == (1.0, "mixture")
+            for t in (0.0, -1.0, math.inf):
+                with pytest.raises(InvalidInputError, match="positive"):
+                    mix.tail(t)
             grid = np.linspace(0.0, 4.0 * sum(w), 40)
-            vals = [mix.tail(t) for t in grid]
+            vals = [exact_tail(EXP, w, t)[0] for t in grid]
             assert all(0.0 <= v <= 1.0 for v in vals)
             for lo, hi in zip(vals[1:], vals):
                 assert lo <= hi + 1e-12
@@ -181,7 +189,7 @@ class TestMixtureParity:
 class TestLaplaceMixture:
     def test_distinct_scales_frozen(self):
         mix = laplace_mixture([2.0, 1.0])
-        assert mix.side is MixtureSide.TWO_SIDED
+        assert mix.top == 0.5
         assert math.isclose(mix.tail(1.0), LAPLACE21_AT_1, rel_tol=1e-12)
         assert math.isclose(mix.tail(2.0 * SIGMA21), LAPLACE21_AT_2SIGMA, rel_tol=1e-12)
         assert math.isclose(mix.tail(1.5 * SIGMA21), LAPLACE21_AT_15SIGMA, rel_tol=1e-12)
@@ -202,10 +210,11 @@ class TestLaplaceMixture:
     def test_symmetry_and_center(self):
         rng = np.random.default_rng(11)
         for _ in range(20):
-            mix = laplace_mixture(random_weights(rng))
-            assert math.isclose(mix.tail(0.0), 0.5, rel_tol=1e-9)
+            w = random_weights(rng)
+            mix = laplace_mixture(w)
+            assert exact_tail(LAP, w, 0.0) == (0.5, "mixture")
             for t in (0.3, 1.7, 5.0):
-                assert math.isclose(mix.tail(-t), 1.0 - mix.tail(t), rel_tol=1e-12)
+                assert math.isclose(exact_tail(LAP, w, -t)[0], 1.0 - mix.tail(t), rel_tol=1e-12)
 
     def test_single_weight_residue(self):
         mix = laplace_mixture([2.0])
@@ -245,10 +254,11 @@ class TestCfInversion:
         assert math.isclose(got, want, rel_tol=1e-7)
 
     def test_laplace_symmetry(self):
+        # the contour's upper tail against exact_tail's reflection of the mixture's
         w = [2.0, 1.0]
-        assert cf_tail_inversion(LAP, w, 0.0) == 0.5
+        assert exact_tail(LAP, w, 0.0)[0] == 0.5
         up = cf_tail_inversion(LAP, w, 1.0)
-        down = cf_tail_inversion(LAP, w, -1.0)
+        down = exact_tail(LAP, w, -1.0)[0]
         assert math.isclose(up + down, 1.0, rel_tol=1e-12)
 
     def test_laplace_tail_near_zero_is_at_most_half(self):
@@ -257,9 +267,12 @@ class TestCfInversion:
         assert cf_tail_inversion(LAP, [1.0, 1.5], 5e-324) == 0.5
 
     def test_nonnegative_sums_below_zero(self):
+        # exact_tail answers at and below 0; the contour takes only t > 0
         for d in (EXP, GAMMA2, GAMMA05):
-            assert cf_tail_inversion(d, [2.0, 1.0], 0.0) == 1.0
-            assert cf_tail_inversion(d, [2.0, 1.0], -3.0) == 1.0
+            for t in (0.0, -0.0, -3.0):
+                assert exact_tail(d, [2.0, 1.0], t)[0] == 1.0
+                with pytest.raises(InvalidInputError, match="positive"):
+                    cf_tail_inversion(d, [2.0, 1.0], t)
 
     def test_non_finite_threshold(self):
         for bad in (math.inf, -math.inf, math.nan):
@@ -294,17 +307,17 @@ class TestCfInversion:
 
 class TestFallbacks:
     def test_hypoexp_tail_falls_back_to_inversion(self):
-        got = hypoexp_tail(ILL_CONDITIONED, 5.0)
+        got = exact_tail(EXP, ILL_CONDITIONED, 5.0)[0]
         assert abs(got - HYPOEXP_ILL_AT_5) <= 1e-8
 
     def test_laplace_tail_falls_back_to_inversion(self):
-        got = laplace_tail(ILL_CONDITIONED, 3.0)
+        got = exact_tail(LAP, ILL_CONDITIONED, 3.0)[0]
         assert abs(got - LAPLACE_ILL_AT_3) <= 2e-8
 
     def test_clean_inputs_avoid_fallback(self):
-        assert math.isclose(hypoexp_tail([2.0, 1.0], 6.0), HYPOEXP21_AT_6, rel_tol=1e-12)
+        assert math.isclose(exact_tail(EXP, [2.0, 1.0], 6.0)[0], HYPOEXP21_AT_6, rel_tol=1e-12)
         assert math.isclose(
-            laplace_tail([2.0, 1.0], 2.0 * SIGMA21), LAPLACE21_AT_2SIGMA, rel_tol=1e-12
+            exact_tail(LAP, [2.0, 1.0], 2.0 * SIGMA21)[0], LAPLACE21_AT_2SIGMA, rel_tol=1e-12
         )
 
 
@@ -341,6 +354,36 @@ class TestExactTail:
         d, want = (EXP, HYPOEXP_NEAR_PAIR) if law == "exponential" else (LAP, LAPLACE_NEAR_PAIR)
         value, _ = exact_tail(d, [1.0, 1.000008], t)
         assert abs(value - want[t]) <= 1e-12 * want[t]
+
+    @pytest.mark.parametrize("n", [2, 70])
+    @pytest.mark.parametrize("d", [EXP, LAP, GAMMA05, GAMMA_TINY], ids=lambda d: d.label())
+    def test_every_route_keeps_the_threshold_domain(self, d, n):
+        # n = 2 takes the mixture where the law has one; n = 70 is past its cap
+        w = two_or_wide(n)
+        for bad in (math.inf, -math.inf, math.nan):
+            with pytest.raises(InvalidInputError, match="finite"):
+                exact_tail(d, w, bad)
+        for t in (5e-324, 1e-300, 0.0, 1e14 * max(w), 1e308):
+            for x in (t, -t):
+                value, _ = exact_tail(d, w, x)
+                if d.nonnegative:
+                    assert 0.0 <= value <= 1.0, (x, value)
+                elif x >= 0.0:
+                    assert 0.0 <= value <= 0.5, (x, value)
+                else:
+                    assert 0.5 <= value <= 1.0, (x, value)
+
+    @pytest.mark.parametrize("n", [2, 70])
+    @pytest.mark.parametrize("d", [EXP, LAP, GAMMA05], ids=lambda d: d.label())
+    def test_tails_below_the_smallest_float_are_zero(self, d, n):
+        # the Chernoff bound is below the smallest float: both routes give 0,
+        # the contour without summing a contour
+        w = two_or_wide(n)
+        for t in (1e14, 1e200, 1e308):
+            assert cf_tail_inversion(d, w, t) == 0.0
+            assert exact_tail(d, w, t)[0] == 0.0
+            if not d.nonnegative:
+                assert exact_tail(d, w, -t)[0] == 1.0
 
     def test_laplace_tail_just_above_zero_is_at_most_half(self):
         # the mixture's coefficient sum drifts above 1, once giving 0.5000000000000009
@@ -391,20 +434,25 @@ class TestClusterTail:
 
 
 class TestMixtureRange:
-    def test_within_error_bound_is_the_range_end(self):
-        mix = ExpMixture((MixtureTerm(1.0 + 1e-12, 1.0),), MixtureSide.ONE_SIDED)
+    def test_within_error_bound_is_the_range_end(self, monkeypatch):
+        mix = ExpMixture((MixtureTerm(1.0 + 1e-12, 1.0),), 1.0)
         assert mix.tail(1e-300) == 1.0
-        mix = ExpMixture((MixtureTerm(1.0 + 1e-12, 1.0),), MixtureSide.TWO_SIDED)
+        mix = ExpMixture((MixtureTerm(1.0 + 1e-12, 1.0),), 0.5)
         assert mix.tail(1e-300) == 0.5
-        assert mix.tail(-1e-300) == 0.5
+        # exact_tail reflects the clamped upper tail
+        monkeypatch.setattr(oracle, "laplace_mixture", lambda w: mix)
+        assert exact_tail(LAP, [1.0], -1e-300) == (0.5, "mixture")
 
     def test_beyond_error_bound_raises(self):
-        # 2 e^{-t} - e^{-t/10} is -0.59 at t = 5 although the coefficients sum to 1
-        mix = ExpMixture(
-            (MixtureTerm(2.0, 1.0), MixtureTerm(-1.0, 10.0)), MixtureSide.ONE_SIDED
-        )
-        with pytest.raises(MixtureUnavailableError):
+        # 2 e^{-t} - e^{-t/10} is -0.59 at t = 5 although the coefficients sum
+        # to 1: below the normal range, where the subnormal gate raises
+        mix = ExpMixture((MixtureTerm(2.0, 1.0), MixtureTerm(-1.0, 10.0)), 1.0)
+        with pytest.raises(MixtureUnavailableError, match="below the normal range"):
             mix.tail(5.0)
+        # -e^{-t} + 2 e^{-t/10} is 1.44 at t = 1, above the range end
+        mix = ExpMixture((MixtureTerm(-1.0, 1.0), MixtureTerm(2.0, 10.0)), 1.0)
+        with pytest.raises(MixtureUnavailableError, match="leaves"):
+            mix.tail(1.0)
 
 
     # the exponential sandwich_report instances 19 and 45 of seed 1, at t = 200 E S:
@@ -529,6 +577,16 @@ class TestEqualWeightGamma:
         ref = gammaincc(n * shape, ratio)
         got = cf_tail_inversion(Distribution.gamma(shape), [a] * n, ratio * a)
         assert abs(got - ref) <= 1e-9 * ref, (got, ref)
+
+    @pytest.mark.parametrize("t", [5e-324, 3e-322, 1e-320, 1e-310])
+    @pytest.mark.parametrize("a", [2.0, 3.0, 1e10])
+    @pytest.mark.parametrize("shape", [1e-3, 1e-2])
+    def test_subnormal_thresholds(self, shape, a, t):
+        # t/a is subnormal or 0 here: the small-t form takes log t - log a
+        with mp.workdps(50):
+            ref = float(1 - mp.gammainc(shape, 0, mp.mpf(t) / a, regularized=True))
+        got = cf_tail_inversion(Distribution.gamma(shape), [a], t)
+        assert abs(got - ref) <= 1e-12 * ref, (got, ref)
 
 
 class TestPGeMean:

@@ -16,7 +16,7 @@ from scipy.special import gammaincc
 from exptails import oracle
 from exptails.core import Distribution, NumericFailureError, as_weights
 from exptails.legendre import _solve_cumulant_prime, cumulant_double_prime
-from exptails.oracle import _bromwich, cf_tail_inversion, hypoexp_mixture, laplace_mixture
+from exptails.oracle import _bromwich, cf_tail_inversion, exact_tail, hypoexp_mixture, laplace_mixture
 
 PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=150)
 
@@ -57,9 +57,11 @@ def test_equal_weight_gamma_matches_closed_form(shape, n, scale, factor):
 def test_laplace_symmetry(weights, z):
     d = Distribution.laplace()
     t = z * math.sqrt(d.variance) * math.hypot(*weights)
-    up = cf_tail_inversion(d, weights, t)
+    if t > 0.0:
+        assert 0.0 <= cf_tail_inversion(d, weights, t) <= 0.5
+    up = exact_tail(d, weights, t)[0]
     assert 0.0 <= up <= 0.5
-    assert cf_tail_inversion(d, weights, -t) == 1.0 - up
+    assert exact_tail(d, weights, -t)[0] == 1.0 - up
 
 
 @PROPERTY
@@ -67,6 +69,10 @@ def test_laplace_symmetry(weights, z):
 def test_agrees_with_hypoexp_mixture(weights, z):
     d = Distribution.exponential()
     t = sum(weights) + z * math.hypot(*weights)
+    if t <= 0.0:
+        # the routes take only t > 0; exact_tail answers below
+        assert exact_tail(d, weights, t)[0] == 1.0
+        return
     ref = hypoexp_mixture(weights).tail(t)
     assert abs(cf_tail_inversion(d, weights, t) - ref) <= 1e-10 * ref
 
@@ -74,8 +80,13 @@ def test_agrees_with_hypoexp_mixture(weights, z):
 @PROPERTY
 @given(weights=separated_weights(), z=st.floats(min_value=-30.0, max_value=30.0))
 def test_agrees_with_laplace_mixture(weights, z):
+    # the routes take only t > 0: below 0 they are compared at |t|, where the
+    # tolerance is relative to the smaller of the two tails
     d = Distribution.laplace()
-    t = z * math.sqrt(d.variance) * math.hypot(*weights)
+    t = abs(z) * math.sqrt(d.variance) * math.hypot(*weights)
+    if t == 0.0:
+        assert exact_tail(d, weights, t)[0] == 0.5
+        return
     ref = laplace_mixture(weights).tail(t)
     assert abs(cf_tail_inversion(d, weights, t) - ref) <= 1e-10 * ref
 

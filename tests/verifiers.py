@@ -26,7 +26,7 @@ from exptails.core import (
     check_seed,
 )
 from exptails.montecarlo import _chunks, _draw_sums, _run_chunks, _substream
-from exptails.oracle import MixtureSide, MixtureUnavailableError
+from exptails.oracle import MixtureUnavailableError
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -168,7 +168,7 @@ def mp_partial_fraction_tail(w, t, two_sided):
         return float(total / 2 if two_sided else total)
 
 
-def mp_mixture_coefficients(w: "list[float]", side: MixtureSide) -> "list[float] | None":
+def mp_mixture_coefficients(w: "list[float]", two_sided: bool) -> "list[float] | None":
     """Each pole's partial-fraction coefficient, by ascending scale, from a 50-digit product.
 
     The coefficient of the pole at scale b_j is prod_{k != j} (1 - e_k)^(-1),
@@ -188,7 +188,7 @@ def mp_mixture_coefficients(w: "list[float]", side: MixtureSide) -> "list[float]
             coef = mp.mpf(1)
             for bk in scales[:j] + scales[j + 1:]:
                 e = mp.mpf(bk / b)
-                coef /= (1 - e) * (1 + e) if side is MixtureSide.TWO_SIDED else 1 - e
+                coef /= (1 - e) * (1 + e) if two_sided else 1 - e
             out.append(float(coef))
     return out
 
@@ -218,23 +218,23 @@ def seeded_weight_vectors(seed: int, count: int, n_max: int) -> list[list[float]
 
 
 def mixture_parity(build, vectors) -> tuple[int, float, list]:
-    """Compare ``build(w, side)`` with ``mp_mixture_coefficients`` on both sides of each vector.
+    """Compare ``build(w, two_sided)`` with ``mp_mixture_coefficients`` on both sides of each vector.
 
     Returns (accepted, worst, rejected): the number of (vector, side) pairs
     the builder accepts, the largest coefficient difference over them in
-    units of n ulp of the reference coefficient, and (w, side, message) for
+    units of n ulp of the reference coefficient, and (w, two_sided, message) for
     each pair it rejects.  An accepted pair must have distinct weights, and
     one term per weight at its scale.
     """
     accepted, worst, rejected = 0, 0.0, []
     for w in vectors:
-        for side in MixtureSide:
+        for two_sided in (False, True):
             try:
-                got = build(w, side)
+                got = build(w, two_sided)
             except MixtureUnavailableError as exc:
-                rejected.append((w, side, str(exc)))
+                rejected.append((w, two_sided, str(exc)))
                 continue
-            want = mp_mixture_coefficients(w, side)
+            want = mp_mixture_coefficients(w, two_sided)
             assert want is not None, f"equal weights accepted: {w}"
             accepted += 1
             assert [t.scale for t in got.terms] == sorted(w)
