@@ -3,7 +3,14 @@
 Subcommands emit JSON or CSV; numeric payloads are serialized with 17
 significant digits so the same argv always produces the same bytes (the
 timestamp lives in an ignorable metadata header).  Exit codes: 0 success,
-1 usage error, 2 failing verification rows, 3 numeric failure.
+1 usage error (an unwritable ``--out`` path included), 2 failing
+verification rows, 3 numeric failure.
+
+Each subcommand imports the modules it runs when it runs, so a process loads
+only what its subcommand needs.  numpy comes with the contour, the samplers
+and the harness; ``bounds`` and ``exact`` on exponential and Laplace sums of
+distinct weights, where the partial-fraction mixture answers, are plain float
+arithmetic and never load it.
 """
 
 from __future__ import annotations
@@ -16,7 +23,6 @@ import sys
 from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
 
-from .bounds import generic_lower, generic_upper, moment_bounds, s_inequality_upper, sandwich_pair
 from .core import (
     Distribution,
     InvalidInputError,
@@ -30,9 +36,6 @@ from .core import (
     threshold_unit,
     weight_stats,
 )
-from .harness import SandwichConfig, property_suite, sandwich_report
-from .montecarlo import is_tail, mc_tail
-from .oracle import exact_tail, laplace_abs_norm, p_ge_mean
 
 _DISTS = ("exponential", "gamma", "laplace")
 
@@ -162,6 +165,9 @@ def _resolve_thresholds(
 def _bound_rows(
     d: Distribution, w: WeightVector, stats: WeightStats, pairs: list[tuple[float, float]]
 ) -> list[dict]:
+    from .bounds import generic_lower, generic_upper, s_inequality_upper, sandwich_pair
+    from .oracle import p_ge_mean
+
     rows: list[dict] = []
     p_mean = p_ge_mean(d, w) if d.nonnegative else None
     for t, threshold in pairs:
@@ -186,6 +192,8 @@ def _bound_rows(
 
 
 def _exact_rows(d: Distribution, w: WeightVector, pairs: list[tuple[float, float]]) -> list[dict]:
+    from .oracle import exact_tail
+
     rows = []
     for t, threshold in pairs:
         tail, source = exact_tail(d, w, threshold)
@@ -199,6 +207,8 @@ def _simulate_rows(
     pairs: list[tuple[float, float]],
     args: argparse.Namespace,
 ) -> list[dict]:
+    from .montecarlo import is_tail, mc_tail
+
     rows = []
     for t, threshold in pairs:
         if args.method == "tilted":
@@ -225,6 +235,9 @@ def _simulate_rows(
 def _moment_rows(d: Distribution, w: WeightVector, config: RunConfig) -> list[dict]:
     if d.kind is not LawKind.LAPLACE:
         raise InvalidInputError("moments requires --dist laplace")
+    from .bounds import moment_bounds
+    from .oracle import laplace_abs_norm
+
     rows = []
     for p in config.p:
         lower, upper = moment_bounds(p, w, mode=config.mode)
@@ -266,8 +279,11 @@ def _emit(text: str, out: "str | None") -> None:
     if out is None:
         sys.stdout.write(text)
     else:
-        with open(out, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+        try:
+            with open(out, "w", encoding="utf-8", newline="") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise InvalidInputError(f"cannot write {out!r}: {exc.strerror or exc}") from exc
 
 
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
@@ -321,6 +337,8 @@ def _run_table_subcommand(args: argparse.Namespace, config: RunConfig) -> int:
 
 
 def _run_verify(args: argparse.Namespace, config: RunConfig) -> int:
+    from .harness import SandwichConfig, property_suite, sandwich_report
+
     d = _make_distribution(args)
     kwargs = {}
     if config.t is not None:

@@ -13,10 +13,12 @@ from __future__ import annotations
 import enum
 import json
 import math
+import operator
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import TYPE_CHECKING, Iterator, Sequence
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 
 class InvalidInputError(ValueError):
@@ -85,6 +87,8 @@ class Distribution:
 
         That is a for exponential and gamma sums and (a, -a) for Laplace sums.
         """
+        import numpy as np
+
         a = np.array(as_weights(w).values)
         return np.concatenate([u * a for u in _UNIT_SCALES[self.kind]])
 
@@ -161,12 +165,16 @@ def as_weights(w: "WeightVector | Sequence[float]") -> WeightVector:
 
 
 def check_seed(seed: int) -> int:
-    """A seed is a non-negative integer (numpy integers included, bools not)."""
-    if not isinstance(seed, (int, np.integer)) or isinstance(seed, bool):
+    """A seed is a non-negative integer (numpy integers included, bools not), as an int."""
+    try:
+        index = operator.index(seed)
+    except TypeError:
+        index = None
+    if index is None or isinstance(seed, bool):
         raise InvalidInputError(f"seed must be an integer, got {seed!r}")
-    if seed < 0:
-        raise InvalidInputError(f"seed must be non-negative, got {seed}")
-    return int(seed)
+    if index < 0:
+        raise InvalidInputError(f"seed must be non-negative, got {index}")
+    return index
 
 
 def parse_weights(text: str) -> WeightVector:

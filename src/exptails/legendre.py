@@ -14,9 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Sequence
 
 from .core import (
     Distribution,
@@ -26,6 +24,9 @@ from .core import (
     WeightVector,
     as_weights,
 )
+
+if TYPE_CHECKING:
+    import numpy as np
 
 _THETA_TOL = 1e-12
 _MAX_NEWTON_ITER = 200
@@ -41,6 +42,8 @@ class LegendreResult:
 
 def cumulant(b: np.ndarray, shape: "np.ndarray | float", theta: float) -> float:
     """K(theta) = log E exp(theta S); +inf outside the domain max_j b_j theta < 1."""
+    import numpy as np
+
     x = (b * theta).tolist()
     if max(x) >= 1.0:
         return math.inf
@@ -71,6 +74,8 @@ def _solve_cumulant_prime(b: np.ndarray, shape: "np.ndarray | float", target: fl
     len(b)*shape/|theta| (the target must be positive there); with one
     shape per scale, their sum stands for len(b)*shape.
     """
+    import numpy as np
+
     if target > math.fsum((b * shape).tolist()):
         b_max = b.max()
         lo, hi = 0.0, (1.0 - 1e-12) / b_max

@@ -13,7 +13,6 @@ tails use exponentially tilted importance sampling with the Chernoff tilt.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -67,6 +66,8 @@ def _draw_sums(
 
 def _run_chunks(worker, chunk_list, workers: "int | None"):
     if workers is not None and workers > 1 and len(chunk_list) > 1:
+        from concurrent.futures import ThreadPoolExecutor
+
         with ThreadPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(worker, chunk_list))
     return [worker(c) for c in chunk_list]

@@ -28,9 +28,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 from .core import (
     Distribution,
@@ -43,6 +41,9 @@ from .core import (
 )
 from .legendre import _solve_cumulant_prime, cumulant, cumulant_double_prime, cumulant_prime
 from .special import _LOG_TINIEST
+
+if TYPE_CHECKING:
+    import numpy as np
 
 _COEF_ABS_CAP = 1e12
 _COEF_DRIFT_TOL = 1e-10
@@ -262,6 +263,8 @@ def _columns(b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     gamma(shape) taken m times on one scale is gamma(m shape) on it, so the
     contour takes one column per distinct scale, of shape count * shape.
     """
+    import numpy as np
+
     values, first, count = np.unique(b, return_index=True, return_counts=True)
     order = np.argsort(first)
     return values[order], count[order].astype(float)
@@ -295,6 +298,8 @@ def _bromwich(
     in blocks of nodes of at most _BLOCK entries per array, so memory stays
     bounded for any n.
     """
+    import numpy as np
+
     coef = b / (1.0 - b * theta)
     coef2 = coef * coef
     dist = min(abs(theta), 1.0 / b.max() - theta)

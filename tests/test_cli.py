@@ -14,6 +14,7 @@ from scipy.special import gammaincc
 
 import exptails.cli as cli
 import exptails.harness as harness
+import exptails.oracle as oracle
 from exptails.core import Distribution, NumericFailureError
 from exptails.harness import PropertyResult, PropertySuiteReport
 from exptails.cli import run
@@ -87,7 +88,7 @@ class TestUsageErrors:
         def broken(d, w, threshold):
             raise NumericFailureError("inversion stalled")
 
-        monkeypatch.setattr(cli, "exact_tail", broken)
+        monkeypatch.setattr(oracle, "exact_tail", broken)
         assert run(["exact", "--dist", "laplace", "--weights", "2,1", "--t", "2"]) == 3
         assert "numeric failure" in capsys.readouterr().err
 
@@ -383,6 +384,16 @@ class TestOutFile:
         payload = json.loads(target.read_text())
         assert payload["rows"][0]["kind"] == "laplace_lower"
 
+    def test_unwritable_path_is_a_one_line_error(self, capsys, tmp_path):
+        target = tmp_path / "missing" / "x.json"
+        argv = ["exact", "--dist", "exponential", "--weights", "2,1", "--t", "2",
+                "--out", str(target)]
+        assert run(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"exptails: error: cannot write {str(target)!r}: ")
+        assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+
 
 class TestVerifyCommand:
     def test_small_campaign_passes(self, capsys):
@@ -414,7 +425,7 @@ class TestVerifyCommand:
             )
             return PropertySuiteReport(seed=seed, results=(result,))
 
-        monkeypatch.setattr(cli, "property_suite", failing_suite)
+        monkeypatch.setattr(harness, "property_suite", failing_suite)
         argv = ["verify", "--dist", "laplace", "--instances", "1", "--t", "2"]
         code = run(argv)
         captured = capsys.readouterr()

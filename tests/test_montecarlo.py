@@ -197,6 +197,9 @@ class TestChunking:
         assert not np.array_equal(a, b)
 
     def test_check_seed_rejects_bool(self):
-        with pytest.raises(InvalidInputError):
-            check_seed(True)
-        assert check_seed(np.int64(5)) == 5
+        for bad in (True, False, 5.0, np.float64(5), "5", None):
+            with pytest.raises(InvalidInputError, match="must be an integer"):
+                check_seed(bad)
+        for good, expected in ((7, 7), (np.int64(5), 5)):
+            seed = check_seed(good)
+            assert seed == expected and type(seed) is int
