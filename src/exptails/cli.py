@@ -1,10 +1,13 @@
 """Command-line front end: bound curves, exact tails, simulation, verification.
 
-Subcommands emit JSON or CSV; numeric payloads are serialized with 17
-significant digits so the same argv always produces the same bytes (the
-timestamp lives in an ignorable metadata header).  Exit codes: 0 success,
-1 usage error (an unwritable ``--out`` path included), 2 failing
-verification rows, 3 numeric failure.
+A run is described once: ``_config_from_args`` turns the parsed options
+into a ``RunConfig``, and the subcommands read that alone.  One writer,
+``_emit``, renders every subcommand's output as JSON or CSV, to stdout or
+``--out``; numeric payloads are serialized with 17 significant digits so the
+same argv always produces the same bytes (the timestamp lives in an
+ignorable metadata header).  Exit codes: 0 success, 1 usage error (an
+unwritable ``--out`` path and a threshold that leaves float range
+included), 2 failing verification rows, 3 numeric failure.
 
 Each subcommand imports the modules it runs when it runs, so a process loads
 only what its subcommand needs.  numpy comes with the contour, the samplers
@@ -20,7 +23,7 @@ import csv
 import io
 import math
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from datetime import datetime, timezone
 
 from .core import (
@@ -140,14 +143,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _make_distribution(args: argparse.Namespace) -> Distribution:
-    if args.dist == "gamma":
-        if args.shape is None:
+def _make_distribution(config: RunConfig) -> Distribution:
+    if config.dist == "gamma":
+        if config.shape is None:
             raise InvalidInputError("--shape is required for --dist gamma")
-        return Distribution.gamma(args.shape)
-    if args.shape is not None:
+        return Distribution.gamma(config.shape)
+    if config.shape is not None:
         raise InvalidInputError("--shape applies only to --dist gamma")
-    if args.dist == "laplace":
+    if config.dist == "laplace":
         return Distribution.laplace()
     return Distribution.exponential()
 
@@ -155,11 +158,20 @@ def _make_distribution(args: argparse.Namespace) -> Distribution:
 def _resolve_thresholds(
     config: RunConfig, d: Distribution, stats: WeightStats
 ) -> list[tuple[float, float]]:
-    """[(relative, absolute)] threshold pairs."""
+    """[(relative, absolute)] threshold pairs, each member finite."""
     unit = threshold_unit(d, stats)
     if config.t is not None:
-        return [(t, t * unit) for t in config.t]
-    return [(x / unit, x) for x in config.threshold]
+        option, given = "--t", config.t
+        pairs = [(t, t * unit) for t in given]
+    else:
+        option, given = "--threshold", config.threshold
+        pairs = [(x / unit, x) for x in given]
+    for value, pair in zip(given, pairs):
+        if not all(map(math.isfinite, pair)):
+            raise InvalidInputError(
+                f"{option} {value!r} leaves float range in threshold units of {unit!r}"
+            )
+    return pairs
 
 
 def _bound_rows(
@@ -202,34 +214,16 @@ def _exact_rows(d: Distribution, w: WeightVector, pairs: list[tuple[float, float
 
 
 def _simulate_rows(
-    d: Distribution,
-    w: WeightVector,
-    pairs: list[tuple[float, float]],
-    args: argparse.Namespace,
+    d: Distribution, w: WeightVector, pairs: list[tuple[float, float]], config: RunConfig
 ) -> list[dict]:
     from .montecarlo import is_tail, mc_tail
 
-    rows = []
-    for t, threshold in pairs:
-        if args.method == "tilted":
-            est = is_tail(d, w, threshold, args.samples, args.seed)
-        else:
-            est = mc_tail(d, w, threshold, args.samples, args.seed)
-        rows.append(
-            {
-                "t": t,
-                "threshold": threshold,
-                "p_hat": est.p_hat,
-                "stderr": est.stderr,
-                "ci_low": est.ci_low,
-                "ci_high": est.ci_high,
-                "n": est.n,
-                "method": est.method,
-                "seed": est.seed,
-                "tilt_theta": est.tilt_theta,
-            }
-        )
-    return rows
+    estimate = is_tail if config.method == "tilted" else mc_tail
+    return [
+        {"t": t, "threshold": threshold,
+         **asdict(estimate(d, w, threshold, config.samples, config.seed))}
+        for t, threshold in pairs
+    ]
 
 
 def _moment_rows(d: Distribution, w: WeightVector, config: RunConfig) -> list[dict]:
@@ -265,106 +259,73 @@ def _csv_cell(value) -> str:
     return str(value)
 
 
-def _meta(config: RunConfig) -> dict:
+def _emit(
+    config: RunConfig, body: dict, rows: list[dict], header: "tuple[str, ...] | list[str]" = ()
+) -> None:
+    """Write a run's output: JSON ``{"meta", **body}`` or CSV, the meta and
+    ``header`` as comment lines above the ``rows`` table."""
     stamp = datetime.now(timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
-    return {"config": asdict(config), "generated_at": stamp}
-
-
-def _meta_lines(meta: dict) -> list[str]:
-    """The CSV comment-header form of the JSON meta block."""
-    return [f"generated_at={meta['generated_at']}", f"config={json_dumps(meta['config'])}"]
-
-
-def _emit(text: str, out: "str | None") -> None:
-    if out is None:
-        sys.stdout.write(text)
+    meta = {"config": asdict(config), "generated_at": stamp}
+    if config.format == "json":
+        text = json_dumps({"meta": meta, **body}, indent=2) + "\n"
     else:
-        try:
-            with open(out, "w", encoding="utf-8", newline="") as fh:
-                fh.write(text)
-        except OSError as exc:
-            raise InvalidInputError(f"cannot write {out!r}: {exc.strerror or exc}") from exc
+        meta_lines = [f"generated_at={stamp}", f"config={json_dumps(meta['config'])}"]
+        text = _table_csv(_COLUMNS[config.subcommand], rows, [*meta_lines, *header])
+    if config.out is None:
+        sys.stdout.write(text)
+        return
+    try:
+        with open(config.out, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise InvalidInputError(f"cannot write {config.out!r}: {exc.strerror or exc}") from exc
 
 
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    return RunConfig(
-        subcommand=args.subcommand,
-        dist=args.dist,
-        shape=args.shape,
-        weights=(
-            parse_weights(args.weights).values
-            if getattr(args, "weights", None) is not None
-            else None
-        ),
-        t=_parse_float_list(args.t, "--t") if getattr(args, "t", None) is not None else None,
-        threshold=(
-            _parse_float_list(args.threshold, "--threshold")
-            if getattr(args, "threshold", None) is not None
-            else None
-        ),
-        p=_parse_float_list(args.p, "--p") if getattr(args, "p", None) is not None else None,
-        mode=getattr(args, "mode", None),
-        samples=getattr(args, "samples", None),
-        method=getattr(args, "method", None),
-        instances=getattr(args, "instances", None),
-        seed=args.seed,
-        format=args.format,
-        out=args.out,
-    )
+    """The run's one description; options a subcommand does not define are None."""
+    values = {f.name: getattr(args, f.name, None) for f in fields(RunConfig)}
+    if values["weights"] is not None:
+        values["weights"] = parse_weights(values["weights"]).values
+    for name in ("t", "threshold", "p"):
+        if values[name] is not None:
+            values[name] = _parse_float_list(values[name], f"--{name}")
+    return RunConfig(**values)
 
 
-def _run_table_subcommand(args: argparse.Namespace, config: RunConfig) -> int:
-    d = _make_distribution(args)
+def _run_table_subcommand(config: RunConfig) -> int:
+    d = _make_distribution(config)
     w = WeightVector(config.weights)
-    if args.subcommand == "moments":
+    if config.subcommand == "moments":
         rows = _moment_rows(d, w, config)
     else:
         stats = weight_stats(w, d)
         pairs = _resolve_thresholds(config, d, stats)
-        if args.subcommand == "bounds":
+        if config.subcommand == "bounds":
             rows = _bound_rows(d, w, stats, pairs)
-        elif args.subcommand == "exact":
+        elif config.subcommand == "exact":
             rows = _exact_rows(d, w, pairs)
         else:
-            rows = _simulate_rows(d, w, pairs, args)
-    meta = _meta(config)
-    if args.format == "json":
-        text = json_dumps({"meta": meta, "rows": rows}, indent=2) + "\n"
-    else:
-        text = _table_csv(_COLUMNS[args.subcommand], rows, _meta_lines(meta))
-    _emit(text, args.out)
+            rows = _simulate_rows(d, w, pairs, config)
+    _emit(config, {"rows": rows}, rows)
     return 0
 
 
-def _run_verify(args: argparse.Namespace, config: RunConfig) -> int:
+def _run_verify(config: RunConfig) -> int:
     from .harness import SandwichConfig, property_suite, sandwich_report
 
-    d = _make_distribution(args)
-    kwargs = {}
-    if config.t is not None:
-        kwargs["t_grid"] = config.t
-    sandwich_config = SandwichConfig(
-        distribution=d, instances=args.instances, seed=args.seed, **kwargs
+    d = _make_distribution(config)
+    grid = {} if config.t is None else {"t_grid": config.t}
+    rows = sandwich_report(
+        SandwichConfig(distribution=d, instances=config.instances, seed=config.seed, **grid)
     )
-    rows = sandwich_report(sandwich_config)
-    suite = property_suite(args.seed)
+    suite = property_suite(config.seed)
     all_pass = all(r.passed for r in rows) and suite.passed
-    meta = _meta(config)
     sandwich = [r.as_dict() for r in rows]
-    if args.format == "json":
-        payload = {
-            "meta": meta,
-            "sandwich": sandwich,
-            "properties": [r.as_dict() for r in suite.results],
-            "pass": all_pass,
-        }
-        text = json_dumps(payload, indent=2) + "\n"
-    else:
-        header = _meta_lines(meta)
-        header += [f"property {r.name} pass={_csv_cell(r.passed)}" for r in suite.results]
-        header.append(f"suite_pass={_csv_cell(all_pass)}")
-        text = _table_csv(_COLUMNS["verify"], sandwich, header)
-    _emit(text, args.out)
+    properties = [r.as_dict() for r in suite.results]
+    header = [f"property {r['name']} pass={_csv_cell(r['pass'])}" for r in properties]
+    header.append(f"suite_pass={_csv_cell(all_pass)}")
+    _emit(config, {"sandwich": sandwich, "properties": properties, "pass": all_pass},
+          sandwich, header)
     failing = sum(1 for r in rows if not r.passed)
     prop_fail = sum(1 for r in suite.results if not r.passed)
     print(
@@ -384,9 +345,9 @@ def run(argv: "list[str] | None" = None) -> int:
         return int(exc.code or 0)
     try:
         config = _config_from_args(args)
-        if args.subcommand == "verify":
-            return _run_verify(args, config)
-        return _run_table_subcommand(args, config)
+        if config.subcommand == "verify":
+            return _run_verify(config)
+        return _run_table_subcommand(config)
     except InvalidInputError as exc:
         print(f"exptails: error: {exc}", file=sys.stderr)
         return 1

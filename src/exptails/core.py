@@ -190,6 +190,8 @@ def parse_weights(text: str) -> WeightVector:
             data = json.loads(stripped)
         except json.JSONDecodeError as exc:
             raise InvalidInputError(f"invalid JSON weight array: {exc}") from exc
+        if isinstance(data, list) and any(isinstance(v, bool) for v in data):
+            raise InvalidInputError(f"weights must be numbers, got {stripped!r}")
         return as_weights(data)
     try:
         parts = [float(p) for p in stripped.split(",") if p.strip()]

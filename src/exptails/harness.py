@@ -13,7 +13,7 @@ integer.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -54,8 +54,17 @@ class SandwichConfig:
                 raise InvalidInputError(f"t grid must lie in (1, inf), got {t!r}")
 
 
+class _Record:
+    """A record whose output form is its fields in order, ``passed`` printed as ``pass``."""
+
+    def as_dict(self) -> dict:
+        return {
+            "pass" if f.name == "passed" else f.name: getattr(self, f.name) for f in fields(self)
+        }
+
+
 @dataclass(frozen=True)
-class SandwichRow:
+class SandwichRow(_Record):
     instance: int
     dist: str
     weights: tuple[float, ...]
@@ -69,37 +78,13 @@ class SandwichRow:
     passed: bool
     source: str
 
-    def as_dict(self) -> dict:
-        return {
-            "instance": self.instance,
-            "dist": self.dist,
-            "weights": list(self.weights),
-            "n": self.n,
-            "t": self.t,
-            "lower": self.lower,
-            "exact": self.exact,
-            "upper": self.upper,
-            "slack_low": self.slack_low,
-            "slack_high": self.slack_high,
-            "pass": self.passed,
-            "source": self.source,
-        }
-
 
 @dataclass(frozen=True)
-class PropertyResult:
+class PropertyResult(_Record):
     name: str
     passed: bool
     detail: str
     witness: str = ""
-
-    def as_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "pass": self.passed,
-            "detail": self.detail,
-            "witness": self.witness,
-        }
 
 
 @dataclass(frozen=True)

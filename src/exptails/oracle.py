@@ -236,6 +236,11 @@ def laplace_abs_norm(w: "WeightVector | Sequence[float]", p: float) -> float:
     lo, hi = 0.0, pole
     while hi - lo > 1e-3 * min(lo, pole - hi):
         theta = 0.5 * (lo + hi)
+        if not lo < theta < hi:
+            # lo and hi are adjacent floats: no contour fits between saddle and pole
+            raise NumericFailureError(
+                f"the saddle of moment order {p!r} lies within one float of the pole"
+            )
         if theta * cumulant_prime(b, shape, theta) > p + 1.0:
             hi = theta
         else:

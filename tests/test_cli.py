@@ -2,6 +2,7 @@
 
 import json
 import math
+import os
 import re
 import shutil
 import subprocess
@@ -14,6 +15,7 @@ from scipy.special import gammaincc
 
 import exptails.cli as cli
 import exptails.harness as harness
+import exptails.montecarlo as montecarlo
 import exptails.oracle as oracle
 from exptails.core import Distribution, NumericFailureError
 from exptails.harness import PropertyResult, PropertySuiteReport
@@ -40,10 +42,19 @@ def run_json(capsys, argv):
     return json.loads(captured.out)
 
 
+def mask_timestamp(text):
+    return re.sub(r"\d{4}-\d\d-\d\dT\d\d:\d\d:\d\dZ", "<generated_at>", text)
+
+
+def mask_out(text):
+    """Output with the --out value of its config header masked."""
+    return re.sub(r'"out": ?(null|"[^"]*")', '"out": <out>', text)
+
+
 def masked_stdout(capsys, argv):
     """Stdout of a successful run with the generated_at timestamp masked."""
     assert run(argv) == 0
-    return re.sub(r"\d{4}-\d\d-\d\dT\d\d:\d\d:\d\dZ", "<generated_at>", capsys.readouterr().out)
+    return mask_timestamp(capsys.readouterr().out)
 
 
 class TestUsageErrors:
@@ -75,6 +86,8 @@ class TestUsageErrors:
             ("2,1", ["--t", "inf"]),
             ("[1,", ["--t", "2"]),
             ('[1, "x"]', ["--t", "2"]),
+            ("[true,2]", ["--t", "2"]),  # float(True) is 1.0, not a weight
+            ("1e-300", ["--threshold", "1e10"]),  # t overflows
         ],
     )
     def test_bad_values_are_one_line_errors(self, capsys, weights, thresholds):
@@ -83,6 +96,35 @@ class TestUsageErrors:
         captured = capsys.readouterr()
         assert captured.err.startswith("exptails: error:"), captured.err
         assert captured.out == ""
+
+    @pytest.mark.parametrize(
+        "argv, value",
+        [
+            (["exact", "--dist", "exponential", "--weights", "1e-300", "--threshold", "1e10"],
+             1e10),
+            (["bounds", "--dist", "exponential", "--weights", "2,1", "--t", "1e308"], 1e308),
+            (["bounds", "--dist", "laplace", "--weights", "1e-300", "--threshold", "1e10"], 1e10),
+            (["simulate", "--dist", "gamma", "--shape", "2", "--weights", "1e-300",
+              "--threshold", "1e10"], 1e10),
+        ],
+        ids=["exact", "bounds", "bounds_laplace", "simulate"],
+    )
+    def test_threshold_out_of_float_range_stops_before_computing(
+        self, capsys, monkeypatch, argv, value
+    ):
+        def untouched(*args, **kwargs):
+            raise AssertionError("computed at a threshold out of float range")
+
+        for name in ("exact_tail", "p_ge_mean"):
+            monkeypatch.setattr(oracle, name, untouched)
+        for name in ("mc_tail", "is_tail"):
+            monkeypatch.setattr(montecarlo, name, untouched)
+        assert run(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("exptails: error:")
+        assert captured.err.count("\n") == 1
+        assert repr(value) in captured.err
 
     def test_numeric_failure_exit_code(self, capsys, monkeypatch):
         def broken(d, w, threshold):
@@ -341,6 +383,28 @@ class TestMomentsCommand:
         assert math.isclose(row["lower"], MOMENT_LOWER_P2_N1_PAPER, rel_tol=1e-12)
         assert row["lower"] > row["exact"]
 
+    def test_high_order_row_is_fixed(self, capsys):
+        argv = ["moments", "--dist", "laplace", "--weights", "2,1", "--p", "1e6"]
+        payload = run_json(capsys, argv)
+        assert payload["rows"][0]["exact"] == 735764.85259130085
+
+    @pytest.mark.parametrize("p", ["1e15", "1e20", "1e300"])
+    def test_order_whose_saddle_meets_the_pole_fails(self, p):
+        # the bisection for the saddle once looped forever when its ends were
+        # adjacent floats; a subprocess with a timeout keeps a regression from
+        # hanging the suite
+        src = str(Path(cli.__file__).parents[1])
+        proc = subprocess.run(
+            [sys.executable, "-m", "exptails.cli", "moments", "--dist", "laplace",
+             "--weights", "2,1", "--p", p],
+            capture_output=True, text=True, timeout=60,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+        assert proc.returncode == 3
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("exptails: numeric failure:")
+        assert proc.stderr.count("\n") == 1
+
 
 class TestDeterminism:
     def test_json_reruns_identical_modulo_timestamp(self, capsys):
@@ -383,6 +447,17 @@ class TestOutFile:
         assert capsys.readouterr().out == ""
         payload = json.loads(target.read_text())
         assert payload["rows"][0]["kind"] == "laplace_lower"
+        # the file holds the bytes that the same run prints, its --out path aside
+        for case in (
+            argv,
+            ["verify", "--dist", "exponential", "--instances", "2", "--t", "2",
+             "--format", "csv", "--out", str(tmp_path / "verify.csv")],
+        ):
+            assert run(case) == 0
+            assert capsys.readouterr().out == ""
+            written = Path(case[-1]).read_text(encoding="utf-8")
+            printed = masked_stdout(capsys, case[:-2])
+            assert mask_out(mask_timestamp(written)) == mask_out(printed)
 
     def test_unwritable_path_is_a_one_line_error(self, capsys, tmp_path):
         target = tmp_path / "missing" / "x.json"
@@ -476,6 +551,10 @@ GOLDEN_CASES = {
                          "--t", "0.8,1.5,2,4", "--format", "csv"],
     "exact_laplace.csv": ["exact", "--dist", "laplace", "--weights", "2,1,0.5,0.5",
                           "--t=-1.5,-0.2,0,0.7,3", "--format", "csv"],
+    "moments_laplace.json": ["moments", "--dist", "laplace", "--weights", "2,1,0.5",
+                             "--p", "2,3,4", "--format", "json"],
+    "moments_laplace_paper.csv": ["moments", "--dist", "laplace", "--weights", "2,1,0.5",
+                                  "--p", "2,3,4", "--mode", "paper", "--format", "csv"],
     "simulate_exponential.csv": ["simulate", "--dist", "exponential", "--weights", "2,1,0.5",
                                  "--t", "1.2,2", "--samples", "200000", "--seed", "7",
                                  "--format", "csv"],

@@ -107,7 +107,7 @@ class TestParseWeights:
         assert parse_weights("[2, 1]").values == (2.0, 1.0)
 
     def test_rejects_garbage(self):
-        for bad in ("", "a,b", "[1, \"x\"]", "{\"a\": 1}", ",,"):
+        for bad in ("", "a,b", "[1, \"x\"]", "{\"a\": 1}", ",,", "[true, 2]"):
             with pytest.raises(InvalidInputError):
                 parse_weights(bad)
 
