@@ -281,20 +281,22 @@ def _emit(
         raise InvalidInputError(f"cannot write {config.out!r}: {exc.strerror or exc}") from exc
 
 
-def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    """The run's one description; options a subcommand does not define are None."""
+def _config_from_args(args: argparse.Namespace) -> "tuple[RunConfig, WeightVector | None]":
+    """The run's one description (options a subcommand does not define are
+    None) and its validated weights, None for ``verify``."""
     values = {f.name: getattr(args, f.name, None) for f in fields(RunConfig)}
+    w = None
     if values["weights"] is not None:
-        values["weights"] = parse_weights(values["weights"]).values
+        w = parse_weights(values["weights"])
+        values["weights"] = w.values
     for name in ("t", "threshold", "p"):
         if values[name] is not None:
             values[name] = _parse_float_list(values[name], f"--{name}")
-    return RunConfig(**values)
+    return RunConfig(**values), w
 
 
-def _run_table_subcommand(config: RunConfig) -> int:
+def _run_table_subcommand(config: RunConfig, w: WeightVector) -> int:
     d = _make_distribution(config)
-    w = WeightVector(config.weights)
     if config.subcommand == "moments":
         rows = _moment_rows(d, w, config)
     else:
@@ -344,10 +346,10 @@ def run(argv: "list[str] | None" = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        config = _config_from_args(args)
+        config, w = _config_from_args(args)
         if config.subcommand == "verify":
             return _run_verify(config)
-        return _run_table_subcommand(config)
+        return _run_table_subcommand(config, w)
     except InvalidInputError as exc:
         print(f"exptails: error: {exc}", file=sys.stderr)
         return 1

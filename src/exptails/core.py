@@ -11,6 +11,7 @@ and the samplers read only that array.
 from __future__ import annotations
 
 import enum
+import functools
 import json
 import math
 import operator
@@ -121,14 +122,15 @@ class WeightVector:
 
     def __post_init__(self):
         try:
-            vals = tuple(float(v) for v in self.values)
+            vals = tuple(map(float, self.values))
         except (TypeError, ValueError) as exc:
             raise InvalidInputError(f"weights must be numbers: {exc}") from exc
         if not vals:
             raise InvalidInputError("weight vector must not be empty")
-        for v in vals:
-            if not math.isfinite(v) or v <= 0.0:
-                raise InvalidInputError(f"weights must be positive and finite, got {v!r}")
+        if not (all(map(math.isfinite, vals)) and min(vals) > 0.0):
+            for v in vals:  # name the first bad weight
+                if not math.isfinite(v) or v <= 0.0:
+                    raise InvalidInputError(f"weights must be positive and finite, got {v!r}")
         object.__setattr__(self, "values", vals)
 
     def __len__(self) -> int:
@@ -137,20 +139,20 @@ class WeightVector:
     def __iter__(self) -> Iterator[float]:
         return iter(self.values)
 
-    @property
+    @functools.cached_property
     def a_max(self) -> float:
         return max(self.values)
 
-    @property
+    @functools.cached_property
     def unit(self) -> float:
         """The power of two 2^k with 2^k <= a_max < 2^(k+1); dividing by it is exact."""
         return math.ldexp(1.0, math.frexp(self.a_max)[1] - 1)
 
-    @property
+    @functools.cached_property
     def l1(self) -> float:
         return math.fsum(self.values)
 
-    @property
+    @functools.cached_property
     def l2(self) -> float:
         # squares in units of a power of two next to a_max neither overflow nor underflow
         u = self.unit

@@ -25,6 +25,7 @@ The tests drive both on the same instances and require agreement.
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
 from dataclasses import dataclass
@@ -147,15 +148,11 @@ class ExpMixture:
 
 
 def _mixture(w: "WeightVector | Sequence[float]", two_sided: bool) -> ExpMixture:
-    """Partial fractions of the MGF prod_j (1 - b_j z)^(-1) over distinct scales.
+    """The law's mixture of w, built once per weight vector, or MixtureUnavailableError.
 
-    The coefficient of the pole z = 1/b_j, poles in ascending order of
-    scale, is prod_{k != j} (1 - e_k)^(-1), e_k = b_k/b_j; the two-sided
-    (Laplace) MGF mirrors every pole, and it becomes prod_{k != j}
-    ((1 - e_k)(1 + e_k))^(-1), which sums to 1 like the one-sided ones.
-    Equal scales make a repeated pole, with a factor 1 - e_k = 0: the build
-    raises.  The trust gate on sum |coef| is checked pole by pole, so a
-    build that fails it stops at the first pole past the cap.
+    Callers ask one weight vector at a grid of thresholds, so the O(n^2) build
+    (an immutable mixture, or the reason it was rejected) is kept for the last
+    16 (weights, law) pairs; n past the cap raises before the weights are hashed.
     """
     w = as_weights(w)
     n = len(w)
@@ -163,7 +160,27 @@ def _mixture(w: "WeightVector | Sequence[float]", two_sided: bool) -> ExpMixture
         raise MixtureUnavailableError(
             f"{n} weights exceed the partial-fraction cap of {_MAX_DISTINCT_SCALES} distinct scales"
         )
-    scales = sorted(w.values)
+    built = _build_mixture(w.values, two_sided)
+    if isinstance(built, str):
+        raise MixtureUnavailableError(built)
+    return built
+
+
+@functools.lru_cache(maxsize=16)
+def _build_mixture(weights: tuple[float, ...], two_sided: bool) -> "ExpMixture | str":
+    """Partial fractions of the MGF prod_j (1 - b_j z)^(-1) over distinct scales.
+
+    The coefficient of the pole z = 1/b_j, poles in ascending order of
+    scale, is prod_{k != j} (1 - e_k)^(-1), e_k = b_k/b_j; the two-sided
+    (Laplace) MGF mirrors every pole, and it becomes prod_{k != j}
+    ((1 - e_k)(1 + e_k))^(-1), which sums to 1 like the one-sided ones.
+    Equal scales make a repeated pole, with a factor 1 - e_k = 0: the build
+    is rejected.  The trust gate on sum |coef| is checked pole by pole, so a
+    build that fails it stops at the first pole past the cap.  A rejected
+    build returns its reason.
+    """
+    n = len(weights)
+    scales = sorted(weights)
     terms: list[MixtureTerm] = []
     abs_sum = 0.0
     for j, b in enumerate(scales):
@@ -173,23 +190,21 @@ def _mixture(w: "WeightVector | Sequence[float]", two_sided: bool) -> ExpMixture
                 coef = 1.0 / math.prod([(1.0 - e) * (1.0 + e) for e in others])
             else:
                 coef = 1.0 / math.prod([1.0 - e for e in others])
-        except ZeroDivisionError as exc:
+        except ZeroDivisionError:
             clash = b in scales[j + 1:j + 2]
             why = f"coincides with pole {j + 2}" if clash else "leaves float range"
-            raise MixtureUnavailableError(f"pole {j + 1} of {n} {why}") from exc
+            return f"pole {j + 1} of {n} {why}"
         abs_sum += abs(coef)
         terms.append(MixtureTerm(coef, b))
         if not abs_sum <= _COEF_ABS_CAP:  # nan fails too
-            raise MixtureUnavailableError(
+            return (
                 f"partial-fraction coefficients too large to trust (sum |coef| = {abs_sum:.3e}"
                 f" after {j + 1} of {n} poles)"
             )
     mix = ExpMixture(tuple(terms), 0.5 if two_sided else 1.0)
     drift = abs(mix.coef_sum - 1.0)
     if drift > _COEF_DRIFT_TOL:
-        raise MixtureUnavailableError(
-            f"partial-fraction coefficients do not sum to 1 (off by {drift:.3e})"
-        )
+        return f"partial-fraction coefficients do not sum to 1 (off by {drift:.3e})"
     return mix
 
 

@@ -17,7 +17,7 @@ import exptails.cli as cli
 import exptails.harness as harness
 import exptails.montecarlo as montecarlo
 import exptails.oracle as oracle
-from exptails.core import Distribution, NumericFailureError
+from exptails.core import Distribution, NumericFailureError, WeightVector
 from exptails.harness import PropertyResult, PropertySuiteReport
 from exptails.cli import run
 from exptails.oracle import exact_tail
@@ -404,6 +404,26 @@ class TestMomentsCommand:
         assert proc.stdout == ""
         assert proc.stderr.startswith("exptails: numeric failure:")
         assert proc.stderr.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["bounds", "--dist", "gamma", "--shape", "0.5", "--weights", "3,1,1", "--t", "0.8,2"],
+        ["exact", "--dist", "laplace", "--weights", "2,1,0.5,0.5", "--t=-1.5,0,3"],
+        ["simulate", "--dist", "exponential", "--weights", "2,1", "--t", "1.2", "--samples", "1000"],
+        ["moments", "--dist", "laplace", "--weights", "2,1,0.5", "--p", "2,3"],
+    ],
+)
+def test_weights_are_validated_once(capsys, monkeypatch, argv):
+    built = []
+    post_init = WeightVector.__post_init__
+    monkeypatch.setattr(WeightVector, "__post_init__", lambda w: built.append(post_init(w)))
+    assert run(argv) == 0
+    assert len(built) == 1
+    assert json.loads(capsys.readouterr().out)["meta"]["config"]["weights"] == [
+        float(v) for v in argv[argv.index("--weights") + 1].split(",")
+    ]
 
 
 class TestDeterminism:

@@ -77,6 +77,21 @@ class TestWeightVector:
             with pytest.raises(InvalidInputError):
                 WeightVector((1.0, bad))
 
+    def test_validation_names_the_first_bad_weight(self):
+        for values, bad in (((1.0, -2.0, math.nan), "-2.0"), ((math.inf, 0.0), "inf"),
+                            ((3, 1, 0), "0.0")):
+            with pytest.raises(InvalidInputError, match=f"got {bad}$"):
+                WeightVector(values)
+
+    def test_statistics_are_computed_once(self):
+        w = WeightVector((3.0, 1.5, 0.25))
+        stats = (w.a_max, w.unit, w.l1, w.l2)
+        assert stats == (3.0, 2.0, 4.75, math.sqrt(math.fsum((9.0, 2.25, 0.0625))))
+        assert all(name in vars(w) for name in ("a_max", "unit", "l1", "l2"))
+        assert (w.a_max, w.unit, w.l1, w.l2) == stats
+        # cached statistics are not fields: equality and hashing see the weights only
+        assert w == WeightVector((3.0, 1.5, 0.25)) and hash(w) == hash(WeightVector(w.values))
+
     def test_as_weights_passthrough(self):
         w = WeightVector((1.0, 2.0))
         assert as_weights(w) is w

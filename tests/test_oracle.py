@@ -10,7 +10,7 @@ from scipy.special import gammaincc
 from verifiers import mixture_parity, mp_partial_fraction_tail, seeded_weight_vectors
 
 import exptails.oracle as oracle
-from exptails.core import Distribution, InvalidInputError, NumericFailureError
+from exptails.core import Distribution, InvalidInputError, NumericFailureError, WeightVector
 from exptails.oracle import (
     ExpMixture,
     MixtureTerm,
@@ -185,6 +185,88 @@ class TestMixtureParity:
         assert int(re.search(r"after (\d+) of", str(info.value)).group(1)) < 64
 
 
+class TestMixtureMemo:
+    """One build per weight vector and law; every answer as from a fresh build."""
+
+    @pytest.fixture(autouse=True)
+    def cold(self):
+        oracle._build_mixture.cache_clear()
+        yield
+        oracle._build_mixture.cache_clear()
+
+    def test_one_weight_vector_in_any_form_is_one_mixture(self):
+        forms = ([2.0, 1.0, 0.5], (2.0, 1.0, 0.5), [2, 1, 0.5], WeightVector((2.0, 1.0, 0.5)))
+        for build in (hypoexp_mixture, laplace_mixture):
+            mixtures = [build(w) for w in forms]
+            assert all(mix is mixtures[0] for mix in mixtures)
+            assert oracle._build_mixture.cache_info().misses == 1
+            oracle._build_mixture.cache_clear()
+            assert build(forms[0]) == mixtures[0]
+            oracle._build_mixture.cache_clear()
+
+    @pytest.mark.parametrize(
+        "w",
+        [
+            [1.0 + 0.01 * i for i in range(40)],  # 1%-spaced: past the coefficient cap
+            [2.0, 1.0, 1.0],  # a repeated pole
+            [1.0 + k * 1e-7 for k in range(64)],  # a product past float range
+        ],
+    )
+    def test_a_rejection_raises_the_same_message_every_time(self, w):
+        for build in (hypoexp_mixture, laplace_mixture):
+            messages = []
+            for _ in range(3):
+                with pytest.raises(MixtureUnavailableError) as info:
+                    build(w)
+                messages.append(str(info.value))
+            oracle._build_mixture.cache_clear()
+            with pytest.raises(MixtureUnavailableError) as info:
+                build(w)
+            assert messages == [str(info.value)] * 3
+
+    def test_past_the_scale_cap_nothing_is_looked_up(self):
+        w = [1.0 + 0.01 * i for i in range(65)]
+        for _ in range(2):
+            with pytest.raises(MixtureUnavailableError, match="distinct scales"):
+                hypoexp_mixture(w)
+        info = oracle._build_mixture.cache_info()
+        assert info.hits + info.misses == 0
+
+    def test_the_laws_do_not_collide(self):
+        w = [2.0, 1.0, 0.5]
+        for _ in range(2):
+            hypo, lap = hypoexp_mixture(w), laplace_mixture(w)
+            assert (hypo.top, lap.top) == (1.0, 0.5)
+            assert hypo.terms[0].coef == 1.0 / ((1.0 - 2.0) * (1.0 - 4.0))
+            assert lap.terms[0].coef == 1.0 / ((1.0 - 4.0) * (1.0 - 16.0))
+            assert exact_tail(EXP, w, 3.0)[0] != exact_tail(LAP, w, 3.0)[0]
+
+    @pytest.mark.parametrize("d", [EXP, LAP])
+    def test_a_threshold_grid_keeps_its_bits(self, d):
+        rng = np.random.default_rng(16)
+        for w in [[2.0, 1.0], ILL_CONDITIONED] + [random_weights(rng) for _ in range(10)]:
+            grid = [-3.0, 0.0, 0.1, 1.0, 2.5, 10.0, 80.0, 900.0]
+            warm = [exact_tail(d, w, t) for t in grid]
+            cold = []
+            for t in grid:
+                oracle._build_mixture.cache_clear()
+                cold.append(exact_tail(d, w, t))
+            assert [(v.hex(), s) for v, s in warm] == [(v.hex(), s) for v, s in cold]
+
+    def test_more_instances_than_the_bound(self):
+        rng = np.random.default_rng(17)
+        vectors = [random_weights(rng) for _ in range(40)]
+        first = [(exact_tail(EXP, w, 5.0), exact_tail(LAP, w, 5.0)) for w in vectors]
+        assert oracle._build_mixture.cache_info().currsize <= 16
+        for w, answers in zip(reversed(vectors), reversed(first)):
+            assert (exact_tail(EXP, w, 5.0), exact_tail(LAP, w, 5.0)) == answers
+        for w, answers in zip(vectors, first):
+            for (value, source), two_sided in zip(answers, (False, True)):
+                if source == "mixture":
+                    want = mp_partial_fraction_tail(w, 5.0, two_sided)
+                    assert abs(value - want) <= 1e-10 * want
+
+
 class TestLaplaceMixture:
     def test_distinct_scales_frozen(self):
         mix = laplace_mixture([2.0, 1.0])
@@ -337,6 +419,17 @@ class TestExactTail:
         value, source = exact_tail(EXP, ILL_CONDITIONED, 5.0)
         assert source == "cf_inversion"
         assert abs(value - HYPOEXP_ILL_AT_5) <= 1e-8
+
+    @pytest.mark.parametrize("n", [1, 5, 65, 3000])
+    def test_columns_in_order_of_first_occurrence(self, n):
+        rng = np.random.default_rng(n)
+        for b in (rng.choice([0.5, 2.0, -1.0, 0.75, -3.0], n), rng.uniform(-2.0, 2.0, n)):
+            values, count = oracle._columns(b)
+            seen = {}
+            for v in b.tolist():
+                seen[v] = seen.get(v, 0) + 1
+            assert values.tolist() == list(seen) and count.tolist() == list(seen.values())
+            assert values.dtype == count.dtype == np.float64
 
     def test_thousand_equal_weights_are_one_column(self):
         # the contour takes the equal weights as one gamma(1000) column
