@@ -115,23 +115,14 @@ def generic_upper(d: Distribution, w: "WeightVector | Sequence[float]", t: float
 
 
 def _log_r_function(d: Distribution, v: float) -> float:
+    """log of the tail-shift ratio bound r(v) <= inf_u P(X > u+v)/P(X > u).
+
+    r(v) = exp(-v), times min(v^(shape-1), 1)/(2 Gamma(shape)) for gamma(shape < 1).
+    """
     if d.kind is LawKind.GAMMA and d.shape < 1.0:
         g = d.shape
         return -math.log(2.0) - math.lgamma(g) + min((g - 1.0) * math.log(v), 0.0) - v
     return -v
-
-
-def r_function(d: Distribution, v: float) -> float:
-    """Closed-form tail-shift ratio lower bound r(v) <= inf_u P(X > u+v)/P(X > u).
-
-    Exponential and gamma(shape >= 1): exp(-v).  Gamma(shape < 1):
-    (1/(2 Gamma(shape))) min(v^(shape-1), 1) exp(-v).
-    """
-    _require_nonnegative(d, "r_function")
-    v = float(v)
-    if not math.isfinite(v) or v <= 0.0:
-        raise InvalidInputError(f"r_function needs v > 0, got {v!r}")
-    return math.exp(_log_r_function(d, v))
 
 
 def generic_lower(

@@ -160,10 +160,21 @@ class WeightVector:
 
 
 def as_weights(w: "WeightVector | Sequence[float]") -> WeightVector:
-    """Coerce a sequence of numbers to a validated WeightVector."""
+    """Coerce a sequence of numbers to a validated WeightVector.
+
+    The last 16 are kept by their entries: equal ones (list, tuple, ints, numpy
+    floats) share one vector, validated once; a rejected one raises every time.
+    """
     if isinstance(w, WeightVector):
         return w
-    return WeightVector(tuple(w))
+    values = tuple(w)
+    try:
+        return _weights(values)
+    except TypeError:  # an unhashable entry: validated without the memo
+        return WeightVector(values)
+
+
+_weights = functools.lru_cache(maxsize=16)(WeightVector)
 
 
 def check_seed(seed: int) -> int:
@@ -182,7 +193,8 @@ def check_seed(seed: int) -> int:
 def parse_weights(text: str) -> WeightVector:
     """Parse weights from a comma-separated string or a JSON array.
 
-    Accepts "2,1", " 2, 1 " and "[2, 1]".
+    Accepts "2,1", " 2, 1 " and "[2, 1]".  A process parses its weights
+    once, so the vector is built without the ``as_weights`` memo.
     """
     stripped = text.strip()
     if not stripped:
@@ -194,12 +206,12 @@ def parse_weights(text: str) -> WeightVector:
             raise InvalidInputError(f"invalid JSON weight array: {exc}") from exc
         if isinstance(data, list) and any(isinstance(v, bool) for v in data):
             raise InvalidInputError(f"weights must be numbers, got {stripped!r}")
-        return as_weights(data)
+        return WeightVector(tuple(data))
     try:
         parts = [float(p) for p in stripped.split(",") if p.strip()]
     except ValueError as exc:
         raise InvalidInputError(f"invalid weight list {text!r}: {exc}") from exc
-    return as_weights(parts)
+    return WeightVector(tuple(parts))
 
 
 @dataclass(frozen=True)

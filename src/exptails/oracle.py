@@ -81,6 +81,16 @@ class ExpMixture:
     terms: tuple[MixtureTerm, ...]
     top: float
 
+    def __post_init__(self):
+        # per term (coef, scale, e, m, m_hi, m_lo), scale = m 2^e with m split
+        # into Veltkamp halves m_hi + m_lo: the threshold-free part of ``tail``
+        split = []
+        for coef, scale in self.terms:
+            m, e = math.frexp(scale)
+            m_hi = _SPLIT * m - (_SPLIT * m - m)
+            split.append((coef, scale, e, m, m_hi, m - m_hi))
+        object.__setattr__(self, "_split", tuple(split))
+
     @property
     def coef_sum(self) -> float:
         return math.fsum(t.coef for t in self.terms)
@@ -107,10 +117,9 @@ class ExpMixture:
         # splits error-free (Dekker) without overflow; to first order the tail
         # moves by -dx e^-x
         parts = []
-        for coef, scale in self.terms:
+        for coef, scale, e, m, m_hi, m_lo in self._split:
             if t / scale > 1e300:
                 continue  # the tail is 0, and t/scale may overflow
-            m, e = math.frexp(scale)
             r = math.ldexp(t, -e)
             x = r / m
             dx = 0.0
@@ -118,9 +127,7 @@ class ExpMixture:
                 p = x * m
                 hi = _SPLIT * x
                 x_hi = hi - (hi - x)
-                hi = _SPLIT * m
-                m_hi = hi - (hi - m)
-                x_lo, m_lo = x - x_hi, m - m_hi
+                x_lo = x - x_hi
                 p_err = ((x_hi * m_hi - p) + x_hi * m_lo + x_lo * m_hi) + x_lo * m_lo
                 dx = ((r - p) - p_err) / m
             q = math.exp(-x)
@@ -308,15 +315,16 @@ def _bromwich(
     at 1/max_j b_j; a negative scale's branch point lies beyond the pole),
     and c = w/2: the integrand decays double exponentially in u and is
     analytic in a strip of half-width about pi/4 around the real u axis, so
-    the trapezoid rule converges geometrically.  The step halves from 1/8
-    until two successive sums agree to _INV_RTOL relative; that difference,
-    or the sum's rounding error if larger, is the error estimate.  The first
-    sum walks out, no further than _U_MAX, and stops at the first four nodes
-    whose last two terms are negligible; each call of the walk takes up to 64
-    nodes and the midpoints between them, which the first halving sums, so an
-    inversion that halves once makes one call.  The sums over the scales run
-    in blocks of nodes of at most _BLOCK entries per array, so memory stays
-    bounded for any n.
+    the trapezoid rule converges geometrically.  The step halves from 1/8 until
+    two successive sums agree to _INV_RTOL relative, or _INV_RTOL p for an
+    order p > 1, whose p-th root (the norm) divides the error by p; that
+    difference, or the sum's rounding error if larger, is the error estimate.
+    The first sum walks out, no further than _U_MAX, and stops at the first
+    four nodes whose last two terms are negligible; each call of the walk takes
+    up to 64 nodes and the midpoints between them, which the first halving
+    sums, so an inversion that halves once makes one call.  The sums over the
+    scales run in blocks of nodes of at most _BLOCK entries per array, so
+    memory stays bounded for any n.
     """
     import numpy as np
 
@@ -406,7 +414,7 @@ def _bromwich(
         h, nodes = 0.5 * h, 2 * nodes
         err = abs(h * total - estimate)
         estimate = h * total
-        if err <= _INV_RTOL * abs(estimate):
+        if err <= _INV_RTOL * max(1.0, p) * abs(estimate):
             # successive sums can agree bit for bit; the sum's own rounding
             # is then the error
             return estimate / math.pi, max(err, _ROUNDING * h * mass) / math.pi
@@ -510,9 +518,9 @@ def exact_tail(d: Distribution, w: "WeightVector | Sequence[float]", threshold: 
     t = float(threshold)
     if not math.isfinite(t):
         raise InvalidInputError(f"threshold must be finite, got {t!r}")
-    build = {LawKind.EXPONENTIAL: hypoexp_mixture, LawKind.LAPLACE: laplace_mixture}.get(d.kind)
     try:
-        mixture = None if build is None else build(w)
+        mixture = (hypoexp_mixture(w) if d.kind is LawKind.EXPONENTIAL
+                   else laplace_mixture(w) if d.kind is LawKind.LAPLACE else None)
     except MixtureUnavailableError:
         mixture = None
     source = "cf_inversion" if mixture is None else "mixture"

@@ -7,7 +7,7 @@ import math
 
 import numpy as np
 import pytest
-from verifiers import r_infimum_numeric
+from verifiers import r_function, r_infimum_numeric
 
 from exptails.bounds import (
     MOMENT_CONSTANT_PAPER,
@@ -21,7 +21,6 @@ from exptails.bounds import (
     laplace_upper,
     moment_bounds,
     pz_bound,
-    r_function,
     s_inequality_upper,
 )
 from exptails.core import Distribution, InvalidInputError, UnsupportedLawError, weight_stats

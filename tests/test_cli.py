@@ -388,6 +388,15 @@ class TestMomentsCommand:
         payload = run_json(capsys, argv)
         assert payload["rows"][0]["exact"] == 735764.85259130085
 
+    def test_orders_past_a_million_print_their_norms(self, capsys):
+        # these orders once exited 3: their trapezoid sums did not agree to 1e-12
+        argv = ["moments", "--dist", "laplace", "--weights", "2,1", "--p", "3e6,1e8,1e9,1e12"]
+        rows = run_json(capsys, argv)["rows"]
+        assert [row["p"] for row in rows] == [3e6, 1e8, 1e9, 1e12]
+        assert [row["exact"] for row in rows] == [
+            oracle.laplace_abs_norm([2.0, 1.0], p) for p in (3e6, 1e8, 1e9, 1e12)
+        ]
+
     @pytest.mark.parametrize("p", ["1e15", "1e20", "1e300"])
     def test_order_whose_saddle_meets_the_pole_fails(self, p):
         # the bisection for the saddle once looped forever when its ends were

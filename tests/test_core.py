@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+import exptails.core as core
 from exptails.core import (
     Distribution,
     InvalidInputError,
@@ -113,6 +114,67 @@ class TestWeightVector:
         # fsum keeps the l1 norm exact where naive accumulation drifts
         w = as_weights([0.1] * 1000)
         assert w.l1 == 100.0
+
+
+class TestWeightMemo:
+    """as_weights validates each weight tuple once; every answer is as from a fresh WeightVector."""
+
+    @pytest.fixture(autouse=True)
+    def cold(self):
+        core._weights.cache_clear()
+        yield
+        core._weights.cache_clear()
+
+    def test_equal_entries_in_any_form_are_one_vector(self):
+        forms = ([2.0, 1.0, 4.0], (2.0, 1.0, 4.0), [2, 1, 4], list(np.array([2.0, 1.0, 4.0])),
+                 np.array([2, 1, 4]))
+        vectors = [as_weights(w) for w in forms]
+        assert all(v is vectors[0] for v in vectors)
+        assert vectors[0].values == (2.0, 1.0, 4.0)
+        assert all(type(v) is float for v in vectors[0].values)
+        assert core._weights.cache_info().misses == 1
+
+    def test_mutating_the_list_afterwards_changes_nothing(self):
+        w = [2.0, 1.0]
+        v = as_weights(w)
+        l1 = v.l1
+        w[0] = 5.0
+        assert (v.values, v.l1) == ((2.0, 1.0), l1)
+        assert as_weights(w).values == (5.0, 1.0)
+        assert as_weights([2.0, 1.0]) is v
+
+    @pytest.mark.parametrize(
+        "w, message",
+        [
+            ([1.0, math.nan], "weights must be positive and finite, got nan"),
+            ([math.inf], "weights must be positive and finite, got inf"),
+            ([2.0, 0.0, -1.0], "weights must be positive and finite, got 0.0"),
+            ([1.0, -1.0], "weights must be positive and finite, got -1.0"),
+            ([1.0, "a"], "weights must be numbers: could not convert string to float: 'a'"),
+            ([1.0, None], "weights must be numbers: float() argument must be a string or a real number,"
+                          " not 'NoneType'"),
+            ([[1.0]], "weights must be numbers: float() argument must be a string or a real number,"
+                      " not 'list'"),
+            ([1.0, {}], "weights must be numbers: float() argument must be a string or a real number,"
+                        " not 'dict'"),
+            ([], "weight vector must not be empty"),
+        ],
+    )
+    def test_a_rejection_raises_the_same_message_every_time(self, w, message):
+        for _ in range(3):
+            with pytest.raises(InvalidInputError) as info:
+                as_weights(w)
+            assert str(info.value) == message
+        assert core._weights.cache_info().currsize == 0
+
+    def test_more_vectors_than_the_bound(self):
+        vectors = [[1.0 + i, 0.5, 0.25 * (i + 1)] for i in range(40)]
+        first = [as_weights(w) for w in vectors]
+        assert core._weights.cache_info().currsize == 16
+        for w, v in zip(reversed(vectors), reversed(first)):
+            again = as_weights(w)
+            assert again == v == WeightVector(tuple(w))
+            assert (again.l1, again.l2, again.a_max) == (v.l1, v.l2, v.a_max)
 
 
 class TestParseWeights:

@@ -2,12 +2,18 @@
 
 import math
 import re
+import sys
 
 import mpmath as mp
 import numpy as np
 import pytest
 from scipy.special import gammaincc
-from verifiers import mixture_parity, mp_partial_fraction_tail, seeded_weight_vectors
+from verifiers import (
+    mixture_parity,
+    mixture_tail_sum,
+    mp_partial_fraction_tail,
+    seeded_weight_vectors,
+)
 
 import exptails.oracle as oracle
 from exptails.core import Distribution, InvalidInputError, NumericFailureError, WeightVector
@@ -591,6 +597,74 @@ class TestMixtureRange:
         assert laplace_mixture([1.0, 0.5]).tail(800.0) == 0.0
 
 
+def _log_uniform_float(rng, lo_exp=-1074, hi_exp=1023):
+    """A positive float from 2^lo_exp (5e-324) to below 2^(hi_exp + 1), log-uniform."""
+    return math.ldexp(rng.uniform(0.5, 1.0), int(rng.integers(lo_exp + 1, hi_exp + 2)))
+
+
+class TestMixtureSplit:
+    """Each scale is split once, at build; ``tail`` keeps the bits of splitting it at every t."""
+
+    @staticmethod
+    def assert_same_bits(mix, t):
+        want = mixture_tail_sum(mix, t)
+        try:
+            got = mix.tail(t)
+        except MixtureUnavailableError:
+            # the gates raise only below the normal range or outside [0, top]
+            assert not sys.float_info.min <= want <= mix.top, (mix, t)
+        else:
+            assert got.hex() == min(max(want, 0.0), mix.top).hex(), (mix, t)
+
+    def test_direct_mixtures_at_every_float_magnitude(self):
+        rng = np.random.default_rng(18)
+        for _ in range(400):
+            n = int(rng.integers(1, 5))
+            coefs = rng.uniform(0.1, 1.0, n)
+            terms = tuple(MixtureTerm(float(c), _log_uniform_float(rng)) for c in coefs / coefs.sum())
+            mix = ExpMixture(terms, float(rng.choice([1.0, 0.5])))
+            for _ in range(5):
+                # a threshold near a scale, so that most tails are neither 0 nor 1
+                near = terms[0].scale * rng.uniform(0.01, 50.0)
+                t = _log_uniform_float(rng) if rng.random() < 0.5 else near
+                if 0.0 < t < math.inf:
+                    self.assert_same_bits(mix, t)
+
+    def test_edges(self):
+        tiny, huge = 5e-324, 1e308
+        cases = [
+            (tiny, huge), (huge, tiny), (tiny, tiny), (huge, huge), (sys.float_info.max, 1.0),
+            (1e-10, 1e308),  # t/scale > 1e300: the term is skipped
+            (1e10, 1e-300),  # ldexp(t, -e) subnormal: no correction
+            (1e-300, 1e10), (1.0, 3.0), (0.7, 0.7), (2.2250738585072014e-308, 1e-300),
+        ]
+        for scale, t in cases:
+            for top in (1.0, 0.5):
+                self.assert_same_bits(ExpMixture((MixtureTerm(1.0, scale),), top), t)
+                mix = ExpMixture((MixtureTerm(1.5, scale), MixtureTerm(-0.5, 0.25 * scale or scale)), top)
+                self.assert_same_bits(mix, t)
+        # t/scale past float range in one term, an ordinary tail in the other
+        mix = ExpMixture((MixtureTerm(0.5, 5e-324), MixtureTerm(0.5, 1e308)), 1.0)
+        self.assert_same_bits(mix, 1e300)
+
+    def test_built_mixtures(self):
+        rng = np.random.default_rng(19)
+        for w in seeded_weight_vectors(20, 60, 8):
+            for build in (hypoexp_mixture, laplace_mixture):
+                try:
+                    mix = build(w)
+                except MixtureUnavailableError:
+                    continue
+                for t in rng.uniform(0.0, 20.0 * max(w), 8):
+                    self.assert_same_bits(mix, float(t) + 1e-3)
+
+    def test_the_split_is_not_a_field(self):
+        terms = (MixtureTerm(1.5, 1.0), MixtureTerm(-0.5, 0.25))
+        mix = ExpMixture(terms, 1.0)
+        assert mix == ExpMixture(terms, 1.0) and hash(mix) == hash(ExpMixture(terms, 1.0))
+        assert repr(mix) == f"ExpMixture(terms={terms!r}, top=1.0)"
+
+
 class TestLaplaceAbsMoment:
     def test_frozen_moments(self):
         w = [2.0, 1.0]
@@ -630,6 +704,20 @@ class TestLaplaceAbsMoment:
         with mp.workdps(40):
             want = float((mp.gamma(p + 1) * (mp.mpf(4) / 3 * mp.mpf(2) ** p - mp.mpf(1) / 3)) ** (1 / p))
         assert math.isclose(laplace_abs_norm([2.0, 1.0], p), want, rel_tol=1e-11)
+
+    @pytest.mark.parametrize("p", [3e6, 1e8, 1e9, 1e12])
+    def test_orders_past_a_million(self, p):
+        # the trapezoid sums need agree only to 1e-12 p relative, the norm's
+        # relative error being the moment's divided by p; at 1e-12 they did
+        # not converge from p = 3e6 on
+        with mp.workdps(60):
+            p_mp = mp.mpf(p)
+            want = (mp.gamma(p_mp + 1) * (mp.mpf(4) / 3 * mp.mpf(2) ** p_mp - mp.mpf(1) / 3)) ** (1 / p_mp)
+        assert math.isclose(laplace_abs_norm([2.0, 1.0], p), float(want), rel_tol=1e-13)
+
+    def test_order_whose_saddle_meets_the_pole(self):
+        with pytest.raises(NumericFailureError, match="within one float of the pole"):
+            laplace_abs_norm([2.0, 1.0], 1e13)
 
     def test_invalid_order(self):
         for bad in (0.0, -1.0, math.nan):

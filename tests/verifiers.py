@@ -2,20 +2,25 @@
 
 ``h_sup`` and ``r_infimum_numeric`` compute by brute-force search what the
 package computes in closed form: the supremum behind the Laplace rate shape
-h, and the infimum that the tail-shift ratio r(v) bounds from below.
+h, and the infimum that the tail-shift ratio r(v) (``r_function``) bounds
+from below.
 ``sample_sum`` draws the sums themselves, so that the samplers behind the
 Monte Carlo estimators can be checked in law.  ``mp_mixture_coefficients``
 takes the partial-fraction product per pole at 50 digits, which the
 package's float product must reproduce, and ``mp_partial_fraction_tail``
 sums the partial fractions of distinct weights at 80 digits.
+``mixture_tail_sum`` sums a mixture's corrected terms splitting every scale
+at every threshold, the bits ``ExpMixture.tail`` must keep.
 """
 
 import math
+import sys
 
 import mpmath as mp
 import numpy as np
 from scipy.special import gammaincc
 
+from exptails.bounds import _log_r_function, _require_nonnegative
 from exptails.core import (
     Distribution,
     InvalidInputError,
@@ -63,6 +68,15 @@ def h_sup(u: float) -> tuple[float, float]:
         raise NumericFailureError(f"h_sup bracket still {hi - lo:.3e} wide after 200 steps")
     theta = c if gc >= gd else d
     return _h_objective(theta, u), theta
+
+
+def r_function(d: Distribution, v: float) -> float:
+    """The package's tail-shift ratio bound r(v) > 0 at v > 0, nonnegative laws only."""
+    _require_nonnegative(d, "r_function")
+    v = float(v)
+    if not math.isfinite(v) or v <= 0.0:
+        raise InvalidInputError(f"r_function needs v > 0, got {v!r}")
+    return math.exp(_log_r_function(d, v))
 
 
 def r_infimum_numeric(d: Distribution, v: float) -> float:
@@ -166,6 +180,36 @@ def mp_partial_fraction_tail(w, t, two_sided):
                     coef *= aj * aj / (aj * aj - ak * ak) if two_sided else aj / (aj - ak)
             total += coef * mp.exp(-mp.mpf(t) / aj)
         return float(total / 2 if two_sided else total)
+
+
+def mixture_tail_sum(mix, t: float) -> float:
+    """top * sum_j coef_j e^(-t/scale_j) at t > 0, before any range gate, term by term.
+
+    Each term is e^-x at the float quotient x = t/scale, corrected to first
+    order for its rounding by an error-free (Dekker) product of x and the
+    scale's mantissa, both split into Veltkamp halves at this t.
+    """
+    split = 134217729.0  # 2^27 + 1
+    parts = []
+    for coef, scale in mix.terms:
+        if t / scale > 1e300:
+            continue
+        m, e = math.frexp(scale)
+        r = math.ldexp(t, -e)
+        x = r / m
+        dx = 0.0
+        if x >= sys.float_info.min:
+            p = x * m
+            hi = split * x
+            x_hi = hi - (hi - x)
+            hi = split * m
+            m_hi = hi - (hi - m)
+            x_lo, m_lo = x - x_hi, m - m_hi
+            p_err = ((x_hi * m_hi - p) + x_hi * m_lo + x_lo * m_hi) + x_lo * m_lo
+            dx = ((r - p) - p_err) / m
+        q = math.exp(-x)
+        parts.append(coef * (q - dx * q))
+    return mix.top * math.fsum(parts)
 
 
 def mp_mixture_coefficients(w: "list[float]", two_sided: bool) -> "list[float] | None":
