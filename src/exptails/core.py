@@ -116,7 +116,7 @@ class Distribution:
 
 @dataclass(frozen=True)
 class WeightVector:
-    """Positive finite weights (a_1, ..., a_n)."""
+    """Positive finite weights (a_1, ..., a_n) with a finite sum ``l1``, hashed once."""
 
     values: tuple[float, ...]
 
@@ -131,7 +131,16 @@ class WeightVector:
             for v in vals:  # name the first bad weight
                 if not math.isfinite(v) or v <= 0.0:
                     raise InvalidInputError(f"weights must be positive and finite, got {v!r}")
+        try:  # past float range the mean, and every ratio to l1, would be inf or nan
+            l1 = math.fsum(vals)
+        except OverflowError:
+            raise InvalidInputError("weights must have a finite sum, got one past float range") from None
         object.__setattr__(self, "values", vals)
+        object.__setattr__(self, "l1", l1)
+        object.__setattr__(self, "_hash", hash(vals))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     def __len__(self) -> int:
         return len(self.values)
@@ -147,10 +156,6 @@ class WeightVector:
     def unit(self) -> float:
         """The power of two 2^k with 2^k <= a_max < 2^(k+1); dividing by it is exact."""
         return math.ldexp(1.0, math.frexp(self.a_max)[1] - 1)
-
-    @functools.cached_property
-    def l1(self) -> float:
-        return math.fsum(self.values)
 
     @functools.cached_property
     def l2(self) -> float:

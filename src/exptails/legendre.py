@@ -5,9 +5,10 @@ the cumulant generating function of S = sum_j b_j G_j is
 K(theta) = -shape sum_j log1p(-b_j theta) for every law, finite for
 b_j theta < 1.  K, K' and K'' feed the saddle point of the contour-inversion
 oracle and the Chernoff tilt of the importance sampler; each is one
-expression over the array, summed with math.fsum.  The shape is one scalar
-for every scale, or an array of one shape per scale (the contour merges
-equal scales into one column of the summed shape).
+expression over the array, summed with math.fsum from the array's buffer
+(no list copy).  The shape is one scalar for every scale, or an array of one
+shape per scale (the contour merges equal scales into one column of the
+summed shape).
 """
 
 from __future__ import annotations
@@ -49,17 +50,17 @@ def cumulant(b: np.ndarray, shape: "np.ndarray | float", theta: float) -> float:
         return math.inf
     # libm's log1p term by term: numpy's differs from it in the last bit, and
     # K reaches the printed tails and importance-sampling estimates
-    return math.fsum((-shape * np.array([math.log1p(-v) for v in x])).tolist())
+    return math.fsum(memoryview(-shape * np.array([math.log1p(-v) for v in x])))
 
 
 def cumulant_prime(b: np.ndarray, shape: "np.ndarray | float", theta: float) -> float:
     """K'(theta) = sum_j b_j shape / (1 - b_j theta) inside the domain."""
-    return math.fsum((b * (shape / (1.0 - b * theta))).tolist())
+    return math.fsum(memoryview(b * (shape / (1.0 - b * theta))))
 
 
 def cumulant_double_prime(b: np.ndarray, shape: "np.ndarray | float", theta: float) -> float:
     """K''(theta) = sum_j b_j^2 shape / (1 - b_j theta)^2 inside the domain."""
-    return math.fsum((b * b * (shape / (1.0 - b * theta) ** 2)).tolist())
+    return math.fsum(memoryview(b * b * (shape / (1.0 - b * theta) ** 2)))
 
 
 def _solve_cumulant_prime(b: np.ndarray, shape: "np.ndarray | float", target: float) -> float:
@@ -76,7 +77,7 @@ def _solve_cumulant_prime(b: np.ndarray, shape: "np.ndarray | float", target: fl
     """
     import numpy as np
 
-    if target > math.fsum((b * shape).tolist()):
+    if target > math.fsum(memoryview(b * shape)):
         b_max = b.max()
         lo, hi = 0.0, (1.0 - 1e-12) / b_max
         theta = min(0.5 / b_max, hi)

@@ -250,11 +250,10 @@ def laplace_abs_norm(w: "WeightVector | Sequence[float]", p: float) -> float:
     if not math.isfinite(p) or p <= 0.0:
         raise InvalidInputError(f"moment order must be positive, got {p!r}")
     d = Distribution.laplace()
-    u = w.unit
-    b, count = _columns(d.scales(w) / u)
-    shape = count * d.shape
+    contour = _contour(d, w)
+    b, count, shape = contour.b, contour.count, contour.shape
     # bisection to a few digits of the distance to either end of the interval
-    pole = 1.0 / b.max()
+    pole = 1.0 / contour.b_max
     lo, hi = 0.0, pole
     while hi - lo > 1e-3 * min(lo, pole - hi):
         theta = 0.5 * (lo + hi)
@@ -276,7 +275,7 @@ def laplace_abs_norm(w: "WeightVector | Sequence[float]", p: float) -> float:
         math.log(2.0) + math.lgamma(p + 1.0) + cumulant(b, shape, theta)
         - (p + 1.0) * math.log(theta) + math.log(integral)
     )
-    return u * math.exp(log_moment / p)
+    return contour.u * math.exp(log_moment / p)
 
 
 # ---------------------------------------------------------------------------
@@ -295,6 +294,37 @@ def _columns(b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     values, first, count = np.unique(b, return_index=True, return_counts=True)
     order = np.argsort(first)
     return values[order], count[order].astype(float)
+
+
+class _Contour:
+    """The weight-only part of a contour inversion of law d on weights w.
+
+    In units of the power of two ``u = w.unit``: the columns ``b`` of the
+    scales, their counts and shapes (read-only arrays), ``b_max``, and the hold
+    on either side of the mean with K' there, computed when first asked.
+    """
+
+    def __init__(self, d: Distribution, w: WeightVector):
+        self.u = w.unit
+        self.b, self.count = _columns(d.scales(w) / self.u)
+        self.shape = self.count * d.shape
+        for arr in (self.b, self.count, self.shape):
+            arr.flags.writeable = False
+        self.b_max = self.b.max()
+        self._hold = 1.0 / (math.sqrt(d.variance) * (w.l2 / self.u))
+        self._sides: dict[bool, tuple[float, float]] = {}
+
+    def hold(self, above: bool) -> tuple[float, float]:
+        """(hold, K'(hold)) above or below the mean; K' may raise OverflowError."""
+        if above not in self._sides:
+            hold = min(self._hold, 0.5 / self.b_max) if above else -self._hold
+            self._sides[above] = hold, cumulant_prime(self.b, self.shape, hold)
+        return self._sides[above]
+
+
+# A caller asks one weight vector at a grid of thresholds: the contours of the
+# last 16 (law, weights) pairs are kept, like the mixtures
+_contour = functools.lru_cache(maxsize=16)(_Contour)
 
 
 def _bromwich(
@@ -328,6 +358,8 @@ def _bromwich(
     """
     import numpy as np
 
+    # a term times a count of 1 is the term, bit for bit: unit counts skip it
+    weighted = bool(np.any(count != 1.0))
     coef = b / (1.0 - b * theta)
     coef2 = coef * coef
     dist = min(abs(theta), 1.0 / b.max() - theta)
@@ -349,13 +381,15 @@ def _bromwich(
             block = slice(lo, lo + rows)
             cx = np.multiply.outer(x[block], coef)
             arg = np.arctan2(np.multiply.outer(y[block], coef), 1.0 - cx)
-            arg *= count
+            if weighted:
+                arg *= count
             minus_arg[block] = arg.sum(axis=1)
             q = np.multiply.outer(r2[block], coef2)
             q -= cx
             q -= cx
             np.log1p(q, out=q)
-            q *= count
+            if weighted:
+                q *= count
             log_abs2[block] = q.sum(axis=1)
         # |theta/z| <= 1 wherever p > 0 (there theta > 0), so its power
         # cannot overflow
@@ -468,15 +502,13 @@ def cf_tail_inversion(d: Distribution, w: "WeightVector | Sequence[float]", t: f
                 return tail
     # in units of the power of two w.unit no weight scale over- or underflows,
     # and rescaling by it is exact
-    u = w.unit
-    b, count = _columns(d.scales(w) / u)
-    shape, t_u = count * d.shape, t / u
-    hold = 1.0 / (math.sqrt(d.variance) * (w.l2 / u))
-    hold = min(hold, 0.5 / b.max()) if above else -hold
+    contour = _contour(d, w)
+    b, count, shape, t_u = contour.b, contour.count, contour.shape, t / contour.u
     try:
         # K' increases, so the saddle lies between 0 and the hold exactly
         # when K'(hold) is at or past t; the solve is skipped then
-        if (cumulant_prime(b, shape, hold) >= t_u) == above:
+        hold, k_prime = contour.hold(above)
+        if (k_prime >= t_u) == above:
             theta = hold
         else:
             theta = _solve_cumulant_prime(b, shape, t_u)

@@ -126,6 +126,23 @@ class TestUsageErrors:
         assert captured.err.count("\n") == 1
         assert repr(value) in captured.err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["exact", "--dist", "gamma", "--shape", "0.5", "--weights", "1e308,1e308", "--t", "3"],
+            ["bounds", "--dist", "exponential", "--weights", "1e308,1e308", "--t", "3"],
+            ["bounds", "--dist", "laplace", "--weights", "1e308,1e308", "--t", "3"],
+            ["simulate", "--dist", "laplace", "--weights", "1e308,1e308", "--t", "3"],
+            ["exact", "--dist", "exponential", "--weights", "[1e308, 9e307]", "--t", "3"],
+        ],
+        ids=["exact_gamma", "bounds_exponential", "bounds_laplace", "simulate_laplace", "exact_json"],
+    )
+    def test_weights_summing_past_float_range_are_one_line_errors(self, capsys, argv):
+        assert run(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "exptails: error: weights must have a finite sum, got one past float range\n"
+
     def test_numeric_failure_exit_code(self, capsys, monkeypatch):
         def broken(d, w, threshold):
             raise NumericFailureError("inversion stalled")

@@ -2,6 +2,7 @@
 
 import json
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -92,6 +93,21 @@ class TestWeightVector:
         assert (w.a_max, w.unit, w.l1, w.l2) == stats
         # cached statistics are not fields: equality and hashing see the weights only
         assert w == WeightVector((3.0, 1.5, 0.25)) and hash(w) == hash(WeightVector(w.values))
+
+    def test_sum_past_float_range_is_rejected(self):
+        for values in ((1e308, 1e308), (sys.float_info.max, 1e300), (1e308,) * 3):
+            with pytest.raises(InvalidInputError, match="^weights must have a finite sum"):
+                WeightVector(values)
+        assert WeightVector((sys.float_info.max, 1e291)).l1 == sys.float_info.max
+
+    def test_hash_is_taken_once(self):
+        w = WeightVector((3.0, 1.5, 0.25))
+        assert hash(w) == hash((3.0, 1.5, 0.25)) == hash(WeightVector((3, 1.5, 0.25)))
+        assert repr(w) == "WeightVector(values=(3.0, 1.5, 0.25))"
+        assert w == WeightVector((3.0, 1.5, 0.25)) and w != WeightVector((3.0, 1.5))
+        # later hashes read the stored one: the tuple is not hashed again
+        object.__setattr__(w, "values", [3.0, 1.5, 0.25])  # an unhashable stand-in
+        assert hash(w) == hash((3.0, 1.5, 0.25))
 
     def test_as_weights_passthrough(self):
         w = WeightVector((1.0, 2.0))

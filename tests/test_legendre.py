@@ -1,15 +1,22 @@
 """Cumulants over signed scales, the Chernoff tilt solver, and the Cramer rate function."""
 
 import math
+import types
 
 import mpmath as mp
 import numpy as np
 import pytest
-from verifiers import h_sup
+from verifiers import cumulant_sums_by_list, h_sup
 
 from exptails import legendre
 from exptails.core import Distribution, InvalidInputError, UnsupportedLawError
-from exptails.legendre import chernoff_tilt, cumulant, cumulant_prime, rate_function
+from exptails.legendre import (
+    chernoff_tilt,
+    cumulant,
+    cumulant_double_prime,
+    cumulant_prime,
+    rate_function,
+)
 from exptails.special import h_closed
 
 EXP = Distribution.exponential()
@@ -69,6 +76,31 @@ class TestSumLogMgf:
         expected = math.fsum(a * log_mgf_prime(LAP, theta * a) for a in w)
         got = cumulant_prime(LAP.scales(w), LAP.shape, theta)
         assert math.isclose(got, expected, rel_tol=1e-14)
+
+
+class TestBufferSums:
+    @pytest.mark.parametrize("n", [1, 2, 3, 8, 64, 999, 3000])
+    def test_sums_keep_the_bits_of_list_copies(self, n, monkeypatch):
+        # fsum reads the same terms in the same order from the buffer as from
+        # a list, so every sum keeps its correctly rounded bits
+        rng = np.random.default_rng(n)
+        scales = np.exp(rng.uniform(-5.0, 5.0, 2 * n)) * rng.choice([1.0, -1.0], 2 * n)
+        for b in (scales, scales[::2]):  # contiguous and strided
+            for shape in (0.5, 3.0, np.exp(rng.uniform(-3.0, 3.0, len(b)))):
+                reach = 1.0 / np.abs(b).max()
+                for theta in (-0.9 * reach, -1e-3 * reach, 0.3 * reach, 0.99 * reach):
+                    got = (cumulant(b, shape, theta), cumulant_prime(b, shape, theta),
+                           cumulant_double_prime(b, shape, theta))
+                    want = cumulant_sums_by_list(b, shape, theta)
+                    assert [v.hex() for v in got] == [v.hex() for v in want[:3]]
+                # the saddle solve's first sum is its mean test
+                sums = []
+                shim = types.SimpleNamespace(**vars(math))
+                shim.fsum = lambda terms: sums.append(math.fsum(terms)) or sums[-1]
+                with monkeypatch.context() as patch:
+                    patch.setattr(legendre, "math", shim)
+                    legendre._solve_cumulant_prime(b, shape, abs(want[3]) + 1.0)
+                assert sums[0].hex() == want[3].hex()
 
 
 class TestChernoffTilt:

@@ -16,7 +16,7 @@ from verifiers import (
 )
 
 import exptails.oracle as oracle
-from exptails.core import Distribution, InvalidInputError, NumericFailureError, WeightVector
+from exptails.core import Distribution, InvalidInputError, NumericFailureError, WeightVector, as_weights
 from exptails.oracle import (
     ExpMixture,
     MixtureTerm,
@@ -271,6 +271,93 @@ class TestMixtureMemo:
                 if source == "mixture":
                     want = mp_partial_fraction_tail(w, 5.0, two_sided)
                     assert abs(value - want) <= 1e-10 * want
+
+
+class TestContourMemo:
+    """One prepared contour per (law, weights); every answer as from a fresh one."""
+
+    @pytest.fixture(autouse=True)
+    def cold(self):
+        oracle._contour.cache_clear()
+        yield
+        oracle._contour.cache_clear()
+
+    @staticmethod
+    def grid(d, w):
+        # below the mean (where the sum is nonnegative), near it and deep above it
+        w = as_weights(w)
+        mean, sigma = d.mean * w.l1, math.sqrt(d.variance) * w.l2
+        return [mean + z * sigma for z in (-0.9, -0.2, 0.05, 0.4, 2.0, 7.0, 40.0) if mean + z * sigma > 0.0]
+
+    @pytest.mark.parametrize("d", [EXP, LAP, GAMMA05, GAMMA_TINY], ids=lambda d: d.label())
+    @pytest.mark.parametrize(
+        "w",
+        [
+            [1.0] * 5,  # one column
+            [2.0, 1.0, 1.0, 0.5, 0.5, 0.5],  # equal scales among others
+            list(ILL_CONDITIONED),  # the mixture is rejected
+            [1.0 + 0.01 * i for i in range(80)],  # past the mixture's scale cap
+        ],
+        ids=["one-column", "equal-scales", "ill-conditioned", "n80"],
+    )
+    def test_a_threshold_grid_keeps_its_bits(self, d, w):
+        grid = self.grid(d, w)
+        warm = [cf_tail_inversion(d, w, t) for t in grid] + [p_ge_mean(d, w)]
+        assert oracle._contour.cache_info().misses == 1
+        cold = []
+        for t in grid:
+            oracle._contour.cache_clear()
+            cold.append(cf_tail_inversion(d, w, t))
+        oracle._contour.cache_clear()
+        cold.append(p_ge_mean(d, w))
+        assert [v.hex() for v in warm] == [v.hex() for v in cold]
+        routed = [exact_tail(d, w, t) for t in grid]
+        assert all(v == c for (v, s), c in zip(routed, cold) if s == "cf_inversion")
+
+    @pytest.mark.parametrize("w", [[2.0, 1.0], [1.0] * 4, [0.3, 0.7, 0.7, 1.9]])
+    def test_absolute_norms_keep_their_bits(self, w):
+        orders = (0.5, 2.0, 3.0, 30.0, 3e6)
+        warm = [laplace_abs_norm(w, p) for p in orders]
+        cold = []
+        for p in orders:
+            oracle._contour.cache_clear()
+            cold.append(laplace_abs_norm(w, p))
+        assert [v.hex() for v in warm] == [v.hex() for v in cold]
+        # the norms and the tails share the Laplace contour of w
+        oracle._contour.cache_clear()
+        laplace_abs_norm(w, 3.0)
+        cf_tail_inversion(LAP, w, 1.0)
+        assert oracle._contour.cache_info().misses == 1
+
+    def test_the_arrays_are_read_only(self):
+        contour = oracle._contour(GAMMA05, as_weights([2.0, 1.0, 1.0]))
+        assert contour.b.tolist() == [1.0, 0.5] and contour.count.tolist() == [1.0, 2.0]
+        assert contour.shape.tolist() == [0.5, 1.0] and contour.b_max == 1.0
+        for arr in (contour.b, contour.count, contour.shape):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = 3.0
+        assert contour.b.tolist() == [1.0, 0.5]
+
+    def test_the_laws_do_not_collide(self):
+        w = as_weights([2.0, 1.0, 1.0])
+        exp, gamma, lap = (oracle._contour(d, w) for d in (EXP, Distribution.gamma(1.0), LAP))
+        assert exp.shape.tolist() == gamma.shape.tolist() == [1.0, 2.0]
+        assert lap.b.tolist() == [1.0, 0.5, -1.0, -0.5]
+        assert oracle._contour.cache_info().misses == 3
+
+    def test_more_instances_than_the_bound(self):
+        # equal weights make one gamma column, whose tail is a regularized
+        # incomplete gamma function
+        rng = np.random.default_rng(19)
+        cases = []
+        for _ in range(40):
+            n, a, x = int(rng.integers(1, 9)), float(np.exp(rng.uniform(-3.0, 3.0))), float(rng.uniform(0.5, 6.0))
+            cases.append(([a] * n, x * 0.5 * n * a, gammaincc(0.5 * n, x * 0.5 * n)))
+        first = [cf_tail_inversion(GAMMA05, w, t) for w, t, _ in cases]
+        assert oracle._contour.cache_info().currsize == 16
+        for (w, t, ref), value in zip(reversed(cases), reversed(first)):
+            assert cf_tail_inversion(GAMMA05, w, t) == value
+            assert abs(value - ref) <= 1e-10 * ref, (w, t, value, ref)
 
 
 class TestLaplaceMixture:
@@ -768,6 +855,20 @@ class TestEqualWeightGamma:
             ref = float(1 - mp.gammainc(shape, 0, mp.mpf(t) / a, regularized=True))
         got = cf_tail_inversion(Distribution.gamma(shape), [a], t)
         assert abs(got - ref) <= 1e-12 * ref, (got, ref)
+
+
+@pytest.mark.parametrize("d", [EXP, LAP, GAMMA05], ids=lambda d: d.label())
+def test_weights_summing_past_float_range_are_invalid(d):
+    # the sum's mean would be inf, and 0 * inf = nan for Laplace
+    for w in ([1e308, 1e308], [1e308, 1e308, 1.0], [sys.float_info.max, sys.float_info.max]):
+        with pytest.raises(InvalidInputError, match="finite sum"):
+            exact_tail(d, w, 3.0)
+        with pytest.raises(InvalidInputError, match="finite sum"):
+            p_ge_mean(d, w)
+    # a sum just inside float range answers, on either side of its mean
+    w = [sys.float_info.max / 2.0, sys.float_info.max / 4.0]
+    assert exact_tail(d, w, 3.0)[0] == exact_tail(d, [2.0, 1.0], 3.0 / (sys.float_info.max / 4.0))[0]
+    assert 0.0 <= exact_tail(d, w, 1e308)[0] <= 1.0
 
 
 class TestPGeMean:

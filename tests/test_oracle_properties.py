@@ -135,6 +135,15 @@ def test_contour_values_are_fixed(d, n, theta, t, p, integral, err):
     assert _bromwich(b, d.shape, theta, t, p) == (integral, err)
 
 
+@pytest.mark.parametrize("d, n, theta, t, p, integral, err", _CONTOUR_TABLE,
+                         ids=[f"{row[0].label()}-{row[1]}-{row[2]:.3g}-p{row[4]:g}" for row in _CONTOUR_TABLE])
+def test_unit_counts_keep_the_contour_values(d, n, theta, t, p, integral, err):
+    # a contour of distinct scales passes an array of unit counts, whose
+    # products are skipped
+    _, b = _seeded_scales(d, n)
+    assert _bromwich(b, d.shape, theta, t, p, np.ones(len(b))) == (integral, err)
+
+
 def test_unconverged_inversion_stops_at_the_last_halving(monkeypatch):
     # the walk-out's one call takes 64 nodes and their midpoints, so it
     # carries the first halving of the W nodes it keeps; the second to the

@@ -11,6 +11,8 @@ package's float product must reproduce, and ``mp_partial_fraction_tail``
 sums the partial fractions of distinct weights at 80 digits.
 ``mixture_tail_sum`` sums a mixture's corrected terms splitting every scale
 at every threshold, the bits ``ExpMixture.tail`` must keep.
+``cumulant_sums_by_list`` takes K, K', K'' and the mean test of the saddle
+solve through list copies, the bits the cumulants must keep.
 """
 
 import math
@@ -285,3 +287,16 @@ def mixture_parity(build, vectors) -> tuple[int, float, list]:
             for term, coef in zip(got.terms, want):
                 worst = max(worst, abs(term.coef - coef) / math.ulp(coef) / len(w))
     return accepted, worst, rejected
+
+
+def cumulant_sums_by_list(b: np.ndarray, shape, theta: float) -> tuple[float, float, float, float]:
+    """(K(theta), K'(theta), K''(theta), sum_j b_j shape), each fsum over a list copy of its terms.
+
+    The same terms, in the same order, as ``legendre`` sums from the arrays'
+    buffers; theta lies inside the domain.
+    """
+    x = (b * theta).tolist()
+    k = math.fsum((-shape * np.array([math.log1p(-v) for v in x])).tolist())
+    k1 = math.fsum((b * (shape / (1.0 - b * theta))).tolist())
+    k2 = math.fsum((b * b * (shape / (1.0 - b * theta) ** 2)).tolist())
+    return k, k1, k2, math.fsum((b * shape).tolist())
