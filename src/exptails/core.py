@@ -52,7 +52,7 @@ _UNIT_SCALES = {LawKind.EXPONENTIAL: (1.0,), LawKind.GAMMA: (1.0,), LawKind.LAPL
 
 @dataclass(frozen=True)
 class Distribution:
-    """Law of one unit summand.
+    """Law of one unit summand, hashed once (it keys the oracle's per-sum records).
 
     ``shape`` is the gamma shape parameter and must be 1 for the other kinds
     (exponential is gamma with shape 1; Laplace has no shape).
@@ -70,6 +70,10 @@ class Distribution:
         if kind is not LawKind.GAMMA and shape != 1.0:
             raise InvalidInputError(f"shape only applies to gamma, got shape={shape} for {kind.value}")
         object.__setattr__(self, "shape", shape)
+        object.__setattr__(self, "_hash", hash((kind, shape)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @classmethod
     def exponential(cls) -> "Distribution":
@@ -221,17 +225,13 @@ def parse_weights(text: str) -> WeightVector:
 
 @dataclass(frozen=True)
 class WeightStats:
-    """Norms and effective-dimension ratios of a weight vector under a law.
+    """The law-dependent statistics of a weight vector (its norms are WeightVector's).
 
     ``alpha_exp`` = l1/a_max drives the one-sided (exponential/gamma) bounds;
     ``alpha_sym`` = sqrt(2)*l2/a_max drives the symmetric (Laplace) bounds and
     equals sigma/a_max under the Laplace law.
     """
 
-    n: int
-    a_max: float
-    l1: float
-    l2: float
     sigma: float
     alpha_exp: float
     alpha_sym: float
@@ -241,18 +241,11 @@ class WeightStats:
 def weight_stats(w: "WeightVector | Sequence[float]", d: Distribution) -> WeightStats:
     """Compute WeightStats for the sum of d-distributed summands scaled by w."""
     w = as_weights(w)
-    a_max = w.a_max
-    l1 = w.l1
-    l2 = w.l2
     return WeightStats(
-        n=len(w),
-        a_max=a_max,
-        l1=l1,
-        l2=l2,
-        sigma=math.sqrt(d.variance) * l2,
-        alpha_exp=l1 / a_max,
-        alpha_sym=math.sqrt(2.0) * l2 / a_max,
-        mean_s=d.mean * l1,
+        sigma=math.sqrt(d.variance) * w.l2,
+        alpha_exp=w.l1 / w.a_max,
+        alpha_sym=math.sqrt(2.0) * w.l2 / w.a_max,
+        mean_s=d.mean * w.l1,
     )
 
 

@@ -68,8 +68,10 @@ def _solve_cumulant_prime(b: np.ndarray, shape: "np.ndarray | float", target: fl
 
     Safeguarded Newton: every step stays inside a shrinking bisection
     bracket, and once a step is below the tolerance one more Newton step
-    from it brings the root to rounding level.  K' increases through the
-    mean of S at theta = 0 to +inf at 1/max_j b_j, so targets above the mean have a root in (0, 1/max_j b_j).
+    from it brings the root, a float in the bracket, to rounding level.  K'
+    increases through the mean of S at theta = 0 to +inf at 1/max_j b_j, so
+    targets at or above the mean have a root in [0, 1/max_j b_j) (a target
+    just above it may round to it in units of a power of two).
     Below the mean the root is negative: in (1/min_j b_j, 0) when a scale is
     negative, and otherwise in (-len(b)*shape/target, 0), where K'(theta) <
     len(b)*shape/|theta| (the target must be positive there); with one
@@ -77,7 +79,7 @@ def _solve_cumulant_prime(b: np.ndarray, shape: "np.ndarray | float", target: fl
     """
     import numpy as np
 
-    if target > math.fsum(memoryview(b * shape)):
+    if target >= math.fsum(memoryview(b * shape)):
         b_max = b.max()
         lo, hi = 0.0, (1.0 - 1e-12) / b_max
         theta = min(0.5 / b_max, hi)
@@ -97,9 +99,9 @@ def _solve_cumulant_prime(b: np.ndarray, shape: "np.ndarray | float", target: fl
         tol = _THETA_TOL * max(1.0, abs(theta))
         nxt = theta - step
         # at the root the step rounds to about 0 and nxt lands on the bracket
-        # end just set to theta: a converged step is taken as it is
+        # end just set to theta, where a converged step is kept; others bisect
         converged = abs(step) <= tol
-        if not converged and not lo < nxt < hi:
+        if not (lo < nxt < hi or converged and nxt == theta):
             nxt = 0.5 * (lo + hi)
             converged = abs(nxt - theta) <= tol
         if converged:
@@ -107,7 +109,7 @@ def _solve_cumulant_prime(b: np.ndarray, shape: "np.ndarray | float", target: fl
             # Newton step from the converged iterate reaches rounding level
             g = cumulant_prime(b, shape, nxt) - target
             last = nxt - g / cumulant_double_prime(b, shape, nxt)
-            return last if lo <= last <= hi else nxt
+            return float(last if lo <= last <= hi else nxt)
         theta = nxt
     raise NumericFailureError(
         f"tilt solve did not reach {_THETA_TOL} after {_MAX_NEWTON_ITER} iterations"

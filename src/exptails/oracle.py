@@ -154,26 +154,6 @@ class ExpMixture:
         return value
 
 
-def _mixture(w: "WeightVector | Sequence[float]", two_sided: bool) -> ExpMixture:
-    """The law's mixture of w, built once per weight vector, or MixtureUnavailableError.
-
-    Callers ask one weight vector at a grid of thresholds, so the O(n^2) build
-    (an immutable mixture, or the reason it was rejected) is kept for the last
-    16 (weights, law) pairs; n past the cap raises before the weights are hashed.
-    """
-    w = as_weights(w)
-    n = len(w)
-    if n > _MAX_DISTINCT_SCALES:
-        raise MixtureUnavailableError(
-            f"{n} weights exceed the partial-fraction cap of {_MAX_DISTINCT_SCALES} distinct scales"
-        )
-    built = _build_mixture(w.values, two_sided)
-    if isinstance(built, str):
-        raise MixtureUnavailableError(built)
-    return built
-
-
-@functools.lru_cache(maxsize=16)
 def _build_mixture(weights: tuple[float, ...], two_sided: bool) -> "ExpMixture | str":
     """Partial fractions of the MGF prod_j (1 - b_j z)^(-1) over distinct scales.
 
@@ -182,11 +162,14 @@ def _build_mixture(weights: tuple[float, ...], two_sided: bool) -> "ExpMixture |
     (Laplace) MGF mirrors every pole, and it becomes prod_{k != j}
     ((1 - e_k)(1 + e_k))^(-1), which sums to 1 like the one-sided ones.
     Equal scales make a repeated pole, with a factor 1 - e_k = 0: the build
-    is rejected.  The trust gate on sum |coef| is checked pole by pole, so a
-    build that fails it stops at the first pole past the cap.  A rejected
-    build returns its reason.
+    is refused, and so is one of more than _MAX_DISTINCT_SCALES weights.  The
+    trust gate on sum |coef| is checked pole by pole, so a build that fails
+    it stops at the first pole past the cap.  A refused build returns its
+    reason.
     """
     n = len(weights)
+    if n > _MAX_DISTINCT_SCALES:
+        return f"{n} weights exceed the partial-fraction cap of {_MAX_DISTINCT_SCALES} distinct scales"
     scales = sorted(weights)
     terms: list[MixtureTerm] = []
     abs_sum = 0.0
@@ -215,13 +198,65 @@ def _build_mixture(weights: tuple[float, ...], two_sided: bool) -> "ExpMixture |
     return mix
 
 
+class _Sum:
+    """What law d on weights w fixes for every threshold: one record per (d, w).
+
+    ``mixture`` is the law's partial-fraction mixture, the reason it was
+    refused, or None (gamma).  The contour's part loads numpy, which a sum
+    the mixture answers never needs, so each piece is computed when first
+    asked: ``columns`` is the power of two ``u = w.unit`` and, in units of
+    it, the columns of the scales, their counts and shapes (read-only
+    arrays); ``holds`` the hold on either side of the mean with K' there;
+    ``small_t`` the weights' logs and sum_i 1/a_i.
+    """
+
+    def __init__(self, d: Distribution, w: WeightVector):
+        self.d, self.w = d, w
+        two_sided = d.kind is LawKind.LAPLACE
+        self.mixture = None if d.kind is LawKind.GAMMA else _build_mixture(w.values, two_sided)
+
+    @functools.cached_property
+    def columns(self) -> "tuple[float, np.ndarray, np.ndarray, np.ndarray]":
+        u = self.w.unit
+        b, count = _columns(self.d.scales(self.w) / u)
+        shape = count * self.d.shape
+        for arr in (b, count, shape):
+            arr.flags.writeable = False
+        return u, b, count, shape
+
+    @functools.cached_property
+    def holds(self) -> dict[bool, tuple[float, float]]:
+        """(hold, K'(hold)) above (True) and below the mean; K' may raise OverflowError."""
+        u, b, _, shape = self.columns
+        hold = 1.0 / (math.sqrt(self.d.variance) * (self.w.l2 / u))
+        sides = {True: min(hold, 0.5 / b.max()), False: -hold}
+        return {above: (h, cumulant_prime(b, shape, h)) for above, h in sides.items()}
+
+    @functools.cached_property
+    def small_t(self) -> tuple[tuple[float, ...], float]:
+        return tuple(math.log(a) for a in self.w), math.fsum(1.0 / a for a in self.w)
+
+
+# A caller asks one weight vector at a grid of thresholds (or moment orders):
+# the records of the last 16 (law, weights) pairs are kept
+_sum = functools.lru_cache(maxsize=16)(_Sum)
+_EXPONENTIAL, _LAPLACE = Distribution.exponential(), Distribution.laplace()
+
+
+def _mixture(d: Distribution, w: "WeightVector | Sequence[float]") -> ExpMixture:
+    built = _sum(d, as_weights(w)).mixture
+    if isinstance(built, str):
+        raise MixtureUnavailableError(built)
+    return built
+
+
 def hypoexp_mixture(w: "WeightVector | Sequence[float]") -> ExpMixture:
     """Mixture for sum_i a_i Y_i, Y_i iid exponential(1).
 
     B_j = prod_{k!=j} a_j/(a_j - a_k) and the tail sum_j B_j e^{-t/a_j};
     equal weights raise MixtureUnavailableError.
     """
-    return _mixture(w, False)
+    return _mixture(_EXPONENTIAL, w)
 
 
 def laplace_mixture(w: "WeightVector | Sequence[float]") -> ExpMixture:
@@ -230,7 +265,7 @@ def laplace_mixture(w: "WeightVector | Sequence[float]") -> ExpMixture:
     A_j = prod_{k!=j} a_j^2/(a_j^2 - a_k^2) and the upper tail
     sum_j (A_j/2) e^{-t/a_j}; equal weights raise MixtureUnavailableError.
     """
-    return _mixture(w, True)
+    return _mixture(_LAPLACE, w)
 
 
 def laplace_abs_norm(w: "WeightVector | Sequence[float]", p: float) -> float:
@@ -249,11 +284,9 @@ def laplace_abs_norm(w: "WeightVector | Sequence[float]", p: float) -> float:
     p = float(p)
     if not math.isfinite(p) or p <= 0.0:
         raise InvalidInputError(f"moment order must be positive, got {p!r}")
-    d = Distribution.laplace()
-    contour = _contour(d, w)
-    b, count, shape = contour.b, contour.count, contour.shape
+    u, b, count, shape = _sum(_LAPLACE, w).columns
     # bisection to a few digits of the distance to either end of the interval
-    pole = 1.0 / contour.b_max
+    pole = 1.0 / b.max()
     lo, hi = 0.0, pole
     while hi - lo > 1e-3 * min(lo, pole - hi):
         theta = 0.5 * (lo + hi)
@@ -267,7 +300,7 @@ def laplace_abs_norm(w: "WeightVector | Sequence[float]", p: float) -> float:
         else:
             lo = theta
     theta = 0.5 * (lo + hi)
-    integral, _ = _bromwich(b, d.shape, theta, 0.0, p, count)
+    integral, _ = _bromwich(b, _LAPLACE.shape, theta, 0.0, p, count)
     if not integral > 0.0:
         raise NumericFailureError(f"contour integral of the absolute moment is {integral!r}")
     # E|S|^p itself may leave float range while its p-th root does not
@@ -275,7 +308,7 @@ def laplace_abs_norm(w: "WeightVector | Sequence[float]", p: float) -> float:
         math.log(2.0) + math.lgamma(p + 1.0) + cumulant(b, shape, theta)
         - (p + 1.0) * math.log(theta) + math.log(integral)
     )
-    return contour.u * math.exp(log_moment / p)
+    return u * math.exp(log_moment / p)
 
 
 # ---------------------------------------------------------------------------
@@ -294,37 +327,6 @@ def _columns(b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     values, first, count = np.unique(b, return_index=True, return_counts=True)
     order = np.argsort(first)
     return values[order], count[order].astype(float)
-
-
-class _Contour:
-    """The weight-only part of a contour inversion of law d on weights w.
-
-    In units of the power of two ``u = w.unit``: the columns ``b`` of the
-    scales, their counts and shapes (read-only arrays), ``b_max``, and the hold
-    on either side of the mean with K' there, computed when first asked.
-    """
-
-    def __init__(self, d: Distribution, w: WeightVector):
-        self.u = w.unit
-        self.b, self.count = _columns(d.scales(w) / self.u)
-        self.shape = self.count * d.shape
-        for arr in (self.b, self.count, self.shape):
-            arr.flags.writeable = False
-        self.b_max = self.b.max()
-        self._hold = 1.0 / (math.sqrt(d.variance) * (w.l2 / self.u))
-        self._sides: dict[bool, tuple[float, float]] = {}
-
-    def hold(self, above: bool) -> tuple[float, float]:
-        """(hold, K'(hold)) above or below the mean; K' may raise OverflowError."""
-        if above not in self._sides:
-            hold = min(self._hold, 0.5 / self.b_max) if above else -self._hold
-            self._sides[above] = hold, cumulant_prime(self.b, self.shape, hold)
-        return self._sides[above]
-
-
-# A caller asks one weight vector at a grid of thresholds: the contours of the
-# last 16 (law, weights) pairs are kept, like the mixtures
-_contour = functools.lru_cache(maxsize=16)(_Contour)
 
 
 def _bromwich(
@@ -485,6 +487,7 @@ def cf_tail_inversion(d: Distribution, w: "WeightVector | Sequence[float]", t: f
         raise InvalidInputError(f"threshold must be positive and finite, got {t!r}")
     top = 1.0 if d.nonnegative else 0.5
     above = t >= d.mean * w.l1
+    prepared = _sum(d, w)
     if d.nonnegative and not above:
         # S has density x^(N-1) E[exp(-x sum_i U_i/a_i)] / (Gamma(N) prod_i a_i^shape),
         # N = n shape, U ~ Dirichlet(shape, ..., shape), so P(S <= t) lies in
@@ -494,20 +497,21 @@ def cf_tail_inversion(d: Distribution, w: "WeightVector | Sequence[float]", t: f
         # logs are taken apart: t/a_i may be subnormal or 0
         n_shape = len(w) * d.shape
         log_t = math.log(t)
-        log_lead = d.shape * math.fsum(log_t - math.log(a) for a in w) - math.lgamma(n_shape + 1.0)
+        log_a, inv_sum = prepared.small_t
+        log_lead = d.shape * math.fsum(log_t - v for v in log_a) - math.lgamma(n_shape + 1.0)
         if log_lead < 0.0:
             tail = -math.expm1(log_lead)
-            c = t * d.shape * math.fsum(1.0 / a for a in w) / (n_shape + 1.0)
+            c = t * d.shape * inv_sum / (n_shape + 1.0)
             if math.exp(log_lead) * min(c, 1.0) <= 0.25 * sys.float_info.epsilon * tail:
                 return tail
     # in units of the power of two w.unit no weight scale over- or underflows,
     # and rescaling by it is exact
-    contour = _contour(d, w)
-    b, count, shape, t_u = contour.b, contour.count, contour.shape, t / contour.u
+    u, b, count, shape = prepared.columns
+    t_u = t / u
     try:
         # K' increases, so the saddle lies between 0 and the hold exactly
         # when K'(hold) is at or past t; the solve is skipped then
-        hold, k_prime = contour.hold(above)
+        hold, k_prime = prepared.holds[above]
         if (k_prime >= t_u) == above:
             theta = hold
         else:

@@ -331,6 +331,15 @@ class TestSimulateCommand:
         assert row["method"] == "tilted"
         assert row["tilt_theta"] > 0.0
 
+    def test_tilt_one_float_above_the_mean(self, capsys):
+        # the tilt was -1.7e-17: a converged Newton step had left its bracket
+        argv = [
+            "simulate", "--dist", "exponential", "--weights", "2,1", "--threshold",
+            "3.0000000000000004", "--method", "tilted", "--samples", "1000",
+        ]
+        row = run_json(capsys, argv)["rows"][0]
+        assert 0.0 < row["tilt_theta"] < 1e-15
+
     def test_laplace_tilted_weights_far_above_one(self, capsys):
         # sigma overflowed, so the relative threshold was inf
         argv = [

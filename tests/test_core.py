@@ -1,5 +1,6 @@
 """Domain types: laws, weight vectors, derived statistics, serialization."""
 
+import dataclasses
 import json
 import math
 import sys
@@ -26,6 +27,12 @@ class TestDistribution:
         assert Distribution.exponential().kind is LawKind.EXPONENTIAL
         assert Distribution.laplace().kind is LawKind.LAPLACE
         assert Distribution.gamma(0.5).shape == 0.5
+
+    def test_equal_laws_hash_alike(self):
+        # the hash is taken once, at construction, from the validated fields
+        assert hash(Distribution("gamma", 2)) == hash(Distribution.gamma(2.0)) == hash((LawKind.GAMMA, 2.0))
+        laws = {Distribution.exponential(), Distribution.gamma(1.0), Distribution.laplace(), Distribution.gamma(1)}
+        assert len(laws) == 3
 
     def test_moments(self):
         assert Distribution.exponential().mean == 1.0
@@ -208,7 +215,8 @@ class TestParseWeights:
 class TestWeightStats:
     def test_exponential_stats(self):
         s = weight_stats([2, 1], Distribution.exponential())
-        assert s.n == 2
+        # the vector's own norms live on WeightVector, not here
+        assert [f.name for f in dataclasses.fields(s)] == ["sigma", "alpha_exp", "alpha_sym", "mean_s"]
         assert s.alpha_exp == 1.5
         assert s.mean_s == 3.0
         assert math.isclose(s.sigma, math.sqrt(5.0), rel_tol=1e-15)

@@ -171,6 +171,28 @@ class TestChernoffTilt:
                       18.255628424904334)
         assert len(evaluations) <= 12
 
+    @pytest.mark.parametrize(
+        "d, w",
+        [(EXP, [2.0, 1.0]), (EXP, [1.0, 2.0, 3.0]), (LAP, [2.0, 1.0]), (LAP, [3.0, 1.0]), (LAP, [1.0, 2.0, 3.0])],
+    )
+    def test_one_float_above_the_mean_tilts_up(self, d, w):
+        # a converged Newton step left the bracket [0, hi] below 0, and a
+        # Laplace target of one subnormal rounded to the mean 0 in units of
+        # w.unit, where the solve took the bracket below it
+        theta = chernoff_tilt(d, w, math.nextafter(d.mean * math.fsum(w), math.inf))
+        assert type(theta) is float and 0.0 < theta < 1e-15
+
+    @pytest.mark.parametrize("n", [2, 3, 8, 64, 999, 3000])
+    def test_the_solve_keeps_to_its_bracket(self, n):
+        # one float above the mean of 2n signed scales, where rounding in K'
+        # outweighs K'' theta
+        rng = np.random.default_rng(n)
+        b = np.exp(rng.uniform(-5.0, 5.0, 2 * n)) * rng.choice([1.0, -1.0], 2 * n)
+        for shape in (0.5, 3.0):
+            mean = math.fsum((b * shape).tolist())
+            theta = legendre._solve_cumulant_prime(b, shape, math.nextafter(mean, math.inf))
+            assert type(theta) is float and 0.0 <= theta < 1.0 / b.max()
+
     def test_target_must_exceed_mean(self):
         with pytest.raises(InvalidInputError):
             chernoff_tilt(EXP, [2.0, 1.0], 3.0)

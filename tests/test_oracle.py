@@ -21,7 +21,6 @@ from exptails.oracle import (
     ExpMixture,
     MixtureTerm,
     MixtureUnavailableError,
-    _mixture,
     cf_tail_inversion,
     exact_tail,
     hypoexp_mixture,
@@ -157,7 +156,11 @@ class TestMixtureParity:
 
     def test_coefficients_and_gates_match_mpmath(self):
         vectors = seeded_weight_vectors(1, 300, 24)
-        accepted, worst, rejected = mixture_parity(_mixture, vectors)
+
+        def build(w, two_sided):
+            return (laplace_mixture if two_sided else hypoexp_mixture)(w)
+
+        accepted, worst, rejected = mixture_parity(build, vectors)
         assert accepted >= 250
         assert worst <= 2.0  # ulp per weight
         # every vector with equal weights is rejected; the others only by the
@@ -191,24 +194,28 @@ class TestMixtureParity:
         assert int(re.search(r"after (\d+) of", str(info.value)).group(1)) < 64
 
 
-class TestMixtureMemo:
-    """One build per weight vector and law; every answer as from a fresh build."""
+class ColdRecords:
+    """Tests of the one record per (law, weights); each starts and ends with none kept."""
 
     @pytest.fixture(autouse=True)
     def cold(self):
-        oracle._build_mixture.cache_clear()
+        oracle._sum.cache_clear()
         yield
-        oracle._build_mixture.cache_clear()
+        oracle._sum.cache_clear()
+
+
+class TestMixtureMemo(ColdRecords):
+    """The record's mixture: built once per (law, weights), answers as from a fresh one."""
 
     def test_one_weight_vector_in_any_form_is_one_mixture(self):
         forms = ([2.0, 1.0, 0.5], (2.0, 1.0, 0.5), [2, 1, 0.5], WeightVector((2.0, 1.0, 0.5)))
         for build in (hypoexp_mixture, laplace_mixture):
             mixtures = [build(w) for w in forms]
             assert all(mix is mixtures[0] for mix in mixtures)
-            assert oracle._build_mixture.cache_info().misses == 1
-            oracle._build_mixture.cache_clear()
+            assert oracle._sum.cache_info().misses == 1
+            oracle._sum.cache_clear()
             assert build(forms[0]) == mixtures[0]
-            oracle._build_mixture.cache_clear()
+            oracle._sum.cache_clear()
 
     @pytest.mark.parametrize(
         "w",
@@ -216,6 +223,7 @@ class TestMixtureMemo:
             [1.0 + 0.01 * i for i in range(40)],  # 1%-spaced: past the coefficient cap
             [2.0, 1.0, 1.0],  # a repeated pole
             [1.0 + k * 1e-7 for k in range(64)],  # a product past float range
+            [1.0 + 0.01 * i for i in range(65)],  # past the scale cap
         ],
     )
     def test_a_rejection_raises_the_same_message_every_time(self, w):
@@ -225,18 +233,13 @@ class TestMixtureMemo:
                 with pytest.raises(MixtureUnavailableError) as info:
                     build(w)
                 messages.append(str(info.value))
-            oracle._build_mixture.cache_clear()
+            assert oracle._sum.cache_info().misses == 1
+            oracle._sum.cache_clear()
             with pytest.raises(MixtureUnavailableError) as info:
                 build(w)
             assert messages == [str(info.value)] * 3
-
-    def test_past_the_scale_cap_nothing_is_looked_up(self):
-        w = [1.0 + 0.01 * i for i in range(65)]
-        for _ in range(2):
-            with pytest.raises(MixtureUnavailableError, match="distinct scales"):
-                hypoexp_mixture(w)
-        info = oracle._build_mixture.cache_info()
-        assert info.hits + info.misses == 0
+            assert ("distinct scales" in messages[0]) == (len(w) > 64)
+            oracle._sum.cache_clear()
 
     def test_the_laws_do_not_collide(self):
         w = [2.0, 1.0, 0.5]
@@ -246,6 +249,8 @@ class TestMixtureMemo:
             assert hypo.terms[0].coef == 1.0 / ((1.0 - 2.0) * (1.0 - 4.0))
             assert lap.terms[0].coef == 1.0 / ((1.0 - 4.0) * (1.0 - 16.0))
             assert exact_tail(EXP, w, 3.0)[0] != exact_tail(LAP, w, 3.0)[0]
+        assert oracle._sum(Distribution.gamma(1.0), as_weights(w)).mixture is None
+        assert oracle._sum.cache_info().misses == 3
 
     @pytest.mark.parametrize("d", [EXP, LAP])
     def test_a_threshold_grid_keeps_its_bits(self, d):
@@ -255,15 +260,24 @@ class TestMixtureMemo:
             warm = [exact_tail(d, w, t) for t in grid]
             cold = []
             for t in grid:
-                oracle._build_mixture.cache_clear()
+                oracle._sum.cache_clear()
                 cold.append(exact_tail(d, w, t))
             assert [(v.hex(), s) for v, s in warm] == [(v.hex(), s) for v, s in cold]
+
+    def test_mixture_answers_never_build_the_contour(self):
+        w = [2.0, 1.0, 0.5]
+        for d in (EXP, LAP):
+            assert all(exact_tail(d, w, t)[1] == "mixture" for t in (-2.0, 0.5, 3.0, 40.0))
+            assert p_ge_mean(d, w) > 0.0
+            prepared = oracle._sum(d, as_weights(w))
+            assert isinstance(prepared.mixture, ExpMixture)
+            assert not {"columns", "holds", "small_t"} & set(vars(prepared))
 
     def test_more_instances_than_the_bound(self):
         rng = np.random.default_rng(17)
         vectors = [random_weights(rng) for _ in range(40)]
         first = [(exact_tail(EXP, w, 5.0), exact_tail(LAP, w, 5.0)) for w in vectors]
-        assert oracle._build_mixture.cache_info().currsize <= 16
+        assert oracle._sum.cache_info().currsize == 16
         for w, answers in zip(reversed(vectors), reversed(first)):
             assert (exact_tail(EXP, w, 5.0), exact_tail(LAP, w, 5.0)) == answers
         for w, answers in zip(vectors, first):
@@ -273,14 +287,8 @@ class TestMixtureMemo:
                     assert abs(value - want) <= 1e-10 * want
 
 
-class TestContourMemo:
-    """One prepared contour per (law, weights); every answer as from a fresh one."""
-
-    @pytest.fixture(autouse=True)
-    def cold(self):
-        oracle._contour.cache_clear()
-        yield
-        oracle._contour.cache_clear()
+class TestContourMemo(ColdRecords):
+    """The record's contour part: prepared once per (law, weights), answers as from a fresh one."""
 
     @staticmethod
     def grid(d, w):
@@ -295,7 +303,7 @@ class TestContourMemo:
         [
             [1.0] * 5,  # one column
             [2.0, 1.0, 1.0, 0.5, 0.5, 0.5],  # equal scales among others
-            list(ILL_CONDITIONED),  # the mixture is rejected
+            list(ILL_CONDITIONED),  # the mixture is refused
             [1.0 + 0.01 * i for i in range(80)],  # past the mixture's scale cap
         ],
         ids=["one-column", "equal-scales", "ill-conditioned", "n80"],
@@ -303,12 +311,12 @@ class TestContourMemo:
     def test_a_threshold_grid_keeps_its_bits(self, d, w):
         grid = self.grid(d, w)
         warm = [cf_tail_inversion(d, w, t) for t in grid] + [p_ge_mean(d, w)]
-        assert oracle._contour.cache_info().misses == 1
+        assert oracle._sum.cache_info().misses == 1
         cold = []
         for t in grid:
-            oracle._contour.cache_clear()
+            oracle._sum.cache_clear()
             cold.append(cf_tail_inversion(d, w, t))
-        oracle._contour.cache_clear()
+        oracle._sum.cache_clear()
         cold.append(p_ge_mean(d, w))
         assert [v.hex() for v in warm] == [v.hex() for v in cold]
         routed = [exact_tail(d, w, t) for t in grid]
@@ -320,30 +328,31 @@ class TestContourMemo:
         warm = [laplace_abs_norm(w, p) for p in orders]
         cold = []
         for p in orders:
-            oracle._contour.cache_clear()
+            oracle._sum.cache_clear()
             cold.append(laplace_abs_norm(w, p))
         assert [v.hex() for v in warm] == [v.hex() for v in cold]
-        # the norms and the tails share the Laplace contour of w
-        oracle._contour.cache_clear()
+        # the norms, the tails and the mixture share the Laplace record of w
+        oracle._sum.cache_clear()
         laplace_abs_norm(w, 3.0)
         cf_tail_inversion(LAP, w, 1.0)
-        assert oracle._contour.cache_info().misses == 1
+        exact_tail(LAP, w, 1.0)
+        assert oracle._sum.cache_info().misses == 1
 
     def test_the_arrays_are_read_only(self):
-        contour = oracle._contour(GAMMA05, as_weights([2.0, 1.0, 1.0]))
-        assert contour.b.tolist() == [1.0, 0.5] and contour.count.tolist() == [1.0, 2.0]
-        assert contour.shape.tolist() == [0.5, 1.0] and contour.b_max == 1.0
-        for arr in (contour.b, contour.count, contour.shape):
+        u, b, count, shape = oracle._sum(GAMMA05, as_weights([2.0, 1.0, 1.0])).columns
+        assert u == 2.0 and b.tolist() == [1.0, 0.5] and count.tolist() == [1.0, 2.0]
+        assert shape.tolist() == [0.5, 1.0]
+        for arr in (b, count, shape):
             with pytest.raises(ValueError, match="read-only"):
                 arr[0] = 3.0
-        assert contour.b.tolist() == [1.0, 0.5]
+        assert b.tolist() == [1.0, 0.5]
 
     def test_the_laws_do_not_collide(self):
         w = as_weights([2.0, 1.0, 1.0])
-        exp, gamma, lap = (oracle._contour(d, w) for d in (EXP, Distribution.gamma(1.0), LAP))
-        assert exp.shape.tolist() == gamma.shape.tolist() == [1.0, 2.0]
-        assert lap.b.tolist() == [1.0, 0.5, -1.0, -0.5]
-        assert oracle._contour.cache_info().misses == 3
+        exp, gamma, lap = (oracle._sum(d, w).columns for d in (EXP, Distribution.gamma(1.0), LAP))
+        assert exp[3].tolist() == gamma[3].tolist() == [1.0, 2.0]
+        assert lap[1].tolist() == [1.0, 0.5, -1.0, -0.5]
+        assert oracle._sum.cache_info().misses == 3
 
     def test_more_instances_than_the_bound(self):
         # equal weights make one gamma column, whose tail is a regularized
@@ -354,7 +363,7 @@ class TestContourMemo:
             n, a, x = int(rng.integers(1, 9)), float(np.exp(rng.uniform(-3.0, 3.0))), float(rng.uniform(0.5, 6.0))
             cases.append(([a] * n, x * 0.5 * n * a, gammaincc(0.5 * n, x * 0.5 * n)))
         first = [cf_tail_inversion(GAMMA05, w, t) for w, t, _ in cases]
-        assert oracle._contour.cache_info().currsize == 16
+        assert oracle._sum.cache_info().currsize == 16
         for (w, t, ref), value in zip(reversed(cases), reversed(first)):
             assert cf_tail_inversion(GAMMA05, w, t) == value
             assert abs(value - ref) <= 1e-10 * ref, (w, t, value, ref)
