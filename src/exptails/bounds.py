@@ -110,7 +110,7 @@ def generic_upper(d: Distribution, w: "WeightVector | Sequence[float]", t: float
     w = as_weights(w)
     t = _check_t(t)
     alpha = w.l1 / w.a_max
-    rate = rate_function(d, d.mean * t).value if t > 1.0 else 0.0
+    rate = rate_function(d, d.mean * t) if t > 1.0 else 0.0
     return _make(-alpha * rate, BoundKind.GENERIC_UPPER, valid=t > 1.0)
 
 

@@ -15,7 +15,7 @@ import functools
 import json
 import math
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Iterator, Sequence
 
 if TYPE_CHECKING:
@@ -60,6 +60,10 @@ class Distribution:
 
     kind: LawKind
     shape: float = 1.0
+    # E X, Var X and the sign of one unit summand, set once from the law
+    mean: float = field(init=False, repr=False, compare=False)
+    variance: float = field(init=False, repr=False, compare=False)
+    nonnegative: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         kind = LawKind(self.kind)
@@ -69,7 +73,11 @@ class Distribution:
             raise InvalidInputError(f"shape must be positive and finite, got {self.shape!r}")
         if kind is not LawKind.GAMMA and shape != 1.0:
             raise InvalidInputError(f"shape only applies to gamma, got shape={shape} for {kind.value}")
+        units = _UNIT_SCALES[kind]
         object.__setattr__(self, "shape", shape)
+        object.__setattr__(self, "mean", shape * math.fsum(units))
+        object.__setattr__(self, "variance", shape * math.fsum(u * u for u in units))
+        object.__setattr__(self, "nonnegative", min(units) > 0.0)
         object.__setattr__(self, "_hash", hash((kind, shape)))
 
     def __hash__(self) -> int:
@@ -96,20 +104,6 @@ class Distribution:
 
         a = np.array(as_weights(w).values)
         return np.concatenate([u * a for u in _UNIT_SCALES[self.kind]])
-
-    @property
-    def mean(self) -> float:
-        """E X of one unit summand."""
-        return self.shape * math.fsum(_UNIT_SCALES[self.kind])
-
-    @property
-    def variance(self) -> float:
-        """Var X of one unit summand."""
-        return self.shape * math.fsum(u * u for u in _UNIT_SCALES[self.kind])
-
-    @property
-    def nonnegative(self) -> bool:
-        return min(_UNIT_SCALES[self.kind]) > 0.0
 
     def label(self) -> str:
         """Short text form, e.g. 'gamma(0.5)' or 'laplace'."""

@@ -3,18 +3,21 @@
 Every law is gamma(shape) on signed scales b (``Distribution.scales``), so
 the cumulant generating function of S = sum_j b_j G_j is
 K(theta) = -shape sum_j log1p(-b_j theta) for every law, finite for
-b_j theta < 1.  K, K' and K'' feed the saddle point of the contour-inversion
-oracle and the Chernoff tilt of the importance sampler; each is one
-expression over the array, summed with math.fsum from the array's buffer
-(no list copy).  The shape is one scalar for every scale, or an array of one
-shape per scale (the contour merges equal scales into one column of the
-summed shape).
+b_j theta < 1.  K and its slopes K', K'' feed the saddle point of the
+contour-inversion oracle and the Chernoff tilt of the importance sampler;
+each is one expression over the scales, summed exactly with math.fsum.
+The scales are an array, whose terms are summed from its buffer (no list
+copy), or a list of floats with a list of one shape per scale, whose terms
+are the same IEEE operations in the same order: the two forms agree bit for
+bit, and the list form saves numpy's per-call overhead on narrow sums.  With
+an array, the shape is one scalar for every scale, or an array of one shape
+per scale (the contour merges equal scales into one column of the summed
+shape).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence
 
 from .core import (
@@ -31,39 +34,44 @@ if TYPE_CHECKING:
 
 _THETA_TOL = 1e-12
 _MAX_NEWTON_ITER = 200
+# Widest sum whose cumulants the contour takes on lists of floats.  One
+# (K', K'') costs 2.6 us on lists against 4.2 us on arrays at 8 scales, 4.0
+# against 4.5 at 16, 5.4 against 4.9 at 24 and 6.8 against 5.1 at 32 (K
+# alone: 2.2/3.5, 3.4/4.6, 4.4/5.6, 5.5/6.6); best of 15 in-process runs on
+# 2 shared cores, Python 3.11, numpy 2.4.
+NARROW = 16
 
 
-@dataclass(frozen=True)
-class LegendreResult:
-    """Value and maximizer of sup_{theta>0} (t*theta - psi(theta))."""
-
-    value: float
-    theta_star: float
-
-
-def cumulant(b: np.ndarray, shape: "np.ndarray | float", theta: float) -> float:
+def cumulant(b: np.ndarray | list[float], shape, theta: float) -> float:
     """K(theta) = log E exp(theta S); +inf outside the domain max_j b_j theta < 1."""
-    import numpy as np
-
-    x = (b * theta).tolist()
+    listed = isinstance(b, list)
+    x = [v * theta for v in b] if listed else (b * theta).tolist()
     if max(x) >= 1.0:
         return math.inf
     # libm's log1p term by term: numpy's differs from it in the last bit, and
     # K reaches the printed tails and importance-sampling estimates
-    return math.fsum(memoryview(-shape * np.array([math.log1p(-v) for v in x])))
+    logs = [math.log1p(-v) for v in x]
+    if listed:
+        return math.fsum([-s * v for s, v in zip(shape, logs)])
+    import numpy as np
+
+    return math.fsum(memoryview(-shape * np.array(logs)))
 
 
-def cumulant_prime(b: np.ndarray, shape: "np.ndarray | float", theta: float) -> float:
-    """K'(theta) = sum_j b_j shape / (1 - b_j theta) inside the domain."""
-    return math.fsum(memoryview(b * (shape / (1.0 - b * theta))))
+def cumulant_slopes(b: np.ndarray | list[float], shape, theta: float) -> tuple[float, float]:
+    """(K'(theta), K''(theta)) inside the domain, from one 1 - b_j theta per scale.
+
+    K' = sum_j b_j shape / (1 - b_j theta) and K'' = sum_j b_j^2 shape / (1 - b_j theta)^2.
+    """
+    if isinstance(b, list):
+        q = [1.0 - v * theta for v in b]
+        return (math.fsum([v * (s / r) for v, s, r in zip(b, shape, q)]),
+                math.fsum([v * v * (s / (r * r)) for v, s, r in zip(b, shape, q)]))
+    q = 1.0 - b * theta
+    return math.fsum(memoryview(b * (shape / q))), math.fsum(memoryview(b * b * (shape / q**2)))
 
 
-def cumulant_double_prime(b: np.ndarray, shape: "np.ndarray | float", theta: float) -> float:
-    """K''(theta) = sum_j b_j^2 shape / (1 - b_j theta)^2 inside the domain."""
-    return math.fsum(memoryview(b * b * (shape / (1.0 - b * theta) ** 2)))
-
-
-def _solve_cumulant_prime(b: np.ndarray, shape: "np.ndarray | float", target: float) -> float:
+def _solve_cumulant_prime(b: np.ndarray | list[float], shape, target: float) -> float:
     """Solve K'(theta) = target for theta inside the domain of K.
 
     Safeguarded Newton: every step stays inside a shrinking bisection
@@ -77,25 +85,26 @@ def _solve_cumulant_prime(b: np.ndarray, shape: "np.ndarray | float", target: fl
     len(b)*shape/|theta| (the target must be positive there); with one
     shape per scale, their sum stands for len(b)*shape.
     """
-    import numpy as np
-
-    if target >= math.fsum(memoryview(b * shape)):
-        b_max = b.max()
+    listed = isinstance(b, list)
+    if target >= math.fsum([v * s for v, s in zip(b, shape)] if listed else memoryview(b * shape)):
+        b_max = max(b) if listed else b.max()
         lo, hi = 0.0, (1.0 - 1e-12) / b_max
         theta = min(0.5 / b_max, hi)
     else:
-        b_min = b.min()
-        total = math.fsum(np.broadcast_to(shape, b.shape).tolist())
+        b_min = min(b) if listed else b.min()
+        # n copies of one shape sum to n * shape, correctly rounded either way
+        total = len(b) * shape if isinstance(shape, (int, float)) else math.fsum(shape)
         lo = (1.0 - 1e-12) / b_min if b_min < 0.0 else -total / target
         hi = 0.0
         theta = 0.5 * lo
     for _ in range(_MAX_NEWTON_ITER):
-        g = cumulant_prime(b, shape, theta) - target
+        k1, k2 = cumulant_slopes(b, shape, theta)
+        g = k1 - target
         if g > 0.0:
             hi = theta
         else:
             lo = theta
-        step = g / cumulant_double_prime(b, shape, theta)
+        step = g / k2
         tol = _THETA_TOL * max(1.0, abs(theta))
         nxt = theta - step
         # at the root the step rounds to about 0 and nxt lands on the bracket
@@ -107,8 +116,8 @@ def _solve_cumulant_prime(b: np.ndarray, shape: "np.ndarray | float", target: fl
         if converged:
             # the stop rule trails the root by up to the last step: one more
             # Newton step from the converged iterate reaches rounding level
-            g = cumulant_prime(b, shape, nxt) - target
-            last = nxt - g / cumulant_double_prime(b, shape, nxt)
+            k1, k2 = cumulant_slopes(b, shape, nxt)
+            last = nxt - (k1 - target) / k2
             return float(last if lo <= last <= hi else nxt)
         theta = nxt
     raise NumericFailureError(
@@ -131,7 +140,7 @@ def chernoff_tilt(d: Distribution, w: "WeightVector | Sequence[float]", target: 
     return _solve_cumulant_prime(d.scales(w) / u, d.shape, target / u) / u
 
 
-def rate_function(d: Distribution, t: float) -> LegendreResult:
+def rate_function(d: Distribution, t: float) -> float:
     """Cramer rate I(t) = sup_{theta>0} (t*theta - psi(theta)) for one summand.
 
     Closed form t - g - g log(t/g), attained at theta* = 1 - g/t, for
@@ -146,4 +155,4 @@ def rate_function(d: Distribution, t: float) -> LegendreResult:
     g = d.shape
     if not t > g:
         raise InvalidInputError(f"rate_function needs t > {g} (the summand mean), got {t}")
-    return LegendreResult(t - g - g * math.log(t / g), 1.0 - g / t)
+    return t - g - g * math.log(t / g)

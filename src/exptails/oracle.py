@@ -13,18 +13,20 @@ how the upper tail P(S > x), x > 0, is computed:
   relative accuracy of about 1e-12 and an error estimate; it raises instead
   of returning a value outside [0, 1].  The engine reads only the signed
   scales of ``Distribution.scales`` (every law is gamma(shape) on them),
-  with equal scales merged into one column of the summed shape, taken in
-  units of a power of two next to the largest weight so that no weight
-  scale over- or underflows.  Far below the scale of a gamma or
-  exponential sum, where the saddle point leaves float range, the leading
-  small-t term of P(S <= t) answers; far above it, where the Chernoff
-  bound is below the smallest float, the tail is 0.
+  equal scales merged into one column of the summed shape and each mirrored
+  pair +-a (a Laplace sum) into one integrand factor, in units of a power
+  of two next to the largest weight so that no scale over- or underflows.
+  Far below the scale of a gamma or exponential sum, where the saddle point
+  leaves float range, the leading small-t term of P(S <= t) answers; far
+  above it, where the Chernoff bound is below the smallest float, the tail
+  is 0.
 
 The tests drive both on the same instances and require agreement.
 """
 
 from __future__ import annotations
 
+import collections
 import functools
 import math
 import sys
@@ -40,7 +42,7 @@ from .core import (
     WeightVector,
     as_weights,
 )
-from .legendre import _solve_cumulant_prime, cumulant, cumulant_double_prime, cumulant_prime
+from .legendre import NARROW, _solve_cumulant_prime, cumulant, cumulant_slopes
 from .special import _LOG_TINIEST
 
 if TYPE_CHECKING:
@@ -60,6 +62,8 @@ _BLOCK = 1 << 13
 _ROUNDING = 4.0 * sys.float_info.epsilon
 # Veltkamp's splitting constant 2^27 + 1: halves of 26 bits multiply exactly
 _SPLIT = 134217729.0
+# an enum member lookup costs a mixture op about 0.1 us; a module global less
+_KIND_EXPONENTIAL, _KIND_GAMMA, _KIND_LAPLACE = LawKind.EXPONENTIAL, LawKind.GAMMA, LawKind.LAPLACE
 
 
 class MixtureTerm(NamedTuple):
@@ -198,39 +202,69 @@ def _build_mixture(weights: tuple[float, ...], two_sided: bool) -> "ExpMixture |
     return mix
 
 
+class _Columns(NamedTuple):
+    """The contour's view of a sum, in units of the power of two ``u``.
+
+    Equal scales are one column of the summed shape.  ``k`` is (columns,
+    shapes) for the cumulants, lists of floats up to legendre.NARROW columns;
+    ``pole`` is 1/max_j b_j and ``shape`` the law's.  The integrand reads
+    ``coef_b`` and ``count`` (None when all counts are 1): the columns, or,
+    when the second half of them mirrors the first with equal counts
+    (``mirrored``: every Laplace sum), the first of each pair +-b_j.
+    """
+
+    u: float
+    k: tuple
+    pole: float
+    shape: float
+    coef_b: "np.ndarray"
+    count: "np.ndarray | None"
+    mirrored: bool
+
+
 class _Sum:
     """What law d on weights w fixes for every threshold: one record per (d, w).
 
     ``mixture`` is the law's partial-fraction mixture, the reason it was
     refused, or None (gamma).  The contour's part loads numpy, which a sum
-    the mixture answers never needs, so each piece is computed when first
-    asked: ``columns`` is the power of two ``u = w.unit`` and, in units of
-    it, the columns of the scales, their counts and shapes (read-only
-    arrays); ``holds`` the hold on either side of the mean with K' there;
-    ``small_t`` the weights' logs and sum_i 1/a_i.
+    the mixture answers never needs, so the rest is computed when first
+    asked: the ``columns``, the hold on each side of the mean with K' there
+    (``hold``), and ``small_t``, the weights' logs and sum_i 1/a_i.
     """
 
     def __init__(self, d: Distribution, w: WeightVector):
         self.d, self.w = d, w
-        two_sided = d.kind is LawKind.LAPLACE
-        self.mixture = None if d.kind is LawKind.GAMMA else _build_mixture(w.values, two_sided)
+        self.mixture = None if d.kind is _KIND_GAMMA else _build_mixture(w.values, d.kind is _KIND_LAPLACE)
 
     @functools.cached_property
-    def columns(self) -> "tuple[float, np.ndarray, np.ndarray, np.ndarray]":
+    def columns(self) -> _Columns:
+        import numpy as np
+
         u = self.w.unit
-        b, count = _columns(self.d.scales(self.w) / u)
+        scales = self.d.scales(self.w) / u
+        counted = _columns(scales)
+        values, counts = list(counted), list(counted.values())
+        b, count = np.array(values), np.array(counts, dtype=float)
         shape = count * self.d.shape
         for arr in (b, count, shape):
             arr.flags.writeable = False
-        return u, b, count, shape
+        k = (values, shape.tolist()) if len(values) <= NARROW else (b, shape)
+        half = len(values) // 2
+        mirrored = values[half:] == [-v for v in values[:half]] and counts[half:] == counts[:half]
+        if mirrored:
+            b, count = b[:half], count[:half]
+        unit_counts = len(values) == len(scales)
+        return _Columns(u, k, 1.0 / max(values), self.d.shape, b, None if unit_counts else count, mirrored)
 
-    @functools.cached_property
-    def holds(self) -> dict[bool, tuple[float, float]]:
-        """(hold, K'(hold)) above (True) and below the mean; K' may raise OverflowError."""
-        u, b, _, shape = self.columns
-        hold = 1.0 / (math.sqrt(self.d.variance) * (self.w.l2 / u))
-        sides = {True: min(hold, 0.5 / b.max()), False: -hold}
-        return {above: (h, cumulant_prime(b, shape, h)) for above, h in sides.items()}
+    def hold(self, above: bool) -> tuple[float, float]:
+        """(hold, K'(hold)) above (True) or below the mean; K' may raise OverflowError."""
+        holds = self.__dict__.setdefault("holds", {})
+        if above not in holds:
+            cols = self.columns
+            h = 1.0 / (math.sqrt(self.d.variance) * (self.w.l2 / cols.u))
+            h = min(h, 0.5 * cols.pole) if above else -h
+            holds[above] = (h, cumulant_slopes(*cols.k, h)[0])
+        return holds[above]
 
     @functools.cached_property
     def small_t(self) -> tuple[tuple[float, ...], float]:
@@ -284,31 +318,30 @@ def laplace_abs_norm(w: "WeightVector | Sequence[float]", p: float) -> float:
     p = float(p)
     if not math.isfinite(p) or p <= 0.0:
         raise InvalidInputError(f"moment order must be positive, got {p!r}")
-    u, b, count, shape = _sum(_LAPLACE, w).columns
+    cols = _sum(_LAPLACE, w).columns
     # bisection to a few digits of the distance to either end of the interval
-    pole = 1.0 / b.max()
-    lo, hi = 0.0, pole
-    while hi - lo > 1e-3 * min(lo, pole - hi):
+    lo, hi = 0.0, cols.pole
+    while hi - lo > 1e-3 * min(lo, cols.pole - hi):
         theta = 0.5 * (lo + hi)
         if not lo < theta < hi:
             # lo and hi are adjacent floats: no contour fits between saddle and pole
             raise NumericFailureError(
                 f"the saddle of moment order {p!r} lies within one float of the pole"
             )
-        if theta * cumulant_prime(b, shape, theta) > p + 1.0:
+        if theta * cumulant_slopes(*cols.k, theta)[0] > p + 1.0:
             hi = theta
         else:
             lo = theta
     theta = 0.5 * (lo + hi)
-    integral, _ = _bromwich(b, _LAPLACE.shape, theta, 0.0, p, count)
+    integral, _ = _bromwich(cols, theta, 0.0, p)
     if not integral > 0.0:
         raise NumericFailureError(f"contour integral of the absolute moment is {integral!r}")
     # E|S|^p itself may leave float range while its p-th root does not
     log_moment = (
-        math.log(2.0) + math.lgamma(p + 1.0) + cumulant(b, shape, theta)
+        math.log(2.0) + math.lgamma(p + 1.0) + cumulant(*cols.k, theta)
         - (p + 1.0) * math.log(theta) + math.log(integral)
     )
-    return u * math.exp(log_moment / p)
+    return cols.u * math.exp(log_moment / p)
 
 
 # ---------------------------------------------------------------------------
@@ -316,28 +349,24 @@ def laplace_abs_norm(w: "WeightVector | Sequence[float]", p: float) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _columns(b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The distinct entries of b in order of first occurrence, and the count of each.
+def _columns(b: np.ndarray) -> dict[float, int]:
+    """The distinct entries of b in order of first occurrence, each with its count.
 
     gamma(shape) taken m times on one scale is gamma(m shape) on it, so the
     contour takes one column per distinct scale, of shape count * shape.
     """
-    import numpy as np
-
-    values, first, count = np.unique(b, return_index=True, return_counts=True)
-    order = np.argsort(first)
-    return values[order], count[order].astype(float)
+    values = b.tolist()
+    counts = dict.fromkeys(values, 1)
+    return counts if len(counts) == len(values) else collections.Counter(values)
 
 
-def _bromwich(
-    b: np.ndarray, shape: float, theta: float, t: float, p: float, count: "np.ndarray | float" = 1.0
-) -> tuple[float, float]:
+def _bromwich(cols: _Columns, theta: float, t: float, p: float) -> tuple[float, float]:
     """(1/2 pi i) int M(z) e^{-zt} (z/theta)^(-p-1) dz / (M(theta) e^{-theta t}) and its error.
 
-    M is the moment generating function of sum_j b_j G_j, G_j independent
-    gamma(count_j shape), and theta is real with 0 < |theta| and b_j theta < 1.
-    The sums over the scales weight each column by its count and take the
-    shape after them.
+    M is the moment generating function of the sum on the columns ``cols``,
+    sum_j b_j G_j with G_j independent gamma(count_j shape), and theta is
+    real with 0 < |theta| and b_j theta < 1.  The sums over the columns
+    weight each by its count and take the shape after them.
 
     The contour is the hyperbola z(u) = theta + c (cosh u - 1) + i w sinh u,
     u real, which crosses the real axis only at theta and opens to the
@@ -355,51 +384,59 @@ def _bromwich(
     four nodes whose last two terms are negligible; each call of the walk takes
     up to 64 nodes and the midpoints between them, which the first halving
     sums, so an inversion that halves once makes one call.  The sums over the
-    scales run in blocks of nodes of at most _BLOCK entries per array, so
+    columns run in blocks of nodes of at most _BLOCK entries per array, so
     memory stays bounded for any n.
     """
     import numpy as np
 
-    # a term times a count of 1 is the term, bit for bit: unit counts skip it
-    weighted = bool(np.any(count != 1.0))
+    b, count = cols.coef_b, cols.count
     coef = b / (1.0 - b * theta)
+    if cols.mirrored:
+        # the pair +-b is one factor: (1 - b theta - b dz)(1 + b theta + b dz)
+        # over its value at dz = 0 is 1 - kappa dz (2 theta + dz), with kappa
+        # = -c_+ c_- the product of the two columns' coefficients
+        coef = coef * (b / (1.0 + b * theta))
     coef2 = coef * coef
-    dist = min(abs(theta), 1.0 / b.max() - theta)
-    width = min(1.0 / math.sqrt(cumulant_double_prime(b, count * shape, theta)), dist)
+    dist = min(abs(theta), cols.pole - theta)
+    width = min(1.0 / math.sqrt(cumulant_slopes(*cols.k, theta)[1]), dist)
     bend = 0.5 * width
     rows = max(1, _BLOCK // len(b))
+
+    def block(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        # -sum_j count_j arg(1 - c_j v) and sum_j count_j log|1 - c_j v|^2 at
+        # v = x + iy, over real outer products: arg(1 - c v) = -atan2(cy, 1 - cx),
+        # and log|1 - c v|^2 is log1p(c^2 |v|^2 - 2 cx), accurate near 0
+        cx = np.multiply.outer(x, coef)
+        arg = np.arctan2(np.multiply.outer(y, coef), 1.0 - cx)
+        q = np.multiply.outer(x * x + y * y, coef2)
+        q -= cx
+        q -= cx
+        np.log1p(q, out=q)
+        if count is not None:
+            arg *= count
+            q *= count
+        return arg.sum(axis=1), q.sum(axis=1)
 
     def integrand(u: np.ndarray) -> np.ndarray:
         sh, ch = np.sinh(u), np.cosh(u)
         x, y = bend * (ch - 1.0), width * sh
-        # log M(z) - log M(theta) = -shape * sum_j count_j log(1 - c_j dz),
-        # dz = x + iy, from the real and imaginary parts of each log, summed
-        # apart over real outer products, block by block:
-        # arg(1 - c dz) = -atan2(cy, 1 - cx), and log|1 - c dz| is half
-        # log1p(c^2 |dz|^2 - 2 cx), accurate near 0
-        r2 = x * x + y * y
-        minus_arg, log_abs2 = np.empty(len(u)), np.empty(len(u))
-        for lo in range(0, len(u), rows):
-            block = slice(lo, lo + rows)
-            cx = np.multiply.outer(x[block], coef)
-            arg = np.arctan2(np.multiply.outer(y[block], coef), 1.0 - cx)
-            if weighted:
-                arg *= count
-            minus_arg[block] = arg.sum(axis=1)
-            q = np.multiply.outer(r2[block], coef2)
-            q -= cx
-            q -= cx
-            np.log1p(q, out=q)
-            if weighted:
-                q *= count
-            log_abs2[block] = q.sum(axis=1)
+        dz = x + 1j * y
+        # log M(z) - log M(theta) = -shape sum_j count_j log(1 - c_j v), v = dz,
+        # or dz (2 theta + dz) for mirrored pairs, whose arg may differ from the
+        # two factors' by 2 pi: harmless, as Laplace's shape * count is an integer
+        if cols.mirrored:
+            x, y = x * (2.0 * theta + x) - y * y, 2.0 * y * (theta + x)
+        parts = [block(x[lo:lo + rows], y[lo:lo + rows]) for lo in range(0, len(u), rows)]
+        minus_arg, log_abs2 = parts[0] if len(parts) == 1 else map(np.concatenate, zip(*parts))
         # |theta/z| <= 1 wherever p > 0 (there theta > 0), so its power
         # cannot overflow
-        dz = x + 1j * y
+        power = np.reciprocal(1.0 + dz / theta)
+        if p:
+            power **= p + 1.0
         return (
-            np.exp(shape * (1j * minus_arg - 0.5 * log_abs2) - dz * t)
+            np.exp(cols.shape * (1j * minus_arg - 0.5 * log_abs2) - dz * t)
             * (bend * sh + 1j * width * ch)
-            * np.reciprocal(1.0 + dz / theta) ** (p + 1.0)
+            * power
         )
 
     # Half-line trapezoid sum (the integrand is conjugate-symmetric in u).
@@ -435,13 +472,13 @@ def _bromwich(
             )
     # the walked terms are summed in runs of span nodes, whatever the chunk,
     # so the sum does not depend on how many nodes a call takes
-    f = np.concatenate(evens)
+    f = evens[0] if len(evens) == 1 else np.concatenate(evens)
     total, mass = 0.0, 0.0
     for lo in range(0, nodes, span):
         total += f[lo:lo + span].sum()
         mass += np.abs(f[lo:lo + span]).sum()
     estimate = h * total
-    f = np.concatenate(odds)
+    f = odds[0] if len(odds) == 1 else np.concatenate(odds)
     for halving in range(_MAX_HALVINGS):
         if halving:
             f = integrand(h * (np.arange(nodes) + 0.5)).imag
@@ -506,21 +543,21 @@ def cf_tail_inversion(d: Distribution, w: "WeightVector | Sequence[float]", t: f
                 return tail
     # in units of the power of two w.unit no weight scale over- or underflows,
     # and rescaling by it is exact
-    u, b, count, shape = prepared.columns
-    t_u = t / u
+    cols = prepared.columns
+    t_u = t / cols.u
     try:
         # K' increases, so the saddle lies between 0 and the hold exactly
         # when K'(hold) is at or past t; the solve is skipped then
-        hold, k_prime = prepared.holds[above]
+        hold, k_prime = prepared.hold(above)
         if (k_prime >= t_u) == above:
             theta = hold
         else:
-            theta = _solve_cumulant_prime(b, shape, t_u)
+            theta = _solve_cumulant_prime(*cols.k, t_u)
         # at theta > 0, P(S > t) <= M(theta) e^{-theta t}, the Chernoff bound
-        log_bound = cumulant(b, shape, theta) - theta * t_u
+        log_bound = cumulant(*cols.k, theta) - theta * t_u
         if theta > 0.0 and log_bound < _LOG_TINIEST - 1.0:
             return 0.0
-        integral, err = _bromwich(b, d.shape, theta, t_u, 0.0, count)
+        integral, err = _bromwich(cols, theta, t_u, 0.0)
     except (OverflowError, ZeroDivisionError) as exc:
         # far below the scale the saddle, near -n*shape/t, squares past float range
         raise NumericFailureError(f"saddle point out of float range at threshold {t!r}") from exc
@@ -555,8 +592,8 @@ def exact_tail(d: Distribution, w: "WeightVector | Sequence[float]", threshold: 
     if not math.isfinite(t):
         raise InvalidInputError(f"threshold must be finite, got {t!r}")
     try:
-        mixture = (hypoexp_mixture(w) if d.kind is LawKind.EXPONENTIAL
-                   else laplace_mixture(w) if d.kind is LawKind.LAPLACE else None)
+        mixture = (hypoexp_mixture(w) if d.kind is _KIND_EXPONENTIAL
+                   else laplace_mixture(w) if d.kind is _KIND_LAPLACE else None)
     except MixtureUnavailableError:
         mixture = None
     source = "cf_inversion" if mixture is None else "mixture"
@@ -578,6 +615,6 @@ def exact_tail(d: Distribution, w: "WeightVector | Sequence[float]", threshold: 
 def p_ge_mean(d: Distribution, w: "WeightVector | Sequence[float]") -> float:
     """P(S >= E S) via exact_tail (1/2 for Laplace by symmetry)."""
     w = as_weights(w)
-    if d.kind is LawKind.LAPLACE:
+    if d.kind is _KIND_LAPLACE:
         return 0.5
     return exact_tail(d, w, d.mean * w.l1)[0]

@@ -6,15 +6,16 @@ import types
 import mpmath as mp
 import numpy as np
 import pytest
-from verifiers import cumulant_sums_by_list, h_sup
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from verifiers import cumulant_sums_by_list, h_sup, rate_argmax
 
 from exptails import legendre
 from exptails.core import Distribution, InvalidInputError, UnsupportedLawError
 from exptails.legendre import (
     chernoff_tilt,
     cumulant,
-    cumulant_double_prime,
-    cumulant_prime,
+    cumulant_slopes,
     rate_function,
 )
 from exptails.special import h_closed
@@ -32,7 +33,7 @@ def log_mgf(d, theta):
 
 
 def log_mgf_prime(d, theta):
-    return cumulant_prime(d.scales([1.0]), d.shape, theta)
+    return cumulant_slopes(d.scales([1.0]), d.shape, theta)[0]
 
 
 class TestLogMgf:
@@ -74,7 +75,7 @@ class TestSumLogMgf:
         w = [2.0, 1.0]
         theta = 0.2
         expected = math.fsum(a * log_mgf_prime(LAP, theta * a) for a in w)
-        got = cumulant_prime(LAP.scales(w), LAP.shape, theta)
+        got = cumulant_slopes(LAP.scales(w), LAP.shape, theta)[0]
         assert math.isclose(got, expected, rel_tol=1e-14)
 
 
@@ -89,8 +90,7 @@ class TestBufferSums:
             for shape in (0.5, 3.0, np.exp(rng.uniform(-3.0, 3.0, len(b)))):
                 reach = 1.0 / np.abs(b).max()
                 for theta in (-0.9 * reach, -1e-3 * reach, 0.3 * reach, 0.99 * reach):
-                    got = (cumulant(b, shape, theta), cumulant_prime(b, shape, theta),
-                           cumulant_double_prime(b, shape, theta))
+                    got = (cumulant(b, shape, theta), *cumulant_slopes(b, shape, theta))
                     want = cumulant_sums_by_list(b, shape, theta)
                     assert [v.hex() for v in got] == [v.hex() for v in want[:3]]
                 # the saddle solve's first sum is its mean test
@@ -101,6 +101,36 @@ class TestBufferSums:
                     patch.setattr(legendre, "math", shim)
                     legendre._solve_cumulant_prime(b, shape, abs(want[3]) + 1.0)
                 assert sums[0].hex() == want[3].hex()
+
+
+class TestListForm:
+    """Scales as a list of floats with a list of shapes: the bits of the arrays, whatever the width."""
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=120)
+    @given(n=st.integers(1, 64), seed=st.integers(0, 2**32 - 1),
+           signed=st.booleans(), per_column=st.booleans())
+    @example(n=legendre.NARROW, seed=1, signed=True, per_column=True)
+    @example(n=legendre.NARROW + 1, seed=2, signed=False, per_column=False)
+    def test_lists_keep_the_bits_of_arrays(self, n, seed, signed, per_column):
+        rng = np.random.default_rng(seed)
+        b = np.exp(rng.uniform(-5.0, 5.0, n))
+        if signed:
+            b *= rng.choice([1.0, -1.0], n)
+        shape = np.exp(rng.uniform(-3.0, 3.0, n)) if per_column else float(np.exp(rng.uniform(-3.0, 3.0)))
+        listed = (b.tolist(), np.broadcast_to(shape, b.shape).tolist())
+        reach = 1.0 / np.abs(b).max()
+        for theta in (-0.9 * reach, -1e-3 * reach, 0.3 * reach, 0.99 * reach, 1.5 * reach):
+            assert cumulant(*listed, theta).hex() == cumulant(b, shape, theta).hex()
+            slopes = [v.hex() for v in cumulant_slopes(*listed, theta)]
+            assert slopes == [v.hex() for v in cumulant_slopes(b, shape, theta)]
+        mean = math.fsum(listed[0][j] * listed[1][j] for j in range(n))
+        sigma = math.sqrt(cumulant_slopes(b, shape, 0.0)[1])
+        for z in (-1.5, -0.1, 0.0, 0.5, 4.0):
+            target = mean + z * sigma
+            if z < 0.0 and not signed and target <= 0.0:
+                continue  # no root below the mean of a positive sum
+            got = legendre._solve_cumulant_prime(*listed, target)
+            assert type(got) is float and got.hex() == legendre._solve_cumulant_prime(b, shape, target).hex()
 
 
 class TestChernoffTilt:
@@ -134,7 +164,7 @@ class TestChernoffTilt:
                 target = mean_s + float(rng.uniform(0.2, 20.0)) * max(w)
                 theta = chernoff_tilt(d, w, target)
                 assert 0.0 < theta < 1.0 / max(w)
-                achieved = cumulant_prime(d.scales(w), d.shape, theta)
+                achieved = cumulant_slopes(d.scales(w), d.shape, theta)[0]
                 assert math.isclose(achieved, target, rel_tol=1e-9)
 
     def test_matches_mpmath_root(self):
@@ -162,11 +192,13 @@ class TestChernoffTilt:
         # Newton iterations when a converged step fell on the bracket end
         evaluations = []
 
+        slopes = legendre.cumulant_slopes
+
         def counted(*args):
             evaluations.append(args)
-            return cumulant_prime(*args)
+            return slopes(*args)
 
-        monkeypatch.setattr(legendre, "cumulant_prime", counted)
+        monkeypatch.setattr(legendre, "cumulant_slopes", counted)
         chernoff_tilt(Distribution.gamma(3.2003041941695285), [0.14627827318435258] * 8,
                       18.255628424904334)
         assert len(evaluations) <= 12
@@ -203,14 +235,28 @@ class TestChernoffTilt:
 class TestRateFunction:
     def test_exponential_frozen(self):
         # closed_forms.py: rate_exp_at_2 = 2 - 1 - log 2
-        res = rate_function(EXP, 2.0)
-        assert math.isclose(res.value, 0.306852819440054690583, rel_tol=1e-14)
-        assert math.isclose(res.theta_star, 0.5, rel_tol=1e-14)
+        rate = rate_function(EXP, 2.0)
+        assert math.isclose(rate, 0.306852819440054690583, rel_tol=1e-14)
+        theta = rate_argmax(EXP, 2.0)
+        assert math.isclose(theta, 0.5, rel_tol=1e-14)
+        assert math.isclose(2.0 * theta - log_mgf(EXP, theta), rate, rel_tol=1e-14)
 
     def test_gamma_frozen(self):
         # closed_forms.py: rate_gamma2_at_4 = 4 - 2 - 2 log 2
-        res = rate_function(GAMMA2, 4.0)
-        assert math.isclose(res.value, 0.613705638880109381166, rel_tol=1e-14)
+        rate = rate_function(GAMMA2, 4.0)
+        assert math.isclose(rate, 0.613705638880109381166, rel_tol=1e-14)
+        theta = rate_argmax(GAMMA2, 4.0)
+        assert math.isclose(4.0 * theta - log_mgf(GAMMA2, theta), rate, rel_tol=1e-14)
+
+    @pytest.mark.parametrize("d", [EXP, GAMMA2, Distribution.gamma(0.5)], ids=lambda d: d.label())
+    def test_the_rate_is_attained_at_its_argmax(self, d):
+        # t theta - psi(theta) is concave with its maximum, the rate, at theta*
+        for t in (1.5 * d.shape, 4.0 * d.shape, 30.0 * d.shape):
+            theta = rate_argmax(d, t)
+            assert math.isclose(log_mgf_prime(d, theta), t, rel_tol=1e-14)
+            rate = rate_function(d, t)
+            for off in (-1e-3, 1e-3):
+                assert t * (theta + off) - log_mgf(d, theta + off) < rate
 
     def test_laplace_equals_h(self):
         """The Laplace rate t theta* - psi(theta*) is h(t); rate_function has no Laplace form."""
@@ -229,7 +275,7 @@ class TestRateFunction:
             rate_function(LAP, 0.0)
 
     def test_rate_is_convex_increasing_beyond_mean(self):
-        values = [rate_function(EXP, t).value for t in np.linspace(1.1, 8.0, 40)]
+        values = [rate_function(EXP, t) for t in np.linspace(1.1, 8.0, 40)]
         diffs = np.diff(values)
         assert np.all(diffs > 0)
         assert np.all(np.diff(diffs) > 0)

@@ -17,6 +17,7 @@ from verifiers import (
 
 import exptails.oracle as oracle
 from exptails.core import Distribution, InvalidInputError, NumericFailureError, WeightVector, as_weights
+from exptails.legendre import NARROW
 from exptails.oracle import (
     ExpMixture,
     MixtureTerm,
@@ -271,7 +272,18 @@ class TestMixtureMemo(ColdRecords):
             assert p_ge_mean(d, w) > 0.0
             prepared = oracle._sum(d, as_weights(w))
             assert isinstance(prepared.mixture, ExpMixture)
+            # the contour part, its list form included, is never built
             assert not {"columns", "holds", "small_t"} & set(vars(prepared))
+
+    def test_each_side_holds_when_asked(self):
+        w = as_weights(ILL_CONDITIONED)  # the mixture is refused
+        prepared = oracle._sum(EXP, w)
+        mean = EXP.mean * w.l1
+        for t in (1.1 * mean, 2.0 * mean, 9.0 * mean):
+            assert exact_tail(EXP, w, t)[1] == "cf_inversion"
+        assert vars(prepared)["holds"].keys() == {True}
+        exact_tail(EXP, w, 0.8 * mean)
+        assert vars(prepared)["holds"].keys() == {True, False}
 
     def test_more_instances_than_the_bound(self):
         rng = np.random.default_rng(17)
@@ -339,20 +351,34 @@ class TestContourMemo(ColdRecords):
         assert oracle._sum.cache_info().misses == 1
 
     def test_the_arrays_are_read_only(self):
-        u, b, count, shape = oracle._sum(GAMMA05, as_weights([2.0, 1.0, 1.0])).columns
-        assert u == 2.0 and b.tolist() == [1.0, 0.5] and count.tolist() == [1.0, 2.0]
-        assert shape.tolist() == [0.5, 1.0]
-        for arr in (b, count, shape):
+        columns = oracle._sum(GAMMA05, as_weights([2.0, 1.0, 1.0])).columns
+        assert columns.u == 2.0 and columns.k == ([1.0, 0.5], [0.5, 1.0]) and columns.pole == 1.0
+        assert columns.coef_b.tolist() == [1.0, 0.5] and columns.count.tolist() == [1.0, 2.0]
+        wide = oracle._sum(GAMMA05, as_weights([1.0 + 0.01 * i for i in range(40)] + [1.0])).columns
+        assert [type(v) for v in wide.k] == [np.ndarray] * 2 and len(wide.k[0]) == 40
+        for arr in (columns.coef_b, columns.count, *wide.k, wide.count):
             with pytest.raises(ValueError, match="read-only"):
                 arr[0] = 3.0
-        assert b.tolist() == [1.0, 0.5]
+        assert columns.coef_b.tolist() == [1.0, 0.5]
 
     def test_the_laws_do_not_collide(self):
         w = as_weights([2.0, 1.0, 1.0])
         exp, gamma, lap = (oracle._sum(d, w).columns for d in (EXP, Distribution.gamma(1.0), LAP))
-        assert exp[3].tolist() == gamma[3].tolist() == [1.0, 2.0]
-        assert lap[1].tolist() == [1.0, 0.5, -1.0, -0.5]
+        assert exp.k[1] == gamma.k[1] == [1.0, 2.0] and not exp.mirrored
+        # the Laplace integrand takes each pair +-a as one column
+        assert lap.k[0] == [1.0, 0.5, -1.0, -0.5] and lap.mirrored
+        assert lap.coef_b.tolist() == [1.0, 0.5] and lap.count.tolist() == [1.0, 2.0]
         assert oracle._sum.cache_info().misses == 3
+
+    @pytest.mark.parametrize("n", [1, NARROW // 2, NARROW, NARROW + 1, 40])
+    def test_narrow_sums_take_lists(self, n):
+        # up to legendre.NARROW columns the cumulants take lists of floats
+        # (TestListForm: the bits of the arrays); a Laplace sum has 2n columns
+        w = as_weights([0.5 + 0.1 * i for i in range(n)])
+        for d, width in ((EXP, n), (LAP, 2 * n)):
+            k = oracle._sum(d, w).columns.k
+            assert len(k[0]) == len(k[1]) == width
+            assert all(type(v) is (list if width <= NARROW else np.ndarray) for v in k)
 
     def test_more_instances_than_the_bound(self):
         # equal weights make one gamma column, whose tail is a regularized
@@ -526,12 +552,11 @@ class TestExactTail:
     def test_columns_in_order_of_first_occurrence(self, n):
         rng = np.random.default_rng(n)
         for b in (rng.choice([0.5, 2.0, -1.0, 0.75, -3.0], n), rng.uniform(-2.0, 2.0, n)):
-            values, count = oracle._columns(b)
+            counted = oracle._columns(b)
             seen = {}
             for v in b.tolist():
                 seen[v] = seen.get(v, 0) + 1
-            assert values.tolist() == list(seen) and count.tolist() == list(seen.values())
-            assert values.dtype == count.dtype == np.float64
+            assert list(counted.items()) == list(seen.items())
 
     def test_thousand_equal_weights_are_one_column(self):
         # the contour takes the equal weights as one gamma(1000) column

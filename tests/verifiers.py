@@ -13,6 +13,7 @@ sums the partial fractions of distinct weights at 80 digits.
 at every threshold, the bits ``ExpMixture.tail`` must keep.
 ``cumulant_sums_by_list`` takes K, K', K'' and the mean test of the saddle
 solve through list copies, the bits the cumulants must keep.
+``rate_argmax`` is where the Cramer rate of a gamma summand is attained.
 """
 
 import math
@@ -300,3 +301,8 @@ def cumulant_sums_by_list(b: np.ndarray, shape, theta: float) -> tuple[float, fl
     k1 = math.fsum((b * (shape / (1.0 - b * theta))).tolist())
     k2 = math.fsum((b * b * (shape / (1.0 - b * theta) ** 2)).tolist())
     return k, k1, k2, math.fsum((b * shape).tolist())
+
+
+def rate_argmax(d: Distribution, t: float) -> float:
+    """theta* = 1 - g/t, where t theta - psi(theta) of one gamma(g) summand attains the rate."""
+    return 1.0 - d.shape / t
