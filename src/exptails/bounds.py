@@ -19,7 +19,6 @@ from .core import (
     InvalidInputError,
     LawKind,
     UnsupportedLawError,
-    WeightStats,
     WeightVector,
     as_weights,
 )
@@ -63,34 +62,46 @@ def _check_t(t: float) -> float:
     return t
 
 
-def janson_upper(t: float, stats: WeightStats) -> BoundValue:
+def _alpha_exp(w: "WeightVector | Sequence[float]") -> float:
+    """alpha = l1/a_max, which drives the one-sided (exponential and gamma) bounds."""
+    w = as_weights(w)
+    return w.l1 / w.a_max
+
+
+def _alpha_sym(w: "WeightVector | Sequence[float]") -> float:
+    """alpha = sqrt(2) l2/a_max, which drives the Laplace bounds: sigma/a_max of the sum."""
+    w = as_weights(w)
+    return math.sqrt(2.0) * w.l2 / w.a_max
+
+
+def janson_upper(t: float, w: "WeightVector | Sequence[float]") -> BoundValue:
     """Upper tail bound (1/t) exp(-alpha (t-1-log t)) for P(S >= t E S), exponential sums."""
     t = _check_t(t)
-    alpha = stats.alpha_exp
+    alpha = _alpha_exp(w)
     log_value = -math.log(t) - alpha * (t - 1.0 - math.log(t))
     return _make(log_value, BoundKind.JANSON_UPPER, valid=t > 1.0)
 
 
-def janson_lower(t: float, stats: WeightStats) -> BoundValue:
+def janson_lower(t: float, w: "WeightVector | Sequence[float]") -> BoundValue:
     """Lower tail bound (1/(2 e alpha)) exp(-alpha (t-1)) for P(S >= t E S), exponential sums."""
     t = _check_t(t)
-    alpha = stats.alpha_exp
+    alpha = _alpha_exp(w)
     log_value = -math.log(2.0 * math.e * alpha) - alpha * (t - 1.0)
     return _make(log_value, BoundKind.JANSON_LOWER, valid=t > 1.0)
 
 
-def laplace_upper(t: float, stats: WeightStats) -> BoundValue:
+def laplace_upper(t: float, w: "WeightVector | Sequence[float]") -> BoundValue:
     """Upper bound exp(-(alpha^2/2) h(2t/alpha)) for P(S > t sqrt(Var S)), Laplace sums."""
     t = _check_t(t)
-    alpha = stats.alpha_sym
+    alpha = _alpha_sym(w)
     log_value = -0.5 * alpha * alpha * h_closed(2.0 * t / alpha)
     return _make(log_value, BoundKind.LAPLACE_UPPER, valid=True)
 
 
-def laplace_lower(t: float, stats: WeightStats) -> BoundValue:
+def laplace_lower(t: float, w: "WeightVector | Sequence[float]") -> BoundValue:
     """Lower bound (1/57) (alpha t)^(-1/2) exp(-alpha t) for P(S > t sqrt(Var S)), t >= 1."""
     t = _check_t(t)
-    at = stats.alpha_sym * t
+    at = _alpha_sym(w) * t
     log_value = -math.log(57.0) - 0.5 * math.log(at) - at
     return _make(log_value, BoundKind.LAPLACE_LOWER, valid=t >= 1.0)
 
@@ -107,9 +118,8 @@ def generic_upper(d: Distribution, w: "WeightVector | Sequence[float]", t: float
     the bound degenerates to 1 with valid=False.
     """
     _require_nonnegative(d, "generic_upper")
-    w = as_weights(w)
+    alpha = _alpha_exp(w)
     t = _check_t(t)
-    alpha = w.l1 / w.a_max
     rate = rate_function(d, d.mean * t) if t > 1.0 else 0.0
     return _make(-alpha * rate, BoundKind.GENERIC_UPPER, valid=t > 1.0)
 
@@ -138,12 +148,11 @@ def generic_lower(
     result is flagged invalid.
     """
     _require_nonnegative(d, "generic_lower")
-    w = as_weights(w)
+    alpha = _alpha_exp(w)
     t = _check_t(t)
     p_ge_mean = float(p_ge_mean)
     if not 0.0 < p_ge_mean <= 1.0:
         raise InvalidInputError(f"p_ge_mean must be in (0, 1], got {p_ge_mean!r}")
-    alpha = w.l1 / w.a_max
     v = (t - 1.0) * alpha * d.mean
     log_r = _log_r_function(d, v) if v > 0.0 else 0.0
     return _make(math.log(p_ge_mean) + log_r, BoundKind.GENERIC_LOWER, valid=t > 1.0)
@@ -152,7 +161,6 @@ def generic_lower(
 def sandwich_pair(
     d: Distribution,
     w: "WeightVector | Sequence[float]",
-    stats: WeightStats,
     t: float,
     p_ge_mean: "float | None",
 ) -> tuple[BoundValue, BoundValue]:
@@ -164,9 +172,9 @@ def sandwich_pair(
     ignore it.
     """
     if d.kind is LawKind.LAPLACE:
-        return laplace_lower(t, stats), laplace_upper(t, stats)
+        return laplace_lower(t, w), laplace_upper(t, w)
     if d.kind is LawKind.EXPONENTIAL:
-        return janson_lower(t, stats), janson_upper(t, stats)
+        return janson_lower(t, w), janson_upper(t, w)
     return generic_lower(d, w, t, p_ge_mean), generic_upper(d, w, t)
 
 

@@ -31,13 +31,11 @@ from .core import (
     InvalidInputError,
     LawKind,
     NumericFailureError,
-    WeightStats,
     WeightVector,
     format_float,
     json_dumps,
     parse_weights,
     threshold_unit,
-    weight_stats,
 )
 
 _DISTS = ("exponential", "gamma", "laplace")
@@ -156,10 +154,10 @@ def _make_distribution(config: RunConfig) -> Distribution:
 
 
 def _resolve_thresholds(
-    config: RunConfig, d: Distribution, stats: WeightStats
+    config: RunConfig, d: Distribution, w: WeightVector
 ) -> list[tuple[float, float]]:
-    """[(relative, absolute)] threshold pairs, each member finite."""
-    unit = threshold_unit(d, stats)
+    """[(relative, absolute)] threshold pairs, each member finite, and positive for bounds."""
+    unit = threshold_unit(d, w)
     if config.t is not None:
         option, given = "--t", config.t
         pairs = [(t, t * unit) for t in given]
@@ -171,12 +169,12 @@ def _resolve_thresholds(
             raise InvalidInputError(
                 f"{option} {value!r} leaves float range in threshold units of {unit!r}"
             )
+        if config.subcommand == "bounds" and not value > 0.0:
+            raise InvalidInputError(f"bounds need {option} above 0, got {value!r}")
     return pairs
 
 
-def _bound_rows(
-    d: Distribution, w: WeightVector, stats: WeightStats, pairs: list[tuple[float, float]]
-) -> list[dict]:
+def _bound_rows(d: Distribution, w: WeightVector, pairs: list[tuple[float, float]]) -> list[dict]:
     from .bounds import generic_lower, generic_upper, s_inequality_upper, sandwich_pair
     from .oracle import p_ge_mean
 
@@ -184,7 +182,7 @@ def _bound_rows(
     p_mean = p_ge_mean(d, w) if d.nonnegative else None
     for t, threshold in pairs:
         # the law's pair, the generic pair beside Janson's, the power bound
-        bounds = list(sandwich_pair(d, w, stats, t, p_mean))
+        bounds = list(sandwich_pair(d, w, t, p_mean))
         if d.kind is LawKind.EXPONENTIAL:
             bounds += [generic_lower(d, w, t, p_mean), generic_upper(d, w, t)]
         if d.nonnegative:
@@ -300,10 +298,9 @@ def _run_table_subcommand(config: RunConfig, w: WeightVector) -> int:
     if config.subcommand == "moments":
         rows = _moment_rows(d, w, config)
     else:
-        stats = weight_stats(w, d)
-        pairs = _resolve_thresholds(config, d, stats)
+        pairs = _resolve_thresholds(config, d, w)
         if config.subcommand == "bounds":
-            rows = _bound_rows(d, w, stats, pairs)
+            rows = _bound_rows(d, w, pairs)
         elif config.subcommand == "exact":
             rows = _exact_rows(d, w, pairs)
         else:
@@ -320,19 +317,19 @@ def _run_verify(config: RunConfig) -> int:
     rows = sandwich_report(
         SandwichConfig(distribution=d, instances=config.instances, seed=config.seed, **grid)
     )
-    suite = property_suite(config.seed)
-    all_pass = all(r.passed for r in rows) and suite.passed
+    results = property_suite(config.seed)
+    all_pass = all(r.passed for r in (*rows, *results))
     sandwich = [r.as_dict() for r in rows]
-    properties = [r.as_dict() for r in suite.results]
+    properties = [r.as_dict() for r in results]
     header = [f"property {r['name']} pass={_csv_cell(r['pass'])}" for r in properties]
     header.append(f"suite_pass={_csv_cell(all_pass)}")
     _emit(config, {"sandwich": sandwich, "properties": properties, "pass": all_pass},
           sandwich, header)
     failing = sum(1 for r in rows if not r.passed)
-    prop_fail = sum(1 for r in suite.results if not r.passed)
+    prop_fail = sum(1 for r in results if not r.passed)
     print(
         f"verify: {len(rows)} rows ({failing} failing), "
-        f"{len(suite.results)} properties ({prop_fail} failing)",
+        f"{len(results)} properties ({prop_fail} failing)",
         file=sys.stderr,
     )
     return 0 if all_pass else 2

@@ -219,11 +219,12 @@ def parse_weights(text: str) -> WeightVector:
 
 @dataclass(frozen=True)
 class WeightStats:
-    """The law-dependent statistics of a weight vector (its norms are WeightVector's).
+    """The law-dependent statistics of a weight vector: sigma, E S and the bounds' alphas.
 
-    ``alpha_exp`` = l1/a_max drives the one-sided (exponential/gamma) bounds;
-    ``alpha_sym`` = sqrt(2)*l2/a_max drives the symmetric (Laplace) bounds and
-    equals sigma/a_max under the Laplace law.
+    Nothing in the package calls ``weight_stats``: the bounds and
+    ``threshold_unit`` take the law and the weights.  Both stay while the
+    benchmark's tracer names ``core.weight_stats``, and go with
+    ``special.gamma_upper_tail`` once it stops.
     """
 
     sigma: float
@@ -243,9 +244,10 @@ def weight_stats(w: "WeightVector | Sequence[float]", d: Distribution) -> Weight
     )
 
 
-def threshold_unit(d: Distribution, stats: WeightStats) -> float:
+def threshold_unit(d: Distribution, w: "WeightVector | Sequence[float]") -> float:
     """Absolute size of one relative threshold unit: E S for nonnegative sums, sigma otherwise."""
-    return stats.mean_s if d.nonnegative else stats.sigma
+    w = as_weights(w)
+    return d.mean * w.l1 if d.nonnegative else math.sqrt(d.variance) * w.l2
 
 
 def format_float(x: float) -> str:

@@ -5,15 +5,15 @@ the pair is the law's ``bounds.sandwich_pair``, with the Paley-Zygmund
 floor standing in for P(S >= E S), and the middle is the exact oracle; a
 NumericFailureError from it propagates (the CLI exits 3).
 ``property_suite`` re-runs the library's mathematical invariants on random
-instances and reports witnesses for any failure.  Both draw their instances
-from ``random_instances``, which rejects a seed that is not a non-negative
-integer.
+instances and returns one result per invariant, with a witness for any
+failure.  Both draw their instances from ``random_instances``, which rejects
+a seed that is not a non-negative integer.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -25,7 +25,6 @@ from .core import (
     check_seed,
     format_float,
     threshold_unit,
-    weight_stats,
 )
 from .oracle import exact_tail, p_ge_mean
 from .special import gaussian_tail, gaussian_tail_lower, h_closed
@@ -87,16 +86,6 @@ class PropertyResult(_Record):
     witness: str = ""
 
 
-@dataclass(frozen=True)
-class PropertySuiteReport:
-    seed: int
-    results: tuple[PropertyResult, ...] = field(default_factory=tuple)
-
-    @property
-    def passed(self) -> bool:
-        return all(r.passed for r in self.results)
-
-
 def random_instances(seed: int, count: int) -> list[WeightVector]:
     """Seeded random weight vectors: n uniform, weights log-uniform."""
     seed = check_seed(seed)
@@ -122,10 +111,9 @@ def sandwich_report(config: SandwichConfig) -> list[SandwichRow]:
     # universal floor on P(S >= E S), the only unknown in the generic lower bound
     floor = pz_bound(3.0 * (1.0 + 2.0 / d.shape)) if d.nonnegative else None
     for idx, w in enumerate(random_instances(config.seed, config.instances)):
-        stats = weight_stats(w, d)
-        unit = threshold_unit(d, stats)
+        unit = threshold_unit(d, w)
         for t in config.t_grid:
-            lower, upper = (b.value for b in sandwich_pair(d, w, stats, t, floor))
+            lower, upper = (b.value for b in sandwich_pair(d, w, t, floor))
             exact, source = exact_tail(d, w, t * unit)
             rows.append(
                 SandwichRow(
@@ -254,9 +242,9 @@ def _prop_asymptotic_order(seed: int) -> PropertyResult:
     instances = random_instances(seed, 10)
     d = Distribution.laplace()
     for w in instances:
-        stats = weight_stats(w, d)
-        tail = exact_tail(d, w, t * stats.sigma)[0]
-        ratio = -math.log(tail) / (stats.alpha_sym * t)
+        sigma = threshold_unit(d, w)
+        tail = exact_tail(d, w, t * sigma)[0]
+        ratio = -math.log(tail) / (sigma / w.a_max * t)  # alpha = sigma/a_max for Laplace sums
         if not (0.9 <= ratio <= 1.1):
             bad.append((w, ratio))
     return PropertyResult(
@@ -277,7 +265,6 @@ _PROPERTY_CHECKS = (
 )
 
 
-def property_suite(seed: int) -> PropertySuiteReport:
+def property_suite(seed: int) -> tuple[PropertyResult, ...]:
     """Re-run the library's mathematical invariants on seeded random instances."""
-    results = tuple(check(seed) for check in _PROPERTY_CHECKS)
-    return PropertySuiteReport(seed=seed, results=results)
+    return tuple(check(seed) for check in _PROPERTY_CHECKS)

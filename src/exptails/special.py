@@ -1,7 +1,8 @@
 """Scalar special functions: the Erlang tail Q(k+1, x), the Laplace rate
 shape h of the bounds, and the standard normal tail with its lower bound.
 
-Each is elementary float arithmetic; nothing here imports scipy.
+Each is elementary float arithmetic; nothing here imports scipy.  No package
+route calls the Erlang tail; it stays while the benchmark's trace counts it.
 """
 
 from __future__ import annotations

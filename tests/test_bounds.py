@@ -22,54 +22,61 @@ from exptails.bounds import (
     moment_bounds,
     pz_bound,
     s_inequality_upper,
+    sandwich_pair,
 )
-from exptails.core import Distribution, InvalidInputError, UnsupportedLawError, weight_stats
+from exptails.core import (
+    Distribution,
+    InvalidInputError,
+    UnsupportedLawError,
+    WeightVector,
+    threshold_unit,
+)
+from exptails.special import h_closed
 
 EXP = Distribution.exponential()
 LAP = Distribution.laplace()
-STATS_21_EXP = weight_stats([2, 1], EXP)
-STATS_21_LAP = weight_stats([2, 1], LAP)
+W21 = [2, 1]
 
 
 class TestJansonPair:
     def test_frozen_values_at_t2(self):
         # closed_forms.py: janson_lower_t2 / janson_upper_t2 for weights (2,1)
-        lo = janson_lower(2.0, STATS_21_EXP)
-        hi = janson_upper(2.0, STATS_21_EXP)
+        lo = janson_lower(2.0, W21)
+        hi = janson_upper(2.0, W21)
         assert math.isclose(lo.value, 0.0273616662079662650565, rel_tol=1e-14)
         assert math.isclose(hi.value, 0.315553698656390155072, rel_tol=1e-14)
         assert lo.kind is BoundKind.JANSON_LOWER
         assert lo.valid and hi.valid
 
     def test_degenerate_below_t1(self):
-        assert not janson_upper(1.0, STATS_21_EXP).valid
-        assert not janson_lower(0.5, STATS_21_EXP).valid
-        assert janson_upper(1.0, STATS_21_EXP).value == 1.0
+        assert not janson_upper(1.0, W21).valid
+        assert not janson_lower(0.5, W21).valid
+        assert janson_upper(1.0, W21).value == 1.0
 
     def test_ordering_on_grid(self):
         for t in (1.1, 1.5, 2.0, 3.0, 5.0, 10.0):
-            assert janson_lower(t, STATS_21_EXP).value < janson_upper(t, STATS_21_EXP).value
+            assert janson_lower(t, W21).value < janson_upper(t, W21).value
 
     def test_rejects_bad_t(self):
         for bad in (0.0, -1.0, math.inf, math.nan):
             with pytest.raises(InvalidInputError):
-                janson_upper(bad, STATS_21_EXP)
+                janson_upper(bad, W21)
 
 
 class TestLaplacePair:
     def test_frozen_values_at_t2(self):
         # closed_forms.py: laplace_upper_t2 / laplace_lower_t2 for weights (2,1)
-        hi = laplace_upper(2.0, STATS_21_LAP)
-        lo = laplace_lower(2.0, STATS_21_LAP)
+        hi = laplace_upper(2.0, W21)
+        lo = laplace_lower(2.0, W21)
         assert math.isclose(hi.value, 0.252953855321830831452, rel_tol=1e-14)
         assert math.isclose(lo.value, 0.000417604727319060125706, rel_tol=1e-14)
 
     def test_lower_needs_t_at_least_1(self):
-        assert laplace_lower(0.5, STATS_21_LAP).valid is False
-        assert laplace_lower(1.0, STATS_21_LAP).valid is True
+        assert laplace_lower(0.5, W21).valid is False
+        assert laplace_lower(1.0, W21).valid is True
 
     def test_upper_underflows_to_zero_cleanly(self):
-        b = laplace_upper(1e6, STATS_21_LAP)
+        b = laplace_upper(1e6, W21)
         assert b.value == 0.0
         assert b.log_value < -745.0
         assert math.isfinite(b.log_value)
@@ -94,8 +101,7 @@ class TestGenericPair:
             n = int(rng.integers(1, 9))
             w = list(np.exp(rng.uniform(math.log(0.1), math.log(10.0), n)))
             t = float(rng.uniform(1.01, 12.0))
-            stats = weight_stats(w, EXP)
-            diff = generic_upper(EXP, w, t).log_value - janson_upper(t, stats).log_value
+            diff = generic_upper(EXP, w, t).log_value - janson_upper(t, w).log_value
             assert abs(diff - math.log(t)) <= 1e-12
 
     def test_lower_is_p_times_r(self):
@@ -122,6 +128,69 @@ class TestGenericPair:
             lo = generic_lower(d, [3, 1], t, floor).value
             hi = generic_upper(d, [3, 1], t).value
             assert lo < hi
+
+
+
+def _seeded_weights():
+    """Weight vectors with n from 1 to 64, weights log-uniform on [1e-3, 1e3]."""
+    rng = np.random.default_rng(23)
+    for n in (1, 64, *rng.integers(1, 65, 10)):
+        yield tuple(float(v) for v in np.exp(rng.uniform(math.log(1e-3), math.log(1e3), int(n))))
+
+
+PIN_T = (0.5, 1.0, 1.1, 2.0, 10.0, 1e3)
+
+
+def _forms(values):
+    """The same weights as a list, a tuple and a WeightVector built apart from the memo."""
+    return [list(values), tuple(values), WeightVector(tuple(values))]
+
+
+def _closed_log_values(w: WeightVector, t: float) -> dict:
+    """Each family's log bound written out from l1, l2 and a_max."""
+    a_exp = w.l1 / w.a_max
+    a_sym = math.sqrt(2.0) * w.l2 / w.a_max
+    return {
+        janson_upper: -math.log(t) - a_exp * (t - 1.0 - math.log(t)),
+        janson_lower: -math.log(2.0 * math.e * a_exp) - a_exp * (t - 1.0),
+        laplace_upper: -0.5 * a_sym * a_sym * h_closed(2.0 * t / a_sym),
+        laplace_lower: -math.log(57.0) - 0.5 * math.log(a_sym * t) - a_sym * t,
+    }
+
+
+class TestWeightSignatures:
+    """The bounds take the weights in any form and give the same bits."""
+
+    def test_family_bounds_match_the_closed_forms(self):
+        for values in _seeded_weights():
+            w = WeightVector(values)
+            for t in PIN_T:
+                for bound, log_value in _closed_log_values(w, t).items():
+                    got = [bound(t, form) for form in _forms(values)]
+                    assert got[0].log_value == log_value, (bound.__name__, values, t)
+                    assert got[0] == got[1] == got[2], (bound.__name__, values, t)
+
+    def test_sandwich_pair_is_the_family_pair(self):
+        gamma = Distribution.gamma(0.5)
+        floor = pz_bound(3.0 * (1.0 + 2.0 / 0.5))
+        for values in _seeded_weights():
+            for t in PIN_T:
+                want = {
+                    EXP: (janson_lower(t, values), janson_upper(t, values)),
+                    LAP: (laplace_lower(t, values), laplace_upper(t, values)),
+                    gamma: (generic_lower(gamma, values, t, floor), generic_upper(gamma, values, t)),
+                }
+                for d, pair in want.items():
+                    for form in _forms(values):
+                        assert sandwich_pair(d, form, t, floor) == pair, (d.label(), values, t)
+
+    def test_threshold_unit_is_the_mean_or_sigma(self):
+        laws = (EXP, LAP, Distribution.gamma(0.5), Distribution.gamma(2.0))
+        for values in _seeded_weights():
+            w = WeightVector(values)
+            for d in laws:
+                want = d.mean * w.l1 if d.nonnegative else math.sqrt(d.variance) * w.l2
+                assert [threshold_unit(d, form) for form in _forms(values)] == [want] * 3
 
 
 class TestRFunction:

@@ -18,7 +18,7 @@ import exptails.harness as harness
 import exptails.montecarlo as montecarlo
 import exptails.oracle as oracle
 from exptails.core import Distribution, NumericFailureError, WeightVector
-from exptails.harness import PropertyResult, PropertySuiteReport
+from exptails.harness import PropertyResult
 from exptails.cli import run
 from exptails.oracle import exact_tail
 
@@ -186,6 +186,23 @@ class TestBoundsCommand:
         # absolute thresholds divide by E S = 3 to recover t
         ts = sorted({r["t"] for r in payload["rows"]})
         assert ts == [2.0, 3.0]
+
+    @pytest.mark.parametrize(
+        "dist, thresholds, message",
+        [
+            ("laplace", ["--threshold", "-3"], "bounds need --threshold above 0, got -3.0"),
+            ("laplace", ["--t", "2,-0.5"], "bounds need --t above 0, got -0.5"),
+            ("exponential", ["--threshold", "6,0"], "bounds need --threshold above 0, got 0.0"),
+            ("exponential", ["--t", "0"], "bounds need --t above 0, got 0.0"),
+        ],
+    )
+    def test_nonpositive_threshold_names_the_value_given(self, capsys, dist, thresholds, message):
+        # the error names the option and its value, not the threshold in units of the scale
+        argv = ["bounds", "--dist", dist, "--weights", "2,1", *thresholds]
+        assert run(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"exptails: error: {message}\n"
 
     def test_csv_format(self, capsys):
         code = run(
@@ -553,7 +570,7 @@ class TestVerifyCommand:
                 name="squared_weight_floor", passed=False,
                 detail="forced failure", witness="(1)",
             )
-            return PropertySuiteReport(seed=seed, results=(result,))
+            return (result,)
 
         monkeypatch.setattr(harness, "property_suite", failing_suite)
         argv = ["verify", "--dist", "laplace", "--instances", "1", "--t", "2"]

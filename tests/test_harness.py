@@ -12,7 +12,7 @@ from exptails import harness
 from exptails.cli import _COLUMNS, _table_csv
 from exptails.core import Distribution, InvalidInputError, json_dumps, threshold_unit
 from exptails.harness import (
-    PropertySuiteReport,
+    PropertyResult,
     SandwichConfig,
     SandwichRow,
     property_suite,
@@ -91,9 +91,9 @@ class TestSandwichReport:
         # tolerance would pass any lower bound
         sandwich_pair = harness.sandwich_pair
 
-        def raised_lower(d, w, stats, t, floor):
-            lower, upper = sandwich_pair(d, w, stats, t, floor)
-            exact = exact_tail(d, w, t * threshold_unit(d, stats))[0]
+        def raised_lower(d, w, t, floor):
+            lower, upper = sandwich_pair(d, w, t, floor)
+            exact = exact_tail(d, w, t * threshold_unit(d, w))[0]
             return dataclasses.replace(lower, value=1.1 * exact), upper
 
         monkeypatch.setattr(harness, "sandwich_pair", raised_lower)
@@ -149,14 +149,13 @@ class TestRandomInstances:
 
 class TestPropertySuite:
     def test_all_invariants_hold(self):
-        report = property_suite(0)
-        assert isinstance(report, PropertySuiteReport)
-        for result in report.results:
+        results = property_suite(0)
+        assert all(isinstance(result, PropertyResult) for result in results)
+        for result in results:
             assert result.passed, (result.name, result.detail, result.witness)
-        assert report.passed
 
     def test_expected_check_names(self):
-        names = [r.name for r in property_suite(0).results]
+        names = [r.name for r in property_suite(0)]
         assert names == [
             "squared_weight_floor",
             "gaussian_tail_lower",
@@ -170,10 +169,9 @@ class TestPropertySuite:
         assert property_suite(3) == property_suite(3)
 
     def test_other_seed_also_passes(self):
-        assert property_suite(3).passed
+        assert all(r.passed for r in property_suite(3))
 
     def test_results_serialize(self):
-        report = property_suite(0)
-        for result in report.results:
+        for result in property_suite(0):
             entry = json.loads(json.dumps(result.as_dict()))
             assert set(entry) == {"name", "pass", "detail", "witness"}

@@ -1,4 +1,5 @@
-"""The package namespace, and the names the benchmark under perfbench/ looks up."""
+"""The package namespace, the names the benchmark under perfbench/ looks up, and the
+README's quick start."""
 
 import importlib
 import importlib.util
@@ -98,3 +99,20 @@ def test_star_import_binds_every_name():
     exec("from exptails import *", namespace)
     for name in PACKAGE_NAMES:
         assert namespace[name] is vars(exptails)[name], name
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def test_readme_quick_start_runs_as_shown(capsys):
+    text = README.read_text(encoding="utf-8")
+    start = text.index("```python\n", text.index("## Quick start")) + len("```python\n")
+    code = text[start:text.index("```\n", start)]
+    namespace: dict = {}
+    exec(compile(code, "README.md quick start", "exec"), namespace)  # runs its assert
+    values = (namespace["lower"].value, namespace["exact"], namespace["upper"].value)
+    bracket = " <= ".join(f"{v:.4f}" for v in values)
+    assert bracket == "0.0274 <= 0.0971 <= 0.3156"
+    assert f"# {bracket}\n" in code
+    assert capsys.readouterr().out == "0.09573 in [0.09473, 0.09674]\n"
+    assert code.endswith("\n# 0.09573 in [0.09473, 0.09674]\n")
