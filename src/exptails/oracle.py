@@ -62,6 +62,7 @@ _BLOCK = 1 << 13
 _ROUNDING = 4.0 * sys.float_info.epsilon
 # Veltkamp's splitting constant 2^27 + 1: halves of 26 bits multiply exactly
 _SPLIT = 134217729.0
+_FLOAT_MIN = sys.float_info.min
 # an enum member lookup costs a mixture op about 0.1 us; a module global less
 _KIND_EXPONENTIAL, _KIND_GAMMA, _KIND_LAPLACE = LawKind.EXPONENTIAL, LawKind.GAMMA, LawKind.LAPLACE
 
@@ -79,20 +80,26 @@ class ExpMixture:
 
     The coefficients sum to 1.  ``top`` is the tail at 0+: 1 for a
     nonnegative sum, 1/2 for a symmetric (Laplace) one, whose upper tail is
-    half the coefficient-weighted exponential tails.
+    half the coefficient-weighted exponential tails.  No terms, no nonzero
+    coef, a coef not finite, a scale outside (0, inf) or another ``top`` is an
+    InvalidInputError.
     """
 
     terms: tuple[MixtureTerm, ...]
     top: float
 
     def __post_init__(self):
-        # per term (coef, scale, e, m, m_hi, m_lo), scale = m 2^e with m split
-        # into Veltkamp halves m_hi + m_lo: the threshold-free part of ``tail``
+        # per term (coef, e, m, m_hi, m_lo), scale = m 2^e with m split into
+        # Veltkamp halves m_hi + m_lo: the threshold-free part of ``tail``
+        if self.top not in (1.0, 0.5) or not any(coef for coef, _ in self.terms):
+            raise InvalidInputError(f"a mixture needs top 1 or 1/2 and a nonzero coefficient: {self!r}")
         split = []
-        for coef, scale in self.terms:
+        for j, (coef, scale) in enumerate(self.terms):
+            if not (math.isfinite(coef) and 0.0 < scale < math.inf):
+                raise InvalidInputError(f"mixture term {j + 1} needs a finite coef and a scale in (0, inf)")
             m, e = math.frexp(scale)
             m_hi = _SPLIT * m - (_SPLIT * m - m)
-            split.append((coef, scale, e, m, m_hi, m - m_hi))
+            split.append((coef, e, m, m_hi, m - m_hi))
         object.__setattr__(self, "_split", tuple(split))
 
     @property
@@ -119,27 +126,29 @@ class ExpMixture:
         # dx = (t - x scale)/scale and would grow the tail's relative error to
         # about x eps.  In units of the power of two next to scale, x scale
         # splits error-free (Dekker) without overflow; to first order the tail
-        # moves by -dx e^-x
+        # moves by -dx e^-x.  Where e^-x underflows to 0 the term is coef * 0
+        # whatever dx, so the correction is skipped
         parts = []
-        for coef, scale, e, m, m_hi, m_lo in self._split:
-            if t / scale > 1e300:
-                continue  # the tail is 0, and t/scale may overflow
-            r = math.ldexp(t, -e)
+        for coef, e, m, m_hi, m_lo in self._split:
+            try:
+                r = math.ldexp(t, -e)
+            except OverflowError:
+                continue  # t/scale is past float range: the tail is 0
             x = r / m
+            q = math.exp(-x)
             dx = 0.0
-            if x >= sys.float_info.min:
+            if q and x >= _FLOAT_MIN:
                 p = x * m
                 hi = _SPLIT * x
                 x_hi = hi - (hi - x)
                 x_lo = x - x_hi
                 p_err = ((x_hi * m_hi - p) + x_hi * m_lo + x_lo * m_hi) + x_lo * m_lo
                 dx = ((r - p) - p_err) / m
-            q = math.exp(-x)
             parts.append(coef * (q - dx * q))
         # a symmetric mixture's upper tail is half its exponential sum: the
         # scale is the range end
         value = self.top * math.fsum(parts)
-        if value < sys.float_info.min:
+        if value < _FLOAT_MIN:
             # exponential tails below the normal range lose relative accuracy,
             # and the signed sum may cancel into them; it is bounded by
             # sum |coef| times the tail at the largest scale
@@ -178,12 +187,13 @@ def _build_mixture(weights: tuple[float, ...], two_sided: bool) -> "ExpMixture |
     terms: list[MixtureTerm] = []
     abs_sum = 0.0
     for j, b in enumerate(scales):
-        others = [bk / b for bk in scales[:j] + scales[j + 1:]]
+        prod = 1.0
+        for k, bk in enumerate(scales):
+            if k != j:
+                e = bk / b
+                prod *= (1.0 - e) * (1.0 + e) if two_sided else 1.0 - e
         try:
-            if two_sided:
-                coef = 1.0 / math.prod([(1.0 - e) * (1.0 + e) for e in others])
-            else:
-                coef = 1.0 / math.prod([1.0 - e for e in others])
+            coef = 1.0 / prod
         except ZeroDivisionError:
             clash = b in scales[j + 1:j + 2]
             why = f"coincides with pole {j + 2}" if clash else "leaves float range"

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from scipy.special import gammaincc
 from verifiers import (
+    build_mixture_by_slices,
     mixture_parity,
     mixture_tail_sum,
     mp_partial_fraction_tail,
@@ -172,6 +173,39 @@ class TestMixtureParity:
         for w, _, message in rejected:
             if len(set(w)) == len(w):
                 assert re.search("too large|do not sum to 1", message), message
+
+    def test_builder_keeps_the_reference_bits(self):
+        # the running product per pole makes the IEEE operations of
+        # 1/math.prod over the sliced list: same coefficients, same refusals
+        rng = np.random.default_rng(24)
+        vectors = [np.exp(rng.uniform(math.log(0.1), math.log(10.0), n)).tolist() for n in range(1, 65)]
+        # neighbours a factor 2 to 4 apart keep sum |coef| small: built at every n
+        vectors += [np.exp2(np.cumsum(rng.uniform(1.0, 2.0, n)) - n).tolist() for n in range(1, 65)]
+        for _ in range(60):
+            # near-equal: neighbours 0.3% to 30% apart
+            n = int(rng.integers(2, 13))
+            gaps = np.exp(rng.uniform(math.log(3e-3), math.log(0.3), n - 1))
+            vectors.append((rng.uniform(0.5, 2.0) * np.cumprod(np.r_[1.0, 1.0 + gaps])).tolist())
+        for w in vectors[1:30]:
+            vectors.append(w + [w[int(rng.integers(len(w)))]])  # an equal pair
+        for _ in range(60):
+            vectors.append(np.exp(rng.uniform(math.log(1e-300), math.log(1e300), int(rng.integers(1, 9)))).tolist())
+        vectors += [[1.0 + k * 1e-7 for k in range(64)], [1.0] * 65]
+        kinds = ("coincides", "leaves float range", "too large", "do not sum to 1", "exceed", "built")
+        seen, longest = set(), 0
+        for w in vectors:
+            for two_sided in (False, True):
+                got = oracle._build_mixture(tuple(w), two_sided)
+                want = build_mixture_by_slices(w, two_sided)
+                if isinstance(want, str):
+                    assert got == want, (w, two_sided)
+                    seen.update(kind for kind in kinds if kind in want)
+                else:
+                    assert [(c.hex(), b) for c, b in got.terms] == [(c.hex(), b) for c, b in want], w
+                    assert got.top == (0.5 if two_sided else 1.0)
+                    seen.add("built")
+                    longest = max(longest, len(w))
+        assert seen == set(kinds) and longest == 64
 
     def test_doomed_builds_raise_and_invert(self):
         rng = np.random.default_rng(64)
@@ -653,6 +687,35 @@ class TestClusterTail:
         assert math.isclose(got, want, rel_tol=1e-13)
 
 
+class TestMixtureTerms:
+    """A mixture takes only terms ``tail`` can evaluate; the first bad one is named."""
+
+    @pytest.mark.parametrize(
+        "terms, top, message",
+        [
+            ((), 1.0, "nonzero coefficient"),
+            (((0.0, 1.0),), 1.0, "nonzero coefficient"),
+            (((0.0, 1.0), (-0.0, 2.0)), 0.5, "nonzero coefficient"),
+            (((1.0, 1.0),), 0.7, "top 1 or 1/2"),
+            (((1.0, 1.0),), 2.0, "top 1 or 1/2"),
+            (((1.0, 0.0),), 1.0, "term 1 "),
+            (((1.0, -1.0),), 1.0, "term 1 "),
+            (((1.0, math.inf),), 1.0, "term 1 "),
+            (((1.0, math.nan),), 1.0, "term 1 "),
+            (((2.0, 1.0), (math.inf, 2.0), (1.0, 0.0)), 1.0, "term 2 "),
+            (((2.0, 1.0), (-1.0, 2.0), (math.nan, 3.0)), 0.5, "term 3 "),
+        ],
+    )
+    def test_unusable_terms_raise(self, terms, top, message):
+        with pytest.raises(InvalidInputError, match=re.escape(message)):
+            ExpMixture(tuple(MixtureTerm(*term) for term in terms), top)
+
+    def test_a_zero_coefficient_among_others_is_usable(self):
+        mix = ExpMixture((MixtureTerm(0.0, 0.5), MixtureTerm(1.0, 1.0)), 1.0)
+        assert mix.tail(2.0) == math.exp(-2.0)
+        assert mix.tail(1000.0) == 0.0
+
+
 class TestMixtureRange:
     def test_within_error_bound_is_the_range_end(self, monkeypatch):
         mix = ExpMixture((MixtureTerm(1.0 + 1e-12, 1.0),), 1.0)
@@ -755,7 +818,7 @@ class TestMixtureSplit:
         tiny, huge = 5e-324, 1e308
         cases = [
             (tiny, huge), (huge, tiny), (tiny, tiny), (huge, huge), (sys.float_info.max, 1.0),
-            (1e-10, 1e308),  # t/scale > 1e300: the term is skipped
+            (1e-10, 1e308),  # t/scale > 1e300: e^-x underflows to 0
             (1e10, 1e-300),  # ldexp(t, -e) subnormal: no correction
             (1e-300, 1e10), (1.0, 3.0), (0.7, 0.7), (2.2250738585072014e-308, 1e-300),
         ]
@@ -767,6 +830,31 @@ class TestMixtureSplit:
         # t/scale past float range in one term, an ordinary tail in the other
         mix = ExpMixture((MixtureTerm(0.5, 5e-324), MixtureTerm(0.5, 1e308)), 1.0)
         self.assert_same_bits(mix, 1e300)
+
+    @pytest.mark.parametrize("scale", [1.0, 3.0, 0.1, 1e-5, 7e10, 2.0**-1000])
+    def test_thresholds_at_the_underflow_of_exp_and_past_1e300(self, scale):
+        # t steps ulp by ulp so that x = t/scale crosses 745.1332191019411,
+        # the largest x with e^-x > 0, and 1e300; at scale 2^-1000, t near
+        # 2^25 takes t 2^-e (scale = m 2^e) past float range.  Mixed signs:
+        # the other term may be live, 0 or at its own float limits
+        last = 745.1332191019411
+        assert math.exp(-last) > 0.0 == math.exp(-math.nextafter(last, math.inf))
+        centres = [last * scale, 1e300 * scale, math.ldexp(1.0, 25)]
+        sides = set()
+        for top in (1.0, 0.5):
+            for c, c_other in ((1.5, -0.5), (-0.5, 1.5), (-1.0, 2.0)):
+                for other in (0.25 * scale, 2.0 * scale, 1e-300 * scale or scale):
+                    mix = ExpMixture((MixtureTerm(c, scale), MixtureTerm(c_other, other)), top)
+                    for centre in centres:
+                        t = centre
+                        for _ in range(6):
+                            t = math.nextafter(t, 0.0)
+                        for _ in range(12):
+                            if t < math.inf:  # 1e300 * 7e10 is not a threshold
+                                self.assert_same_bits(mix, t)
+                                sides.add(math.exp(-(t / scale)) > 0.0)
+                            t = math.nextafter(t, math.inf)
+        assert sides == {True, False}
 
     def test_built_mixtures(self):
         rng = np.random.default_rng(19)

@@ -240,6 +240,43 @@ def mp_mixture_coefficients(w: "list[float]", two_sided: bool) -> "list[float] |
     return out
 
 
+def build_mixture_by_slices(weights, two_sided: bool) -> "list[tuple[float, float]] | str":
+    """The partial-fraction (coef, scale) terms, or the refusal message, built by list copies.
+
+    The reference for ``oracle._build_mixture``: each pole's coefficient is
+    1/math.prod of the factors over ``scales[:j] + scales[j + 1:]``, the
+    other scales in ascending order, with the same caps and messages.
+    """
+    n = len(weights)
+    if n > 64:
+        return f"{n} weights exceed the partial-fraction cap of 64 distinct scales"
+    scales = sorted(weights)
+    terms = []
+    abs_sum = 0.0
+    for j, b in enumerate(scales):
+        others = [bk / b for bk in scales[:j] + scales[j + 1:]]
+        try:
+            if two_sided:
+                coef = 1.0 / math.prod([(1.0 - e) * (1.0 + e) for e in others])
+            else:
+                coef = 1.0 / math.prod([1.0 - e for e in others])
+        except ZeroDivisionError:
+            clash = b in scales[j + 1:j + 2]
+            why = f"coincides with pole {j + 2}" if clash else "leaves float range"
+            return f"pole {j + 1} of {n} {why}"
+        abs_sum += abs(coef)
+        terms.append((coef, b))
+        if not abs_sum <= 1e12:
+            return (
+                f"partial-fraction coefficients too large to trust (sum |coef| = {abs_sum:.3e}"
+                f" after {j + 1} of {n} poles)"
+            )
+    drift = abs(math.fsum(coef for coef, _ in terms) - 1.0)
+    if drift > 1e-10:
+        return f"partial-fraction coefficients do not sum to 1 (off by {drift:.3e})"
+    return terms
+
+
 def seeded_weight_vectors(seed: int, count: int, n_max: int) -> list[list[float]]:
     """``count`` weight vectors with n uniform in 1..n_max.
 
