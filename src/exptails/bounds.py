@@ -189,17 +189,23 @@ def pz_bound(c: float) -> float:
     return 1.0 / (16.0 ** (1.0 / 3.0) * max(c, 3.0))
 
 
-def s_inequality_upper(t: float, p_ge_mean: float) -> BoundValue:
+def s_inequality_upper(d: Distribution, t: float, p_ge_mean: float) -> BoundValue:
     """Upper bound p^t = exp(-a t) with a = -log p for p = P(S >= E S), t >= 1.
 
-    Flagged invalid when t < 1 or when p is outside the certified interval
-    (1/24, 23/24).
+    The bound needs a log-concave survival function: log P(S >= x) is then
+    concave and 0 at x = 0, so it is at most t log p at x = t E S.  Gamma
+    summands of shape >= 1 have log-concave densities, and so has their sum
+    (Prekopa), whose survival function is then log-concave.  Below shape 1
+    the bound fails (shape 0.5, one weight, t = 30: p^t is 1.1e-15, the tail
+    4.3e-8).  Flagged invalid when t < 1, when the shape is below 1, or when
+    p is outside the certified interval (1/24, 23/24).
     """
+    _require_nonnegative(d, "s_inequality_upper")
     t = _check_t(t)
     p_ge_mean = float(p_ge_mean)
     if not 0.0 < p_ge_mean < 1.0:
         raise InvalidInputError(f"p_ge_mean must be in (0, 1), got {p_ge_mean!r}")
-    valid = t >= 1.0 and 1.0 / 24.0 < p_ge_mean < 23.0 / 24.0
+    valid = t >= 1.0 and d.shape >= 1.0 and 1.0 / 24.0 < p_ge_mean < 23.0 / 24.0
     return _make(t * math.log(p_ge_mean), BoundKind.S_INEQ_UPPER, valid=valid)
 
 

@@ -186,7 +186,7 @@ def _bound_rows(d: Distribution, w: WeightVector, pairs: list[tuple[float, float
         if d.kind is LawKind.EXPONENTIAL:
             bounds += [generic_lower(d, w, t, p_mean), generic_upper(d, w, t)]
         if d.nonnegative:
-            bounds.append(s_inequality_upper(t, p_mean))
+            bounds.append(s_inequality_upper(d, t, p_mean))
         for b in bounds:
             rows.append(
                 {

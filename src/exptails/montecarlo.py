@@ -2,9 +2,11 @@
 
 Sampling is chunked over counter-based substreams (Philox) so that the same
 seed gives bit-identical estimates no matter how many worker threads run the
-chunks.  Every law is gamma(shape) on signed scales b (``Distribution.scales``),
-so one draw serves all of them: S = sum_j b_j G_j with G_j i.i.d.
-gamma(shape), and a Laplace sum is a difference of exponential sums.
+chunks; a chunk is drawn in row blocks of bounded size, so a worker's memory
+does not grow with the number of weights.  Every law is gamma(shape) on
+signed scales b (``Distribution.scales``), so one draw serves all of them:
+S = sum_j b_j G_j with G_j i.i.d. gamma(shape), and a Laplace sum is a
+difference of exponential sums.
 Tilting by theta keeps each G_j gamma(shape) and turns b_j into
 b_j / (1 - theta b_j).  Plain estimation (theta = 0) is a hit count; deep
 tails use exponentially tilted importance sampling with the Chernoff tilt.
@@ -27,6 +29,7 @@ from .core import (
 from .legendre import chernoff_tilt, cumulant
 
 _CHUNK = 1 << 16
+_DRAW_BLOCK = 1 << 15  # gamma entries drawn at once: a worker's memory, whatever n
 _TILT_CLAMP = 0.999
 _CP_HIT_CUTOFF = 30
 # the 0.975 standard normal quantile, float(scipy.special.ndtri(0.975)) bit for bit
@@ -60,8 +63,25 @@ def _chunks(n: int) -> list[tuple[int, int]]:
 def _draw_sums(
     shape: float, b: np.ndarray, theta: float, m: int, rng: np.random.Generator
 ) -> np.ndarray:
-    """m draws of S = sum_j b_j G_j, G_j i.i.d. gamma(shape), under the theta-tilted law."""
-    return rng.standard_gamma(shape, (m, b.size)) @ (b / (1.0 - theta * b))
+    """m draws of S = sum_j b_j G_j, G_j i.i.d. gamma(shape), under the theta-tilted law.
+
+    The gammas come in row blocks of at most _DRAW_BLOCK entries (8 rows once
+    a row is wider than _DRAW_BLOCK / 8), so the draw holds one block and the
+    m sums.  The generator fills consecutive blocks as it would fill one
+    matrix, and each row's product keeps its bits as long as every block but
+    the last is a whole number of 8-row groups and no block is a single row,
+    which BLAS would hand to a dot product: a one-row remainder joins the
+    block before.
+    """
+    scales = b / (1.0 - theta * b)
+    rows = max(8, _DRAW_BLOCK // b.size // 8 * 8)
+    sums = np.empty(m)
+    start = 0
+    while start < m:
+        stop = m if m - start <= rows + 1 else start + rows
+        sums[start:stop] = rng.standard_gamma(shape, (stop - start, b.size)) @ scales
+        start = stop
+    return sums
 
 
 def _run_chunks(worker, chunk_list, workers: "int | None"):

@@ -81,8 +81,8 @@ class ExpMixture:
     The coefficients sum to 1.  ``top`` is the tail at 0+: 1 for a
     nonnegative sum, 1/2 for a symmetric (Laplace) one, whose upper tail is
     half the coefficient-weighted exponential tails.  No terms, no nonzero
-    coef, a coef not finite, a scale outside (0, inf) or another ``top`` is an
-    InvalidInputError.
+    coef, a coef not finite, a scale outside (0, inf), an absolute coefficient
+    sum past float range or another ``top`` is an InvalidInputError.
     """
 
     terms: tuple[MixtureTerm, ...]
@@ -100,6 +100,11 @@ class ExpMixture:
             m, e = math.frexp(scale)
             m_hi = _SPLIT * m - (_SPLIT * m - m)
             split.append((coef, e, m, m_hi, m - m_hi))
+        # with sum |coef| finite, no partial sum of the terms in ``tail`` overflows
+        try:
+            math.fsum(abs(coef) for coef, _ in self.terms)
+        except OverflowError:
+            raise InvalidInputError("the mixture's absolute coefficient sum leaves float range") from None
         object.__setattr__(self, "_split", tuple(split))
 
     @property

@@ -236,9 +236,9 @@ def test_s_inequality_domination():
     for w in random_instances(0, 20):
         p = p_ge_mean(EXP, w)
         for t in (1.0, 1.5, 2.0, 3.0):
-            bound = s_inequality_upper(t, p).value
+            bound = s_inequality_upper(EXP, t, p).value
             exact = exact_tail(EXP, w, t * w.l1)[0]
-            if bound < exact - 1e-12:
+            if bound < exact * (1.0 - 1e-12):
                 violations += 1
             if p <= 23.0 / 24.0 and bound > (23.0 / 24.0) ** t:
                 cap_violations += 1
@@ -247,6 +247,32 @@ def test_s_inequality_domination():
         "s_inequality", ok,
         f"{violations} domination violations, {cap_violations} cap violations "
         "over 20 instances x 4 thresholds",
+    )
+    assert ok
+
+
+def test_s_inequality_valid_rows_dominate_gamma():
+    # the power bound needs a log-concave survival function: shape >= 1.
+    # Below it p^t falls under the tail (shape 0.99 included), so the rows
+    # there must be flagged invalid; at shape 1e-3, p is outside (1/24, 23/24)
+    violations = valid_rows = 0
+    for shape in (1e-3, 0.1, 0.5, 0.99, 1.0, 3.0, 1e4):
+        d = Distribution.gamma(shape)
+        for w in random_instances(0, 20):
+            p = p_ge_mean(d, w)
+            for t in (1.01, 1.5, 2.0, 3.0, 10.0, 30.0):
+                bound = s_inequality_upper(d, t, p)
+                if not bound.valid:
+                    continue
+                valid_rows += 1
+                exact = exact_tail(d, w, t * d.mean * w.l1)[0]
+                if bound.value < exact * (1.0 - 1e-9):
+                    violations += 1
+    ok = violations == 0 and valid_rows == 3 * 20 * 6
+    _report(
+        "s_inequality_gamma", ok,
+        f"{violations} valid rows below the exact tail, {valid_rows} valid rows "
+        "over 7 gamma shapes x 20 instances x 6 thresholds",
     )
     assert ok
 

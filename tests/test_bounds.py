@@ -247,20 +247,27 @@ class TestSInequality:
     def test_frozen_value(self):
         # closed_forms.py: s_ineq_t2_exp21 = p^2 with p = P(S >= E S) for (2,1)
         p = 0.396473251928995714887
-        b = s_inequality_upper(2.0, p)
+        b = s_inequality_upper(EXP, 2.0, p)
         assert math.isclose(b.value, 0.157191039495152904356, rel_tol=1e-14)
         assert b.valid
 
     def test_validity_interval(self):
-        assert not s_inequality_upper(2.0, 1.0 / 30.0).valid
-        assert not s_inequality_upper(2.0, 0.97).valid
-        assert not s_inequality_upper(0.5, 0.5).valid
-        assert s_inequality_upper(1.0, 0.5).valid
+        assert not s_inequality_upper(EXP, 2.0, 1.0 / 30.0).valid
+        assert not s_inequality_upper(EXP, 2.0, 0.97).valid
+        assert not s_inequality_upper(EXP, 0.5, 0.5).valid
+        assert s_inequality_upper(EXP, 1.0, 0.5).valid
+        # valid only for laws with a log-concave survival function: shape >= 1
+        assert not s_inequality_upper(Distribution.gamma(0.5), 30.0, 0.5).valid
+        assert not s_inequality_upper(Distribution.gamma(0.999), 2.0, 0.5).valid
+        assert s_inequality_upper(Distribution.gamma(1.0), 2.0, 0.5).valid
+        assert s_inequality_upper(Distribution.gamma(3.0), 2.0, 0.5).valid
+        with pytest.raises(UnsupportedLawError):
+            s_inequality_upper(Distribution.laplace(), 2.0, 0.5)
 
     def test_rejects_degenerate_p(self):
         for bad in (0.0, 1.0, -0.1, 1.1):
             with pytest.raises(InvalidInputError):
-                s_inequality_upper(2.0, bad)
+                s_inequality_upper(EXP, 2.0, bad)
 
 
 class TestMomentBounds:

@@ -1,15 +1,19 @@
 """Sampling and Monte Carlo estimators: determinism, accuracy, tilting."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from scipy.stats import beta, ks_2samp
-from verifiers import sample_sum
+from verifiers import draw_sums_whole, sample_sum
 
+from exptails import montecarlo
 from exptails.core import Distribution, InvalidInputError, check_seed
 from exptails.legendre import cumulant
 from exptails.montecarlo import (
+    _CHUNK,
+    _DRAW_BLOCK,
     _binomial_interval,
     _chunks,
     _draw_sums,
@@ -203,3 +207,54 @@ class TestChunking:
         for good, expected in ((7, 7), (np.int64(5), 5)):
             seed = check_seed(good)
             assert seed == expected and type(seed) is int
+
+
+class TestDrawBlocks:
+    """A chunk drawn in row blocks keeps the bits of one whole-chunk matrix."""
+
+    @pytest.mark.parametrize("k", [1, 2, 7, 14, 16, 17, 64, 128])
+    def test_blocks_keep_the_whole_chunk_bits(self, k):
+        rows = max(8, _DRAW_BLOCK // k // 8 * 8)  # one block
+        b = np.random.default_rng(k).uniform(-2.0, 2.0, k)
+        theta = 0.3 / float(np.max(np.abs(b)))
+        for shape in (0.5, 1.0, 3.5):
+            for m in (1, 2, 9, rows - 1, rows + 1, 34_464, _CHUNK):
+                got = _draw_sums(shape, b, theta, m, _substream(k, m))
+                want = draw_sums_whole(shape, b, theta, m, _substream(k, m))
+                assert np.array_equal(got, want), (shape, m)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("d", [Distribution.gamma(0.5), LAP, Distribution.gamma(3.5)],
+                             ids=Distribution.label)
+    def test_estimates_keep_the_whole_chunk_bits(self, d, workers, monkeypatch):
+        w = [1.0 + 0.25 * i for i in range(8)]
+        b = d.scales(w)
+        t = d.shape * float(b.sum()) + 3.0 * math.sqrt(d.shape * float(b @ b))
+        n = _CHUNK + 34_464  # a whole chunk and a cut one
+
+        def both():
+            return (mc_tail(d, w, t, n, seed=5, workers=workers),
+                    is_tail(d, w, t, n, seed=5, workers=workers))
+
+        blocked = both()
+        monkeypatch.setattr(montecarlo, "_draw_sums", draw_sums_whole)
+        assert blocked == both()
+
+    def test_sampling_memory_is_bounded(self):
+        # n = 64 Laplace weights, 128 signed scales: one whole 2**16-row chunk
+        # of gammas is 64 MB; a worker holds one block plus its chunk's sums
+        w = [1.0 + i / 64.0 for i in range(64)]
+        t = 3.0 * math.sqrt(2.0 * sum(x * x for x in w))
+        n = 1 << 17
+        is_tail(LAP, w, t, _CHUNK + 100, seed=3, workers=2)  # imports, thread pool
+        tracemalloc.start()
+        try:
+            is_tail(LAP, w, t, n, seed=3, workers=2)
+            is_peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            mc_tail(LAP, w, t, n, seed=3)
+            mc_peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert is_peak < 8 << 20
+        assert mc_peak < 4 << 20

@@ -710,6 +710,13 @@ class TestMixtureTerms:
         with pytest.raises(InvalidInputError, match=re.escape(message)):
             ExpMixture(tuple(MixtureTerm(*term) for term in terms), top)
 
+    @pytest.mark.parametrize("t", [1.0, 2000.0])
+    @pytest.mark.parametrize("coefs", [(1e308, 1e308), (1e308, -1e308)])
+    def test_coefficient_sum_past_float_range_raises(self, coefs, t):
+        # fsum over the terms in ``tail`` would overflow at either threshold
+        with pytest.raises(InvalidInputError, match="leaves float range"):
+            ExpMixture((MixtureTerm(coefs[0], 1.0), MixtureTerm(coefs[1], 2.0)), 1.0).tail(t)
+
     def test_a_zero_coefficient_among_others_is_usable(self):
         mix = ExpMixture((MixtureTerm(0.0, 0.5), MixtureTerm(1.0, 1.0)), 1.0)
         assert mix.tail(2.0) == math.exp(-2.0)

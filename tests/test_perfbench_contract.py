@@ -54,3 +54,12 @@ def test_benchmark_entry_points():
     assert inspect.isfunction(oracle.ExpMixture.tail)
     assert callable(legendre.chernoff_tilt)
     assert callable(importlib.import_module("exptails.cli").run)
+    # mc_tails calls the estimators by keyword, and the tracer's _info_mc
+    # reads result.n and kwargs["workers"]
+    info_mc = _tracing()._INFO["montecarlo.mc_tail"]
+    d = Distribution.exponential()
+    for estimator, threshold in ((exptails.mc_tail, 3.0), (exptails.is_tail, 9.0)):
+        kwargs = {"n": 1000, "seed": 0, "workers": 2}
+        est = estimator(d, [2.0, 1.0], threshold, **kwargs)
+        assert est.n == 1000 and isinstance(est.p_hat, float) and isinstance(est.stderr, float)
+        assert info_mc((d, [2.0, 1.0], threshold), kwargs, est) == {"draws": 1000, "workers": 2}

@@ -5,10 +5,12 @@ package computes in closed form: the supremum behind the Laplace rate shape
 h, and the infimum that the tail-shift ratio r(v) (``r_function``) bounds
 from below.
 ``sample_sum`` draws the sums themselves, so that the samplers behind the
-Monte Carlo estimators can be checked in law.  ``mp_mixture_coefficients``
-takes the partial-fraction product per pole at 50 digits, which the
-package's float product must reproduce, and ``mp_partial_fraction_tail``
-sums the partial fractions of distinct weights at 80 digits.
+Monte Carlo estimators can be checked in law, and ``draw_sums_whole`` draws
+a chunk's gammas as one matrix, the bits the blocked draw must keep.
+``mp_mixture_coefficients`` takes the partial-fraction product per pole at
+50 digits, which the package's float product must reproduce, and
+``mp_partial_fraction_tail`` sums the partial fractions of distinct weights
+at 80 digits.
 ``mixture_tail_sum`` sums a mixture's corrected terms splitting every scale
 at every threshold, the bits ``ExpMixture.tail`` must keep.
 ``cumulant_sums_by_list`` takes K, K', K'' and the mean test of the saddle
@@ -123,6 +125,13 @@ def r_infimum_numeric(d: Distribution, v: float) -> float:
 
 
 _REPRESENTATIONS = ("direct", "gaussian_mixture")
+
+
+def draw_sums_whole(
+    shape: float, b: np.ndarray, theta: float, m: int, rng: np.random.Generator
+) -> np.ndarray:
+    """m draws of S = sum_j b_j G_j under the theta-tilted law, one (m, b.size) matrix."""
+    return rng.standard_gamma(shape, (m, b.size)) @ (b / (1.0 - theta * b))
 
 
 def _mixture_chunk(weights: np.ndarray, m: int, rng: np.random.Generator) -> np.ndarray:
