@@ -29,7 +29,6 @@ from datetime import datetime, timezone
 from .core import (
     Distribution,
     InvalidInputError,
-    LawKind,
     NumericFailureError,
     WeightVector,
     format_float,
@@ -142,15 +141,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _make_distribution(config: RunConfig) -> Distribution:
-    if config.dist == "gamma":
-        if config.shape is None:
-            raise InvalidInputError("--shape is required for --dist gamma")
-        return Distribution.gamma(config.shape)
-    if config.shape is not None:
+    if config.dist == "gamma" and config.shape is None:
+        raise InvalidInputError("--shape is required for --dist gamma")
+    if config.dist != "gamma" and config.shape is not None:
         raise InvalidInputError("--shape applies only to --dist gamma")
-    if config.dist == "laplace":
-        return Distribution.laplace()
-    return Distribution.exponential()
+    return Distribution(config.dist, 1.0 if config.shape is None else config.shape)
 
 
 def _resolve_thresholds(
@@ -175,30 +170,15 @@ def _resolve_thresholds(
 
 
 def _bound_rows(d: Distribution, w: WeightVector, pairs: list[tuple[float, float]]) -> list[dict]:
-    from .bounds import generic_lower, generic_upper, s_inequality_upper, sandwich_pair
+    from .bounds import law_bounds
     from .oracle import p_ge_mean
 
-    rows: list[dict] = []
-    p_mean = p_ge_mean(d, w) if d.nonnegative else None
-    for t, threshold in pairs:
-        # the law's pair, the generic pair beside Janson's, the power bound
-        bounds = list(sandwich_pair(d, w, t, p_mean))
-        if d.kind is LawKind.EXPONENTIAL:
-            bounds += [generic_lower(d, w, t, p_mean), generic_upper(d, w, t)]
-        if d.nonnegative:
-            bounds.append(s_inequality_upper(d, t, p_mean))
-        for b in bounds:
-            rows.append(
-                {
-                    "t": t,
-                    "threshold": threshold,
-                    "kind": b.kind.value,
-                    "value": b.value,
-                    "log_value": b.log_value,
-                    "valid": b.valid,
-                }
-            )
-    return rows
+    p_mean = p_ge_mean(d, w)
+    return [
+        {"t": t, "threshold": threshold, "kind": b.kind.value, "value": b.value,
+         "log_value": b.log_value, "valid": b.valid}
+        for t, threshold in pairs for b in law_bounds(d, w, t, p_mean)
+    ]
 
 
 def _exact_rows(d: Distribution, w: WeightVector, pairs: list[tuple[float, float]]) -> list[dict]:
@@ -225,7 +205,7 @@ def _simulate_rows(
 
 
 def _moment_rows(d: Distribution, w: WeightVector, config: RunConfig) -> list[dict]:
-    if d.kind is not LawKind.LAPLACE:
+    if not d.moments:
         raise InvalidInputError("moments requires --dist laplace")
     from .bounds import moment_bounds
     from .oracle import laplace_abs_norm

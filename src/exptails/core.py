@@ -2,10 +2,10 @@
 
 Everything downstream works on a sum S = sum_i a_i X_i with positive weights
 a_i and i.i.d. unit summands X_i that are exponential(1), gamma(shape), or
-standard Laplace.  Each law is described once, as gamma(shape) on signed
-scales: ``Distribution.scales`` turns the weights into the scales b_j with
-S = sum_j b_j G_j, G_j i.i.d. gamma(shape), and the cumulants, the contour
-and the samplers read only that array.
+standard Laplace.  Each law is described once, in ``_LAWS``: as gamma(shape)
+on the signed scales b_j of ``Distribution.scales``, S = sum_j b_j G_j with
+G_j i.i.d. gamma(shape), the only view the cumulants, contour and samplers
+take; and by the facts other modules read from a ``Distribution``, not its kind.
 """
 
 from __future__ import annotations
@@ -44,10 +44,15 @@ class LawKind(str, enum.Enum):
     LAPLACE = "laplace"
 
 
-# A unit summand is sum_u u G_u over its law's unit scales u, G_u i.i.d.
-# gamma(shape): a standard Laplace variable is the difference of two
-# standard exponentials.
-_UNIT_SCALES = {LawKind.EXPONENTIAL: (1.0,), LawKind.GAMMA: (1.0,), LawKind.LAPLACE: (1.0, -1.0)}
+# One row per law, read once by ``Distribution``: the unit scales u (a unit
+# summand is sum_u u G_u, G_u i.i.d. gamma(shape), so a standard Laplace one is
+# a difference of two exponentials), then its top, mixture, moments and bounds.
+_GENERIC = ("generic_lower", "generic_upper", "s_ineq_upper")
+_LAWS = {
+    LawKind.EXPONENTIAL: ((1.0,), 1.0, True, False, ("janson_lower", "janson_upper", *_GENERIC)),
+    LawKind.GAMMA: ((1.0,), 1.0, False, False, _GENERIC),
+    LawKind.LAPLACE: ((1.0, -1.0), 0.5, True, True, ("laplace_lower", "laplace_upper")),
+}
 
 
 @dataclass(frozen=True)
@@ -55,15 +60,23 @@ class Distribution:
     """Law of one unit summand, hashed once (it keys the oracle's per-sum records).
 
     ``shape`` is the gamma shape parameter and must be 1 for the other kinds
-    (exponential is gamma with shape 1; Laplace has no shape).
+    (exponential is gamma with shape 1; Laplace has no shape).  The rest is
+    set once from the law's row of ``_LAWS``: E X, Var X, whether X >= 0, the
+    tail ``top`` of a sum at 0+ (1, or 1/2 for a symmetric law), whether sums
+    of distinct weights have a partial-fraction ``mixture``, whether the
+    ``moments`` norms apply, and the ``bounds`` that ``exptails bounds``
+    prints, in order, the (lower, upper) pair ``verify`` certifies first.
     """
 
     kind: LawKind
     shape: float = 1.0
-    # E X, Var X and the sign of one unit summand, set once from the law
     mean: float = field(init=False, repr=False, compare=False)
     variance: float = field(init=False, repr=False, compare=False)
     nonnegative: bool = field(init=False, repr=False, compare=False)
+    top: float = field(init=False, repr=False, compare=False)
+    mixture: bool = field(init=False, repr=False, compare=False)
+    moments: bool = field(init=False, repr=False, compare=False)
+    bounds: tuple[str, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         kind = LawKind(self.kind)
@@ -73,11 +86,15 @@ class Distribution:
             raise InvalidInputError(f"shape must be positive and finite, got {self.shape!r}")
         if kind is not LawKind.GAMMA and shape != 1.0:
             raise InvalidInputError(f"shape only applies to gamma, got shape={shape} for {kind.value}")
-        units = _UNIT_SCALES[kind]
+        units, top, mixture, moments, bounds = _LAWS[kind]
         object.__setattr__(self, "shape", shape)
         object.__setattr__(self, "mean", shape * math.fsum(units))
         object.__setattr__(self, "variance", shape * math.fsum(u * u for u in units))
         object.__setattr__(self, "nonnegative", min(units) > 0.0)
+        object.__setattr__(self, "top", top)
+        object.__setattr__(self, "mixture", mixture)
+        object.__setattr__(self, "moments", moments)
+        object.__setattr__(self, "bounds", bounds)
         object.__setattr__(self, "_hash", hash((kind, shape)))
 
     def __hash__(self) -> int:
@@ -103,7 +120,12 @@ class Distribution:
         import numpy as np
 
         a = np.array(as_weights(w).values)
-        return np.concatenate([u * a for u in _UNIT_SCALES[self.kind]])
+        return np.concatenate([u * a for u in _LAWS[self.kind][0]])
+
+    def require_nonnegative(self, op: str) -> None:
+        """Raise UnsupportedLawError, naming ``op``, unless the summands are nonnegative."""
+        if not self.nonnegative:
+            raise UnsupportedLawError(f"{op} applies to nonnegative summands, not {self.label()}")
 
     def label(self) -> str:
         """Short text form, e.g. 'gamma(0.5)' or 'laplace'."""

@@ -204,7 +204,7 @@ def _prop_decay_propagation(seed: int) -> PropertyResult:
                 v = v_mult * w.a_max
                 lhs = exact_tail(d, w, u + v)[0]
                 rhs = math.exp(-v / w.a_max) * exact_tail(d, w, u)[0]
-                if lhs < rhs * (1.0 - 1e-9) - 1e-15:
+                if lhs < rhs * (1.0 - 1e-9):
                     failures.append((w, u, v))
     passed = not failures
     witness = ""

@@ -24,7 +24,6 @@ from .core import (
     Distribution,
     InvalidInputError,
     NumericFailureError,
-    UnsupportedLawError,
     WeightVector,
     as_weights,
 )
@@ -147,10 +146,7 @@ def rate_function(d: Distribution, t: float) -> float:
     gamma(g); exponential is g = 1.  ``t`` is in absolute units (t > mean
     of the summand).  Laplace summands raise UnsupportedLawError.
     """
-    if not d.nonnegative:
-        raise UnsupportedLawError(
-            f"rate_function applies to nonnegative summands, not {d.kind.value}"
-        )
+    d.require_nonnegative("rate_function")
     t = float(t)
     g = d.shape
     if not t > g:

@@ -4,14 +4,14 @@
 how the upper tail P(S > x), x > 0, is computed:
 
 * a partial-fraction mixture of the moment generating function (closed
-  form and fast) for exponential and Laplace summands of distinct weights
-  (simple poles), when its coefficients pass the trust gates; one expansion
-  serves both laws, the Laplace MGF being the exponential one with every
-  pole mirrored, and
+  form and fast) for the laws that have one in core's table (exponential and
+  Laplace) on distinct weights (simple poles), when its coefficients pass the
+  trust gates; one expansion serves both, the Laplace MGF being the
+  exponential one with every pole mirrored, and
 * otherwise Bromwich inversion of the moment generating function by the
   trapezoid rule on a hyperbolic contour through the saddle point, with
   relative accuracy of about 1e-12 and an error estimate; it raises instead
-  of returning a value outside [0, 1].  The engine reads only the signed
+  of returning a value outside [0, top].  The engine reads only the signed
   scales of ``Distribution.scales`` (every law is gamma(shape) on them),
   equal scales merged into one column of the summed shape and each mirrored
   pair +-a (a Laplace sum) into one integrand factor, in units of a power
@@ -36,7 +36,6 @@ from typing import TYPE_CHECKING, NamedTuple, Sequence
 from .core import (
     Distribution,
     InvalidInputError,
-    LawKind,
     MixtureUnavailableError,
     NumericFailureError,
     WeightVector,
@@ -63,8 +62,6 @@ _ROUNDING = 4.0 * sys.float_info.epsilon
 # Veltkamp's splitting constant 2^27 + 1: halves of 26 bits multiply exactly
 _SPLIT = 134217729.0
 _FLOAT_MIN = sys.float_info.min
-# an enum member lookup costs a mixture op about 0.1 us; a module global less
-_KIND_EXPONENTIAL, _KIND_GAMMA, _KIND_LAPLACE = LawKind.EXPONENTIAL, LawKind.GAMMA, LawKind.LAPLACE
 
 
 class MixtureTerm(NamedTuple):
@@ -78,11 +75,11 @@ class MixtureTerm(NamedTuple):
 class ExpMixture:
     """P(S > t) at t > 0 as ``top`` times a signed mixture of exponential tails.
 
-    The coefficients sum to 1.  ``top`` is the tail at 0+: 1 for a
-    nonnegative sum, 1/2 for a symmetric (Laplace) one, whose upper tail is
-    half the coefficient-weighted exponential tails.  No terms, no nonzero
-    coef, a coef not finite, a scale outside (0, inf), an absolute coefficient
-    sum past float range or another ``top`` is an InvalidInputError.
+    ``top`` is the tail at 0+: 1 for a nonnegative sum, 1/2 for a symmetric
+    (Laplace) one, whose upper tail is half the coefficient-weighted
+    exponential tails.  No terms, no nonzero coef, a coef not finite, a scale
+    outside (0, inf), an absolute coefficient sum past float range, a sum off
+    1 by more than _COEF_DRIFT_TOL or another ``top`` is an InvalidInputError.
     """
 
     terms: tuple[MixtureTerm, ...]
@@ -105,6 +102,9 @@ class ExpMixture:
             math.fsum(abs(coef) for coef, _ in self.terms)
         except OverflowError:
             raise InvalidInputError("the mixture's absolute coefficient sum leaves float range") from None
+        drift = abs(self.coef_sum - 1.0)
+        if drift > _COEF_DRIFT_TOL:
+            raise InvalidInputError(f"partial-fraction coefficients do not sum to 1 (off by {drift:.3e})")
         object.__setattr__(self, "_split", tuple(split))
 
     @property
@@ -182,8 +182,8 @@ def _build_mixture(weights: tuple[float, ...], two_sided: bool) -> "ExpMixture |
     Equal scales make a repeated pole, with a factor 1 - e_k = 0: the build
     is refused, and so is one of more than _MAX_DISTINCT_SCALES weights.  The
     trust gate on sum |coef| is checked pole by pole, so a build that fails
-    it stops at the first pole past the cap.  A refused build returns its
-    reason.
+    it stops at the first pole past the cap.  A refused build, the
+    constructor's refusal included, returns its reason.
     """
     n = len(weights)
     if n > _MAX_DISTINCT_SCALES:
@@ -210,11 +210,10 @@ def _build_mixture(weights: tuple[float, ...], two_sided: bool) -> "ExpMixture |
                 f"partial-fraction coefficients too large to trust (sum |coef| = {abs_sum:.3e}"
                 f" after {j + 1} of {n} poles)"
             )
-    mix = ExpMixture(tuple(terms), 0.5 if two_sided else 1.0)
-    drift = abs(mix.coef_sum - 1.0)
-    if drift > _COEF_DRIFT_TOL:
-        return f"partial-fraction coefficients do not sum to 1 (off by {drift:.3e})"
-    return mix
+    try:
+        return ExpMixture(tuple(terms), 0.5 if two_sided else 1.0)
+    except InvalidInputError as exc:
+        return str(exc)
 
 
 class _Columns(NamedTuple):
@@ -249,7 +248,7 @@ class _Sum:
 
     def __init__(self, d: Distribution, w: WeightVector):
         self.d, self.w = d, w
-        self.mixture = None if d.kind is _KIND_GAMMA else _build_mixture(w.values, d.kind is _KIND_LAPLACE)
+        self.mixture = _build_mixture(w.values, not d.nonnegative) if d.mixture else None
 
     @functools.cached_property
     def columns(self) -> _Columns:
@@ -264,9 +263,9 @@ class _Sum:
         for arr in (b, count, shape):
             arr.flags.writeable = False
         k = (values, shape.tolist()) if len(values) <= NARROW else (b, shape)
-        half = len(values) // 2
-        mirrored = values[half:] == [-v for v in values[:half]] and counts[half:] == counts[:half]
+        mirrored = not self.d.nonnegative  # a symmetric law's scales are a, then -a
         if mirrored:
+            half = len(values) // 2
             b, count = b[:half], count[:half]
         unit_counts = len(values) == len(scales)
         return _Columns(u, k, 1.0 / max(values), self.d.shape, b, None if unit_counts else count, mirrored)
@@ -537,7 +536,6 @@ def cf_tail_inversion(d: Distribution, w: "WeightVector | Sequence[float]", t: f
     t = float(t)
     if not 0.0 < t < math.inf:
         raise InvalidInputError(f"threshold must be positive and finite, got {t!r}")
-    top = 1.0 if d.nonnegative else 0.5
     above = t >= d.mean * w.l1
     prepared = _sum(d, w)
     if d.nonnegative and not above:
@@ -584,38 +582,36 @@ def cf_tail_inversion(d: Distribution, w: "WeightVector | Sequence[float]", t: f
     part = math.copysign(math.exp(min(log_part, 1.0)), integral)
     err *= abs(part / integral)
     tail = part if theta > 0.0 else 1.0 + part
-    if not -err <= tail <= top + err:
+    if not -err <= tail <= d.top + err:
         raise NumericFailureError(
-            f"contour inversion left [0, {top}]: tail {tail!r}, error {err:.3e}"
+            f"contour inversion left [0, {d.top}]: tail {tail!r}, error {err:.3e}"
         )
-    return min(max(tail, 0.0), top)
+    return min(max(tail, 0.0), d.top)
 
 
 def exact_tail(d: Distribution, w: "WeightVector | Sequence[float]", threshold: float) -> tuple[float, str]:
     """(P(S > threshold), source tag): mixture when usable, else contour inversion.
 
     The one place that knows the threshold domain: a non-finite threshold
-    raises InvalidInputError; at or below 0 a nonnegative sum's tail is 1,
-    and a symmetric sum's is 1/2 at 0 and 1 - P(S > -t) below it, so the
-    routes compute only P(S > x) at x > 0.  The mixture covers exponential
-    and Laplace summands whose partial-fraction coefficients pass the trust
-    gates; every other case is inverted.  The tag is ``mixture`` when the
-    law's mixture builds and, where it is evaluated, passes its range gate.
+    raises InvalidInputError; at 0 the tail is the law's ``top``, below 0 a
+    nonnegative sum's is 1 and a symmetric sum's 1 - P(S > -t), so the routes
+    compute only P(S > x) at x > 0.  The mixture covers the laws that have
+    one on weights whose partial-fraction coefficients pass the trust gates;
+    every other case is inverted.  The tag is ``mixture`` when the law's
+    mixture builds and, where it is evaluated, passes its range gate.
     """
     w = as_weights(w)
     t = float(threshold)
     if not math.isfinite(t):
         raise InvalidInputError(f"threshold must be finite, got {t!r}")
     try:
-        mixture = (hypoexp_mixture(w) if d.kind is _KIND_EXPONENTIAL
-                   else laplace_mixture(w) if d.kind is _KIND_LAPLACE else None)
+        mixture = ((hypoexp_mixture(w) if d.nonnegative else laplace_mixture(w))
+                   if d.mixture else None)
     except MixtureUnavailableError:
         mixture = None
     source = "cf_inversion" if mixture is None else "mixture"
-    if t <= 0.0 and d.nonnegative:
-        return 1.0, source
-    if t == 0.0:
-        return 0.5, source
+    if t == 0.0 or t < 0.0 and d.nonnegative:
+        return d.top, source
     x = abs(t)
     if mixture is not None:
         try:
@@ -628,8 +624,6 @@ def exact_tail(d: Distribution, w: "WeightVector | Sequence[float]", threshold: 
 
 
 def p_ge_mean(d: Distribution, w: "WeightVector | Sequence[float]") -> float:
-    """P(S >= E S) via exact_tail (1/2 for Laplace by symmetry)."""
+    """P(S >= E S) via exact_tail; a symmetric sum's mean is 0, where the tail is ``top``."""
     w = as_weights(w)
-    if d.kind is _KIND_LAPLACE:
-        return 0.5
     return exact_tail(d, w, d.mean * w.l1)[0]

@@ -3,7 +3,10 @@
 Frozen reference values come from tests/oracles/closed_forms.py.
 """
 
+import csv
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,6 +22,7 @@ from exptails.bounds import (
     janson_upper,
     laplace_lower,
     laplace_upper,
+    law_bounds,
     moment_bounds,
     pz_bound,
     s_inequality_upper,
@@ -36,6 +40,21 @@ from exptails.special import h_closed
 EXP = Distribution.exponential()
 LAP = Distribution.laplace()
 W21 = [2, 1]
+GOLDEN = Path(__file__).parent / "golden"
+
+
+def _golden_kinds(name: str) -> list[str]:
+    """The bound kinds a ``bounds`` golden prints at each of its thresholds, all alike."""
+    text = (GOLDEN / name).read_text(encoding="utf-8")
+    if name.endswith(".json"):
+        rows = json.loads(text)["rows"]
+    else:
+        rows = csv.DictReader(line for line in text.splitlines() if not line.startswith("#"))
+    by_t: dict = {}
+    for row in rows:
+        by_t.setdefault(row["t"], []).append(row["kind"])
+    assert len(by_t) > 1 and len(set(map(tuple, by_t.values()))) == 1, (name, by_t)
+    return next(iter(by_t.values()))
 
 
 class TestJansonPair:
@@ -171,8 +190,17 @@ class TestWeightSignatures:
                     assert got[0] == got[1] == got[2], (bound.__name__, values, t)
 
     def test_sandwich_pair_is_the_family_pair(self):
+        # law_bounds gives the law's kinds in the order the bounds goldens
+        # print them, and sandwich_pair is its first two
         gamma = Distribution.gamma(0.5)
         floor = pz_bound(3.0 * (1.0 + 2.0 / 0.5))
+        printed = {
+            EXP: _golden_kinds("bounds_exponential.csv"),
+            LAP: _golden_kinds("bounds_laplace.json"),
+            gamma: _golden_kinds("bounds_gamma.csv"),
+        }
+        for d, kinds in printed.items():
+            assert list(d.bounds) == kinds, d.label()
         for values in _seeded_weights():
             for t in PIN_T:
                 want = {
@@ -182,6 +210,9 @@ class TestWeightSignatures:
                 }
                 for d, pair in want.items():
                     for form in _forms(values):
+                        every = law_bounds(d, form, t, floor)
+                        assert [b.kind.value for b in every] == printed[d], (d.label(), values, t)
+                        assert tuple(every[:2]) == pair, (d.label(), values, t)
                         assert sandwich_pair(d, form, t, floor) == pair, (d.label(), values, t)
 
     def test_threshold_unit_is_the_mean_or_sigma(self):

@@ -717,6 +717,13 @@ class TestMixtureTerms:
         with pytest.raises(InvalidInputError, match="leaves float range"):
             ExpMixture((MixtureTerm(coefs[0], 1.0), MixtureTerm(coefs[1], 2.0)), 1.0).tail(t)
 
+    @pytest.mark.parametrize("coefs", [(0.7, 0.7), (8e307, 8e307)])
+    def test_coefficients_that_do_not_sum_to_one_raise(self, coefs):
+        # ``tail`` clamps into [0, top] within the coefficients' drift from 1, so
+        # these would answer 1.0 at t = 0.01 and t = 1 (signed sums 1.39 and 7.8e307)
+        with pytest.raises(InvalidInputError, match="do not sum to 1"):
+            ExpMixture((MixtureTerm(coefs[0], 1.0), MixtureTerm(coefs[1], 2.0)), 1.0)
+
     def test_a_zero_coefficient_among_others_is_usable(self):
         mix = ExpMixture((MixtureTerm(0.0, 0.5), MixtureTerm(1.0, 1.0)), 1.0)
         assert mix.tail(2.0) == math.exp(-2.0)

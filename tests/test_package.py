@@ -1,6 +1,7 @@
 """The package namespace, the names the benchmark under perfbench/ looks up, and the
 README's quick start."""
 
+import ast
 import importlib
 import importlib.util
 import json
@@ -37,6 +38,30 @@ def test_names_the_benchmark_uses_exist():
     assert hasattr(importlib.import_module("exptails.oracle"), "ExpMixture")
     for name in PACKAGE_NAMES:
         assert hasattr(exptails, name), name
+
+
+# The one read of a ``.kind`` outside ``core`` that is not a law's: the CLI
+# prints each bound value's kind.  ``__init__`` names ``LawKind`` only in the
+# strings of its lazy name map, which the scan does not read.
+BOUND_KIND_READS = {("cli.py", "b.kind")}
+
+
+def test_only_core_names_the_laws():
+    # each law's facts live in core's table, so no other module imports
+    # LawKind or reads the kind of a Distribution to branch on it
+    found = []
+    for path in sorted(Path(exptails.__file__).parent.glob("*.py")):
+        if path.name == "core.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.alias) and node.name == "LawKind":
+                found.append(f"{path.name}:{node.lineno}: imports LawKind")
+            elif isinstance(node, ast.Name) and node.id == "LawKind":
+                found.append(f"{path.name}:{node.lineno}: names LawKind")
+            elif isinstance(node, ast.Attribute) and node.attr in ("LawKind", "kind"):
+                if (path.name, ast.unparse(node)) not in BOUND_KIND_READS:
+                    found.append(f"{path.name}:{node.lineno}: reads {ast.unparse(node)}")
+    assert found == []
 
 
 # What the closed-form runs must not load: numpy arrives with the contour, the

@@ -25,7 +25,7 @@ import mpmath as mp
 import numpy as np
 from scipy.special import gammaincc
 
-from exptails.bounds import _log_r_function, _require_nonnegative
+from exptails.bounds import _log_r_function
 from exptails.core import (
     Distribution,
     InvalidInputError,
@@ -77,7 +77,7 @@ def h_sup(u: float) -> tuple[float, float]:
 
 def r_function(d: Distribution, v: float) -> float:
     """The package's tail-shift ratio bound r(v) > 0 at v > 0, nonnegative laws only."""
-    _require_nonnegative(d, "r_function")
+    d.require_nonnegative("r_function")
     v = float(v)
     if not math.isfinite(v) or v <= 0.0:
         raise InvalidInputError(f"r_function needs v > 0, got {v!r}")
