@@ -283,52 +283,36 @@ def format_float(x: float) -> str:
 def json_dumps(obj, indent: int = 0) -> str:
     """Deterministic JSON with floats rendered by format_float.
 
-    The stdlib encoder hardcodes repr() for floats; this walker keeps dict
+    The stdlib encoder hardcodes repr() for floats; this renderer keeps dict
     insertion order and defers string escaping to the stdlib.
     """
-    pieces: list[str] = []
-    _json_walk(obj, pieces, indent, 0)
-    return "".join(pieces)
+    return _json_text(obj, indent, 0)
 
 
-def _json_walk(obj, pieces: list[str], indent: int, depth: int) -> None:
-    pad = "\n" + " " * (indent * (depth + 1)) if indent else ""
-    close_pad = "\n" + " " * (indent * depth) if indent else ""
+def _json_text(obj, indent: int, depth: int) -> str:
+    """One value's text: a container joins its items' texts, each rendered one level deeper."""
     if obj is None:
-        pieces.append("null")
-    elif isinstance(obj, bool):
-        pieces.append("true" if obj else "false")
-    elif isinstance(obj, int):
-        pieces.append(str(obj))
-    elif isinstance(obj, float):
-        pieces.append(format_float(obj))
-    elif isinstance(obj, str):
-        pieces.append(json.dumps(obj))
-    elif isinstance(obj, dict):
-        if not obj:
-            pieces.append("{}")
-            return
-        pieces.append("{")
-        for i, (key, value) in enumerate(obj.items()):
-            if i:
-                pieces.append(",")
-            pieces.append(pad)
-            pieces.append(json.dumps(str(key)))
-            pieces.append(": " if indent else ":")
-            _json_walk(value, pieces, indent, depth + 1)
-        pieces.append(close_pad)
-        pieces.append("}")
+        return "null"
+    if isinstance(obj, bool):
+        return "true" if obj else "false"
+    if isinstance(obj, int):
+        return str(obj)
+    if isinstance(obj, float):
+        return format_float(obj)
+    if isinstance(obj, str):
+        return json.dumps(obj)
+    if isinstance(obj, dict):
+        colon = ": " if indent else ":"
+        items = [json.dumps(str(k)) + colon + _json_text(v, indent, depth + 1) for k, v in obj.items()]
+        brackets = "{}"
     elif isinstance(obj, (list, tuple)):
-        if not len(obj):
-            pieces.append("[]")
-            return
-        pieces.append("[")
-        for i, value in enumerate(obj):
-            if i:
-                pieces.append(",")
-            pieces.append(pad)
-            _json_walk(value, pieces, indent, depth + 1)
-        pieces.append(close_pad)
-        pieces.append("]")
+        items = [_json_text(v, indent, depth + 1) for v in obj]
+        brackets = "[]"
     else:
         raise InvalidInputError(f"cannot serialize {type(obj).__name__} to JSON")
+    if not items:
+        return brackets
+    if not indent:
+        return brackets[0] + ",".join(items) + brackets[1]
+    pad = "\n" + " " * (indent * (depth + 1))
+    return brackets[0] + pad + ("," + pad).join(items) + "\n" + " " * (indent * depth) + brackets[1]

@@ -109,6 +109,50 @@ def _binomial_interval(hits: int, n: int) -> tuple[float, float, float]:
     return stderr, lo, hi
 
 
+def _checked(w, seed: int, threshold: float, n: int, what: str):
+    """(weights, seed, threshold) validated for an estimator that needs n >= 100."""
+    w = as_weights(w)
+    seed = check_seed(seed)
+    threshold = float(threshold)
+    if not math.isfinite(threshold):
+        raise InvalidInputError(f"threshold must be finite, got {threshold!r}")
+    if n < 100:
+        raise InvalidInputError(f"{what} needs n >= 100, got {n}")
+    return w, seed, threshold
+
+
+def _weight_sums(
+    d: Distribution,
+    b: np.ndarray,
+    theta: float,
+    log_norm: float,
+    threshold: float,
+    n: int,
+    seed: int,
+    workers: "int | None",
+) -> tuple[float, float]:
+    """(sum z, sum z^2) over n theta-tilted draws, z = 1{S > t} e^(K(theta) - theta S).
+
+    Each chunk turns its sums into the weights in place, so a worker holds one
+    draw block, the chunk's sums and one hit mask.  The chunks' partials are
+    added with fsum in chunk order, so every worker count gives the same bits.
+    At theta = 0 every weight is exactly 1 and sum z is the hit count.
+    """
+
+    def worker(chunk: tuple[int, int]) -> tuple[float, float]:
+        index, count = chunk
+        z = _draw_sums(d.shape, b, theta, count, _substream(seed, index))
+        hit = z > threshold
+        z *= -theta
+        z += log_norm
+        np.exp(z, out=z, where=hit)
+        z[~hit] = 0.0
+        return float(np.sum(z)), float(np.dot(z, z))
+
+    partials = _run_chunks(worker, _chunks(n), workers)
+    return math.fsum(p[0] for p in partials), math.fsum(p[1] for p in partials)
+
+
 def mc_tail(
     d: Distribution,
     w: "WeightVector | list[float]",
@@ -118,22 +162,8 @@ def mc_tail(
     workers: "int | None" = None,
 ) -> MCEstimate:
     """Plain Monte Carlo estimate of P(S > threshold)."""
-    w = as_weights(w)
-    seed = check_seed(seed)
-    threshold = float(threshold)
-    if not math.isfinite(threshold):
-        raise InvalidInputError(f"threshold must be finite, got {threshold!r}")
-    if n < 100:
-        raise InvalidInputError(f"plain MC needs n >= 100, got {n}")
-    b = d.scales(w)
-
-    def worker(chunk: tuple[int, int]) -> int:
-        index, count = chunk
-        rng = _substream(seed, index)
-        sums = _draw_sums(d.shape, b, 0.0, count, rng)
-        return int(np.count_nonzero(sums > threshold))
-
-    hits = sum(_run_chunks(worker, _chunks(n), workers))
+    w, seed, threshold = _checked(w, seed, threshold, n, "plain MC")
+    hits = int(_weight_sums(d, d.scales(w), 0.0, 0.0, threshold, n, seed, workers)[0])
     stderr, lo, hi = _binomial_interval(hits, n)
     return MCEstimate(
         p_hat=hits / n,
@@ -161,13 +191,7 @@ def is_tail(
     clamped to 0.999/max(a), and is reported as ``tilt_theta``.  The
     estimator averages indicator * likelihood ratio and is unbiased.
     """
-    w = as_weights(w)
-    seed = check_seed(seed)
-    threshold = float(threshold)
-    if not math.isfinite(threshold):
-        raise InvalidInputError(f"threshold must be finite, got {threshold!r}")
-    if n < 100:
-        raise InvalidInputError(f"importance sampling needs n >= 100, got {n}")
+    w, seed, threshold = _checked(w, seed, threshold, n, "importance sampling")
     mean_s = d.mean * w.l1
     if threshold <= mean_s:
         raise InvalidInputError(
@@ -175,19 +199,7 @@ def is_tail(
         )
     theta = min(chernoff_tilt(d, w, threshold), _TILT_CLAMP / w.a_max)
     b = d.scales(w)
-    log_norm = cumulant(b, d.shape, theta)
-
-    def worker(chunk: tuple[int, int]) -> tuple[float, float]:
-        index, count = chunk
-        rng = _substream(seed, index)
-        sums = _draw_sums(d.shape, b, theta, count, rng)
-        log_lr = -theta * sums + log_norm
-        z = np.where(sums > threshold, np.exp(log_lr), 0.0)
-        return float(np.sum(z)), float(np.dot(z, z))
-
-    partials = _run_chunks(worker, _chunks(n), workers)
-    s1 = math.fsum(p[0] for p in partials)
-    s2 = math.fsum(p[1] for p in partials)
+    s1, s2 = _weight_sums(d, b, theta, cumulant(b, d.shape, theta), threshold, n, seed, workers)
     p_hat = s1 / n
     var = max(0.0, (s2 - n * p_hat * p_hat) / (n - 1))
     stderr = math.sqrt(var / n)

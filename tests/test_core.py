@@ -4,9 +4,11 @@ import dataclasses
 import json
 import math
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+from verifiers import json_dumps_by_tokens
 
 import exptails.core as core
 from exptails.core import (
@@ -256,6 +258,24 @@ class TestSerialization:
     def test_json_dumps_is_deterministic(self):
         payload = {"rows": [{"v": 1.0 / 3.0} for _ in range(3)]}
         assert json_dumps(payload) == json_dumps(payload)
+
+    def test_json_dumps_keeps_the_token_walk_bytes(self):
+        golden = Path(__file__).parent / "golden" / "verify_exponential_2x2.json"
+        verify_payload = json.loads(golden.read_text(encoding="utf-8"))
+        payloads = [
+            verify_payload,
+            {"a": {}, "b": [], "c": [[], {}, [[]], {"d": {}}], "e": ()},
+            {"quo\"te": 1, "back\\slash": [0.5], "line\nbreak": "tab\t", "\u00e9\u2028": None,
+             "\x00": {"\x1f": -0.0}, 7: True},
+            [],
+            {},
+            "plain",
+            3.25,
+        ]
+        for payload in payloads:
+            for indent in (0, 2):
+                assert json_dumps(payload, indent) == json_dumps_by_tokens(payload, indent)
+        assert json_dumps(verify_payload, indent=2) + "\n" == golden.read_text(encoding="utf-8")
 
     def test_json_dumps_rejects_unknown_types(self):
         with pytest.raises(InvalidInputError):

@@ -16,8 +16,11 @@ at every threshold, the bits ``ExpMixture.tail`` must keep.
 ``cumulant_sums_by_list`` takes K, K', K'' and the mean test of the saddle
 solve through list copies, the bits the cumulants must keep.
 ``rate_argmax`` is where the Cramer rate of a gamma summand is attained.
+``json_dumps_by_tokens`` renders JSON by appending every token to one flat
+list, the bytes ``core.json_dumps`` must keep.
 """
 
+import json
 import math
 import sys
 
@@ -34,6 +37,7 @@ from exptails.core import (
     WeightVector,
     as_weights,
     check_seed,
+    format_float,
 )
 from exptails.montecarlo import _chunks, _draw_sums, _run_chunks, _substream
 from exptails.oracle import MixtureUnavailableError
@@ -352,3 +356,53 @@ def cumulant_sums_by_list(b: np.ndarray, shape, theta: float) -> tuple[float, fl
 def rate_argmax(d: Distribution, t: float) -> float:
     """theta* = 1 - g/t, where t theta - psi(theta) of one gamma(g) summand attains the rate."""
     return 1.0 - d.shape / t
+
+
+def json_dumps_by_tokens(obj, indent: int = 0) -> str:
+    """``core.json_dumps`` by a walk that appends every token to one list, joined once."""
+    pieces: list[str] = []
+    _json_walk(obj, pieces, indent, 0)
+    return "".join(pieces)
+
+
+def _json_walk(obj, pieces: list[str], indent: int, depth: int) -> None:
+    pad = "\n" + " " * (indent * (depth + 1)) if indent else ""
+    close_pad = "\n" + " " * (indent * depth) if indent else ""
+    if obj is None:
+        pieces.append("null")
+    elif isinstance(obj, bool):
+        pieces.append("true" if obj else "false")
+    elif isinstance(obj, int):
+        pieces.append(str(obj))
+    elif isinstance(obj, float):
+        pieces.append(format_float(obj))
+    elif isinstance(obj, str):
+        pieces.append(json.dumps(obj))
+    elif isinstance(obj, dict):
+        if not obj:
+            pieces.append("{}")
+            return
+        pieces.append("{")
+        for i, (key, value) in enumerate(obj.items()):
+            if i:
+                pieces.append(",")
+            pieces.append(pad)
+            pieces.append(json.dumps(str(key)))
+            pieces.append(": " if indent else ":")
+            _json_walk(value, pieces, indent, depth + 1)
+        pieces.append(close_pad)
+        pieces.append("}")
+    elif isinstance(obj, (list, tuple)):
+        if not len(obj):
+            pieces.append("[]")
+            return
+        pieces.append("[")
+        for i, value in enumerate(obj):
+            if i:
+                pieces.append(",")
+            pieces.append(pad)
+            _json_walk(value, pieces, indent, depth + 1)
+        pieces.append(close_pad)
+        pieces.append("]")
+    else:
+        raise InvalidInputError(f"cannot serialize {type(obj).__name__} to JSON")
