@@ -94,10 +94,10 @@ def _run_chunks(worker, chunk_list, workers: "int | None"):
 
 
 def _binomial_interval(hits: int, n: int) -> tuple[float, float, float]:
-    """(stderr, ci_low, ci_high) for a hit count; Clopper-Pearson when rare."""
+    """(stderr, ci_low, ci_high) for a hit count; Clopper-Pearson when hits or misses are rare."""
     p = hits / n
     stderr = math.sqrt(p * (1.0 - p) / n)
-    if hits < _CP_HIT_CUTOFF:
+    if min(hits, n - hits) < _CP_HIT_CUTOFF:
         # imported here: scipy.special would double the import time of the package
         from scipy.special import betaincinv
 
@@ -122,29 +122,24 @@ def _checked(w, seed: int, threshold: float, n: int, what: str):
 
 
 def _weight_sums(
-    d: Distribution,
-    b: np.ndarray,
-    theta: float,
-    log_norm: float,
-    threshold: float,
-    n: int,
-    seed: int,
+    d: Distribution, b: np.ndarray, theta: float, threshold: float, n: int, seed: int,
     workers: "int | None",
 ) -> tuple[float, float]:
-    """(sum z, sum z^2) over n theta-tilted draws, z = 1{S > t} e^(K(theta) - theta S).
+    """(sum z, sum z^2) over n theta-tilted draws, z = 1{S > t} e^(-theta (S - t)) in [0, 1].
 
     Each chunk turns its sums into the weights in place, so a worker holds one
-    draw block, the chunk's sums and one hit mask.  The chunks' partials are
-    added with fsum in chunk order, so every worker count gives the same bits.
-    At theta = 0 every weight is exactly 1 and sum z is the hit count.
+    draw block, the chunk's sums and one hit mask; ``exp`` runs on hits only.
+    The chunks' partials are added with fsum in chunk order, so every worker
+    count gives the same bits.  At theta = 0 every hit weighs exactly 1 and
+    sum z is the hit count.
     """
 
     def worker(chunk: tuple[int, int]) -> tuple[float, float]:
         index, count = chunk
         z = _draw_sums(d.shape, b, theta, count, _substream(seed, index))
         hit = z > threshold
+        z -= threshold
         z *= -theta
-        z += log_norm
         np.exp(z, out=z, where=hit)
         z[~hit] = 0.0
         return float(np.sum(z)), float(np.dot(z, z))
@@ -163,7 +158,7 @@ def mc_tail(
 ) -> MCEstimate:
     """Plain Monte Carlo estimate of P(S > threshold)."""
     w, seed, threshold = _checked(w, seed, threshold, n, "plain MC")
-    hits = int(_weight_sums(d, d.scales(w), 0.0, 0.0, threshold, n, seed, workers)[0])
+    hits = int(_weight_sums(d, d.scales(w), 0.0, threshold, n, seed, workers)[0])
     stderr, lo, hi = _binomial_interval(hits, n)
     return MCEstimate(
         p_hat=hits / n,
@@ -189,7 +184,10 @@ def is_tail(
 
     The tilt solves the Chernoff stationarity condition at the threshold,
     clamped to 0.999/max(a), and is reported as ``tilt_theta``.  The
-    estimator averages indicator * likelihood ratio and is unbiased.
+    estimator averages indicator * likelihood ratio and is unbiased.  The
+    ratio e^(K(theta) - theta S) is the Chernoff bound e^(K(theta) - theta t)
+    times a weight in (0, 1] on each hit; the bound scales the weights' mean
+    and standard error once, so no square falls below the float range.
     """
     w, seed, threshold = _checked(w, seed, threshold, n, "importance sampling")
     mean_s = d.mean * w.l1
@@ -199,10 +197,11 @@ def is_tail(
         )
     theta = min(chernoff_tilt(d, w, threshold), _TILT_CLAMP / w.a_max)
     b = d.scales(w)
-    s1, s2 = _weight_sums(d, b, theta, cumulant(b, d.shape, theta), threshold, n, seed, workers)
-    p_hat = s1 / n
-    var = max(0.0, (s2 - n * p_hat * p_hat) / (n - 1))
-    stderr = math.sqrt(var / n)
+    bound = math.exp(cumulant(b, d.shape, theta) - theta * threshold)
+    s1, s2 = _weight_sums(d, b, theta, threshold, n, seed, workers)
+    mean_z = s1 / n
+    p_hat = bound * mean_z
+    stderr = bound * math.sqrt(max(0.0, (s2 - n * mean_z * mean_z) / (n - 1)) / n)
     lo = max(0.0, p_hat - _Z95 * stderr)
     hi = min(1.0, p_hat + _Z95 * stderr)
     return MCEstimate(

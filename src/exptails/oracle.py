@@ -593,33 +593,30 @@ def exact_tail(d: Distribution, w: "WeightVector | Sequence[float]", threshold: 
     """(P(S > threshold), source tag): mixture when usable, else contour inversion.
 
     The one place that knows the threshold domain: a non-finite threshold
-    raises InvalidInputError; at 0 the tail is the law's ``top``, below 0 a
-    nonnegative sum's is 1 and a symmetric sum's 1 - P(S > -t), so the routes
-    compute only P(S > x) at x > 0.  The mixture covers the laws that have
-    one on weights whose partial-fraction coefficients pass the trust gates;
-    every other case is inverted.  The tag is ``mixture`` when the law's
-    mixture builds and, where it is evaluated, passes its range gate.
+    raises InvalidInputError; at 0 the tail is the law's ``top`` and below 0
+    a nonnegative sum's is 1, both tagged ``domain``, and a symmetric sum's
+    is 1 - P(S > -t), so the routes compute only P(S > x) at x > 0.  The
+    mixture covers the laws that have one on weights whose partial-fraction
+    coefficients pass the trust gates; every other case is inverted.  The
+    tag is ``mixture`` when the law's mixture builds and passes its range
+    gate at x.
     """
     w = as_weights(w)
     t = float(threshold)
     if not math.isfinite(t):
         raise InvalidInputError(f"threshold must be finite, got {t!r}")
-    try:
-        mixture = ((hypoexp_mixture(w) if d.nonnegative else laplace_mixture(w))
-                   if d.mixture else None)
-    except MixtureUnavailableError:
-        mixture = None
-    source = "cf_inversion" if mixture is None else "mixture"
     if t == 0.0 or t < 0.0 and d.nonnegative:
-        return d.top, source
+        return d.top, "domain"
     x = abs(t)
-    if mixture is not None:
+    tail, source = None, "cf_inversion"
+    if d.mixture:
         try:
-            tail = mixture.tail(x)
+            mixture = hypoexp_mixture(w) if d.nonnegative else laplace_mixture(w)
+            tail, source = mixture.tail(x), "mixture"
         except MixtureUnavailableError:
-            mixture = None
-    if mixture is None:
-        tail, source = cf_tail_inversion(d, w, x), "cf_inversion"
+            pass
+    if tail is None:
+        tail = cf_tail_inversion(d, w, x)
     return (1.0 - tail if t < 0.0 else tail), source
 
 

@@ -251,6 +251,17 @@ class TestExactCommand:
         )
         assert payload["rows"][0]["source"] == "cf_inversion"
 
+    def test_threshold_domain_answers_are_tagged_domain(self, capsys):
+        payload = run_json(capsys, ["exact", "--dist", "laplace", "--weights", "1,1", "--t", "0"])
+        assert payload["rows"][0]["tail"] == 0.5
+        assert payload["rows"][0]["source"] == "domain"
+        payload = run_json(
+            capsys,
+            ["exact", "--dist", "gamma", "--shape", "2", "--weights", "1,2", "--t=-1"],
+        )
+        assert payload["rows"][0]["tail"] == 1.0
+        assert payload["rows"][0]["source"] == "domain"
+
     def test_gamma_large_total_shape_at_the_mean(self, capsys):
         # ten unit gamma(500) summands: P(S >= E S) = Q(5000, 5000), once printed as 1
         payload = run_json(
@@ -347,6 +358,27 @@ class TestSimulateCommand:
         row = payload["rows"][0]
         assert row["method"] == "tilted"
         assert row["tilt_theta"] > 0.0
+
+    def test_tilted_tail_below_squared_underflow(self, capsys):
+        # the likelihood ratios' squares underflowed here: stderr 0, ci_low = ci_high
+        argv = ["simulate", "--dist", "exponential", "--weights", "2,1", "--threshold", "750",
+                "--method", "tilted", "--samples", "131072"]
+        row = run_json(capsys, argv)["rows"][0]
+        exact = run_json(capsys, ["exact", "--dist", "exponential", "--weights", "2,1",
+                                  "--threshold", "750"])["rows"][0]["tail"]
+        assert row["stderr"] > 0.0
+        assert row["ci_low"] <= exact <= row["ci_high"]
+
+    @pytest.mark.parametrize("argv", [
+        ["--dist", "exponential", "--weights", "2,1", "--t", "0.0001"],
+        ["--dist", "laplace", "--weights", "2,1", "--t=-9"],
+    ], ids=["exponential", "laplace"])
+    def test_every_draw_hits(self, capsys, argv):
+        # the normal interval was [1, 1], which excludes the exact tail
+        row = run_json(capsys, ["simulate", *argv])["rows"][0]
+        exact = run_json(capsys, ["exact", *argv])["rows"][0]["tail"]
+        assert row["p_hat"] == 1.0 and exact < 1.0
+        assert row["ci_low"] <= exact <= row["ci_high"]
 
     def test_tilt_one_float_above_the_mean(self, capsys):
         # the tilt was -1.7e-17: a converged Newton step had left its bracket

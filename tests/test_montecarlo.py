@@ -111,6 +111,25 @@ class TestMcTail:
         assert est.ci_low <= truth <= est.ci_high
         assert est.ci_low > 0.0
 
+    @pytest.mark.parametrize("d, w, t", [(EXP, [2.0, 1.0], 0.0003), (LAP, [2.0, 1.0], -28.46)],
+                             ids=["exponential", "laplace"])
+    def test_rare_misses_use_clopper_pearson(self, d, w, t):
+        # every draw hits: the normal interval would be [1, 1] and miss the truth
+        est = mc_tail(d, w, t, n=100_000, seed=0)
+        assert est.p_hat == 1.0
+        truth = exact_tail(d, w, t)[0]
+        assert truth < 1.0
+        assert est.ci_low <= truth <= est.ci_high
+        assert est.ci_low < 1.0 and est.ci_high == 1.0
+
+    def test_clopper_pearson_is_symmetric_in_hits_and_misses(self):
+        for n in (100, 65536):
+            for hits in range(30):
+                _, lo, hi = _binomial_interval(hits, n)
+                _, lo_m, hi_m = _binomial_interval(n - hits, n)
+                assert math.isclose(lo_m, 1.0 - hi, rel_tol=1e-12)
+                assert math.isclose(hi_m, 1.0 - lo, rel_tol=1e-12)
+
     def test_clopper_pearson_matches_scipy_stats(self):
         for n in (100, 65536, 131072, 10**6):
             for hits in range(30):
@@ -174,6 +193,17 @@ class TestImportanceSampling:
         est = is_tail(LAP, [2.0, 1.0], t, n=n, seed=17)
         plain_var = truth * (1.0 - truth) / n
         assert plain_var / est.stderr**2 >= 10.0
+
+    @pytest.mark.parametrize("t, truth", [(750.0, 2.7580318805082776e-163),
+                                          (1000.0, 1.4249152813482571e-217)])
+    def test_tails_below_squared_underflow_keep_their_error(self, t, truth):
+        # e^(K - theta S) squared underflows below 1e-154: the Chernoff bound
+        # scales the mean and stderr of weights in (0, 1] instead
+        est = is_tail(EXP, [2.0, 1.0], t, n=131_072, seed=0)
+        assert est.stderr > 0.0
+        assert est.ci_low < est.ci_high
+        assert est.ci_low <= truth <= est.ci_high
+        assert abs(est.p_hat - truth) <= 4.0 * est.stderr
 
     def test_threshold_must_exceed_mean(self):
         with pytest.raises(InvalidInputError, match="use mc_tail"):
@@ -239,6 +269,20 @@ class TestDrawBlocks:
         blocked = both()
         monkeypatch.setattr(montecarlo, "_draw_sums", draw_sums_whole)
         assert blocked == both()
+
+    def test_a_tilted_chunk_holds_what_a_plain_chunk_holds(self):
+        # one 2**16-draw chunk at n = 5: both estimators weigh the sums in place
+        w = [1.0, 1.5, 2.0, 2.5, 3.0]
+        peaks = []
+        for estimator in (is_tail, mc_tail):
+            estimator(EXP, w, 20.0, _CHUNK, seed=1)  # imports, caches
+            tracemalloc.start()
+            try:
+                estimator(EXP, w, 20.0, _CHUNK, seed=1)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[0] <= 1.1 * peaks[1]
 
     def test_sampling_memory_is_bounded(self):
         # n = 64 Laplace weights, 128 signed scales: one whole 2**16-row chunk

@@ -132,8 +132,8 @@ class TestHypoexpMixture:
             w = random_weights(rng)
             mix = hypoexp_mixture(w)
             assert math.isclose(mix.coef_sum, 1.0, abs_tol=1e-8)
-            assert exact_tail(EXP, w, 0.0) == (1.0, "mixture")
-            assert exact_tail(EXP, w, -1.0) == (1.0, "mixture")
+            assert exact_tail(EXP, w, 0.0) == (1.0, "domain")
+            assert exact_tail(EXP, w, -1.0) == (1.0, "domain")
             for t in (0.0, -1.0, math.inf):
                 with pytest.raises(InvalidInputError, match="positive"):
                     mix.tail(t)
@@ -302,7 +302,8 @@ class TestMixtureMemo(ColdRecords):
     def test_mixture_answers_never_build_the_contour(self):
         w = [2.0, 1.0, 0.5]
         for d in (EXP, LAP):
-            assert all(exact_tail(d, w, t)[1] == "mixture" for t in (-2.0, 0.5, 3.0, 40.0))
+            assert all(exact_tail(d, w, t)[1] == "mixture" for t in (0.5, 3.0, 40.0))
+            assert exact_tail(d, w, -2.0)[1] == ("domain" if d is EXP else "mixture")
             assert p_ge_mean(d, w) > 0.0
             prepared = oracle._sum(d, as_weights(w))
             assert isinstance(prepared.mixture, ExpMixture)
@@ -455,7 +456,7 @@ class TestLaplaceMixture:
         for _ in range(20):
             w = random_weights(rng)
             mix = laplace_mixture(w)
-            assert exact_tail(LAP, w, 0.0) == (0.5, "mixture")
+            assert exact_tail(LAP, w, 0.0) == (0.5, "domain")
             for t in (0.3, 1.7, 5.0):
                 assert math.isclose(exact_tail(LAP, w, -t)[0], 1.0 - mix.tail(t), rel_tol=1e-12)
 
@@ -516,6 +517,19 @@ class TestCfInversion:
                 assert exact_tail(d, [2.0, 1.0], t)[0] == 1.0
                 with pytest.raises(InvalidInputError, match="positive"):
                     cf_tail_inversion(d, [2.0, 1.0], t)
+
+    def test_domain_answers_are_tagged_domain(self, monkeypatch):
+        # neither route runs at t = 0 or below 0 on a nonnegative law: no mixture is built
+        def refuse(w):
+            raise AssertionError("mixture built for a threshold-domain answer")
+
+        monkeypatch.setattr(oracle, "hypoexp_mixture", refuse)
+        monkeypatch.setattr(oracle, "laplace_mixture", refuse)
+        assert exact_tail(LAP, [1.0, 1.0], 0.0) == (0.5, "domain")
+        assert exact_tail(LAP, [2.0, 1.0], -0.0) == (0.5, "domain")
+        assert exact_tail(GAMMA2, [1.0, 2.0], -1.0) == (1.0, "domain")
+        for t in (0.0, -1e-300, -5.0):
+            assert exact_tail(EXP, [2.0, 1.0], t) == (1.0, "domain")
 
     def test_non_finite_threshold(self):
         for bad in (math.inf, -math.inf, math.nan):
