@@ -31,7 +31,7 @@ from .legendre import chernoff_tilt, cumulant
 _CHUNK = 1 << 16
 _DRAW_BLOCK = 1 << 15  # gamma entries drawn at once: a worker's memory, whatever n
 _TILT_CLAMP = 0.999
-_CP_HIT_CUTOFF = 30
+_CP_CUTOFF = 30  # fewer hits or misses than this: Clopper-Pearson
 # the 0.975 standard normal quantile, float(scipy.special.ndtri(0.975)) bit for bit
 _Z95 = 1.959963984540054
 
@@ -97,7 +97,7 @@ def _binomial_interval(hits: int, n: int) -> tuple[float, float, float]:
     """(stderr, ci_low, ci_high) for a hit count; Clopper-Pearson when hits or misses are rare."""
     p = hits / n
     stderr = math.sqrt(p * (1.0 - p) / n)
-    if min(hits, n - hits) < _CP_HIT_CUTOFF:
+    if min(hits, n - hits) < _CP_CUTOFF:
         # imported here: scipy.special would double the import time of the package
         from scipy.special import betaincinv
 

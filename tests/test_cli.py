@@ -359,15 +359,16 @@ class TestSimulateCommand:
         assert row["method"] == "tilted"
         assert row["tilt_theta"] > 0.0
 
-    def test_tilted_tail_below_squared_underflow(self, capsys):
+    @pytest.mark.parametrize("threshold", ["750", "1000"])
+    def test_tilted_tail_below_squared_underflow(self, capsys, threshold):
         # the likelihood ratios' squares underflowed here: stderr 0, ci_low = ci_high
-        argv = ["simulate", "--dist", "exponential", "--weights", "2,1", "--threshold", "750",
-                "--method", "tilted", "--samples", "131072"]
-        row = run_json(capsys, argv)["rows"][0]
-        exact = run_json(capsys, ["exact", "--dist", "exponential", "--weights", "2,1",
-                                  "--threshold", "750"])["rows"][0]["tail"]
+        argv = ["--dist", "exponential", "--weights", "2,1", "--threshold", threshold]
+        simulate = ["simulate", *argv, "--method", "tilted", "--samples", "131072"]
+        row = run_json(capsys, simulate)["rows"][0]
+        exact = run_json(capsys, ["exact", *argv])["rows"][0]["tail"]
         assert row["stderr"] > 0.0
         assert row["ci_low"] <= exact <= row["ci_high"]
+        assert abs(row["p_hat"] - exact) <= 4.0 * row["stderr"]
 
     @pytest.mark.parametrize("argv", [
         ["--dist", "exponential", "--weights", "2,1", "--t", "0.0001"],
