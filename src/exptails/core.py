@@ -134,6 +134,49 @@ class Distribution:
         return self.kind.value
 
 
+# Fewest entries whose exact sum the array kernel takes over from fsum: fsum
+# takes 4.8 us at 256 entries, 24 at 1,000 and 48 at 2,000, the kernel 7.8,
+# 9 and 10 (best of 7 in-process runs on 2 shared cores, Python 3.11, numpy 2.4).
+_ARRAY_FSUM_MIN = 512
+
+
+def _array_fsum(x: np.ndarray) -> float:
+    """math.fsum(memoryview(x)) for a 1-d float64 array, bit for bit, at array speed.
+
+    Error-free extraction (Rump, Ogita and Oishi, SIAM J. Sci. Comput. 31(1),
+    2008): with sigma = 2^e > (n + 1) max|r|, every q = (r + sigma) - sigma is
+    exact, a multiple of 2^-53 sigma within 2^-53 sigma of r, so every partial
+    sum of the q's is below sigma and exact, whatever numpy's order, and so is
+    each remainder r - q, at most 2^-53 sigma.  sigma steps down by
+    2^(52 - bit_length(n + 1)), which keeps it above (n + 1) times the
+    remainders, until every remainder is 0; fsum then rounds the few exact
+    level sums.  Their total is x's exact sum, whose correct rounding is
+    unique, so the result has fsum's bits.  Short arrays, and those whose
+    max |x| is 0, not finite or too close to overflow for sigma, go to fsum
+    itself, with its values and exceptions.
+    """
+    n = len(x)
+    if n < _ARRAY_FSUM_MIN:
+        return math.fsum(memoryview(x))
+    top = float(abs(x).max())
+    bits = (n + 1).bit_length()
+    e = math.frexp(top)[1] + bits
+    if not 0.0 < top < math.inf or e > 1023:
+        return math.fsum(memoryview(x))
+    sigma = math.ldexp(1.0, e)
+    step = math.ldexp(1.0, bits - 52)
+    levels = []
+    r = x
+    while True:
+        q = r + sigma
+        q -= sigma
+        levels.append(float(q.sum()))
+        r = r - q
+        if not r.any():
+            return math.fsum(levels)
+        sigma *= step
+
+
 @dataclass(frozen=True)
 class WeightVector:
     """Positive finite weights (a_1, ..., a_n) with a finite sum ``l1``, hashed once."""
@@ -181,7 +224,12 @@ class WeightVector:
     def l2(self) -> float:
         # squares in units of a power of two next to a_max neither overflow nor underflow
         u = self.unit
-        return math.sqrt(math.fsum((v / u) * (v / u) for v in self.values)) * u
+        if len(self.values) < _ARRAY_FSUM_MIN:
+            return math.sqrt(math.fsum((v / u) * (v / u) for v in self.values)) * u
+        import numpy as np
+
+        a = np.array(self.values) / u
+        return math.sqrt(_array_fsum(a * a)) * u
 
 
 def as_weights(w: "WeightVector | Sequence[float]") -> WeightVector:

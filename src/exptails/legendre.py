@@ -5,11 +5,13 @@ the cumulant generating function of S = sum_j b_j G_j is
 K(theta) = -shape sum_j log1p(-b_j theta) for every law, finite for
 b_j theta < 1.  K and its slopes K', K'' feed the saddle point of the
 contour-inversion oracle and the Chernoff tilt of the importance sampler;
-each is one expression over the scales, summed exactly with math.fsum.
-The scales are an array, whose terms are summed from its buffer (no list
-copy), or a list of floats with a list of one shape per scale, whose terms
-are the same IEEE operations in the same order: the two forms agree bit for
-bit, and the list form saves numpy's per-call overhead on narrow sums.  With
+each is one expression over the scales, summed exactly: with math.fsum's
+bits.  The scales are an array, whose terms core._array_fsum sums (fsum on
+its buffer below 512 terms, error-free extraction in array operations from
+512 on), or a list of floats with a list of one shape per scale, whose terms
+are the same IEEE operations in the same order, summed by math.fsum: the two
+forms agree bit for bit, and the list form saves numpy's per-call overhead
+on narrow sums.  With
 an array, the shape is one scalar for every scale, or an array of one shape
 per scale (the contour merges equal scales into one column of the summed
 shape).
@@ -25,6 +27,7 @@ from .core import (
     InvalidInputError,
     NumericFailureError,
     WeightVector,
+    _array_fsum,
     as_weights,
 )
 
@@ -54,7 +57,7 @@ def cumulant(b: np.ndarray | list[float], shape, theta: float) -> float:
         return math.fsum([-s * v for s, v in zip(shape, logs)])
     import numpy as np
 
-    return math.fsum(memoryview(-shape * np.array(logs)))
+    return _array_fsum(-shape * np.array(logs))
 
 
 def cumulant_slopes(b: np.ndarray | list[float], shape, theta: float) -> tuple[float, float]:
@@ -67,7 +70,7 @@ def cumulant_slopes(b: np.ndarray | list[float], shape, theta: float) -> tuple[f
         return (math.fsum([v * (s / r) for v, s, r in zip(b, shape, q)]),
                 math.fsum([v * v * (s / (r * r)) for v, s, r in zip(b, shape, q)]))
     q = 1.0 - b * theta
-    return math.fsum(memoryview(b * (shape / q))), math.fsum(memoryview(b * b * (shape / q**2)))
+    return _array_fsum(b * (shape / q)), _array_fsum(b * b * (shape / q**2))
 
 
 def _solve_cumulant_prime(b: np.ndarray | list[float], shape, target: float) -> float:
@@ -85,14 +88,15 @@ def _solve_cumulant_prime(b: np.ndarray | list[float], shape, target: float) -> 
     shape per scale, their sum stands for len(b)*shape.
     """
     listed = isinstance(b, list)
-    if target >= math.fsum([v * s for v, s in zip(b, shape)] if listed else memoryview(b * shape)):
+    fsum = math.fsum if listed else _array_fsum
+    if target >= fsum([v * s for v, s in zip(b, shape)] if listed else b * shape):
         b_max = max(b) if listed else b.max()
         lo, hi = 0.0, (1.0 - 1e-12) / b_max
         theta = min(0.5 / b_max, hi)
     else:
         b_min = min(b) if listed else b.min()
         # n copies of one shape sum to n * shape, correctly rounded either way
-        total = len(b) * shape if isinstance(shape, (int, float)) else math.fsum(shape)
+        total = len(b) * shape if isinstance(shape, (int, float)) else fsum(shape)
         lo = (1.0 - 1e-12) / b_min if b_min < 0.0 else -total / target
         hi = 0.0
         theta = 0.5 * lo

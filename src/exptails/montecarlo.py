@@ -130,14 +130,17 @@ def _weight_sums(
     Each chunk turns its sums into the weights in place, so a worker holds one
     draw block, the chunk's sums and one hit mask; ``exp`` runs on hits only.
     The chunks' partials are added with fsum in chunk order, so every worker
-    count gives the same bits.  At theta = 0 every hit weighs exactly 1 and
-    sum z is the hit count.
+    count gives the same bits.  At theta = 0 every hit weighs exactly 1, so a
+    chunk counts its hit mask, and both sums are the hit count.
     """
 
     def worker(chunk: tuple[int, int]) -> tuple[float, float]:
         index, count = chunk
         z = _draw_sums(d.shape, b, theta, count, _substream(seed, index))
         hit = z > threshold
+        if not theta:
+            hits = float(np.count_nonzero(hit))
+            return hits, hits
         z -= threshold
         z *= -theta
         np.exp(z, out=z, where=hit)

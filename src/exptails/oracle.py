@@ -256,19 +256,18 @@ class _Sum:
 
         u = self.w.unit
         scales = self.d.scales(self.w) / u
-        counted = _columns(scales)
-        values, counts = list(counted), list(counted.values())
-        b, count = np.array(values), np.array(counts, dtype=float)
+        b, count = _columns(scales)
         shape = count * self.d.shape
         for arr in (b, count, shape):
             arr.flags.writeable = False
-        k = (values, shape.tolist()) if len(values) <= NARROW else (b, shape)
+        k = (b.tolist(), shape.tolist()) if len(b) <= NARROW else (b, shape)
+        unit_counts = len(b) == len(scales)
+        pole = 1.0 / float(b.max())
         mirrored = not self.d.nonnegative  # a symmetric law's scales are a, then -a
         if mirrored:
-            half = len(values) // 2
+            half = len(b) // 2
             b, count = b[:half], count[:half]
-        unit_counts = len(values) == len(scales)
-        return _Columns(u, k, 1.0 / max(values), self.d.shape, b, None if unit_counts else count, mirrored)
+        return _Columns(u, k, pole, self.d.shape, b, None if unit_counts else count, mirrored)
 
     def hold(self, above: bool) -> tuple[float, float]:
         """(hold, K'(hold)) above (True) or below the mean; K' may raise OverflowError."""
@@ -363,15 +362,28 @@ def laplace_abs_norm(w: "WeightVector | Sequence[float]", p: float) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _columns(b: np.ndarray) -> dict[float, int]:
-    """The distinct entries of b in order of first occurrence, each with its count.
+def _columns(b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct entries of b in order of first occurrence, and their counts as floats.
 
     gamma(shape) taken m times on one scale is gamma(m shape) on it, so the
     contour takes one column per distinct scale, of shape count * shape.
+    Distinct entries come back as b itself.  Up to NARROW entries a dict
+    counts them; wider, np.unique does, and its first indices give the order.
     """
-    values = b.tolist()
-    counts = dict.fromkeys(values, 1)
-    return counts if len(counts) == len(values) else collections.Counter(values)
+    import numpy as np
+
+    if len(b) <= NARROW:
+        values = b.tolist()
+        counts = dict.fromkeys(values, 1)
+        if len(counts) < len(values):
+            counts = collections.Counter(values)
+            return np.array(list(counts)), np.array(list(counts.values()), dtype=float)
+        return b, np.ones(len(b))
+    distinct, first, counts = np.unique(b, return_index=True, return_counts=True)
+    if len(distinct) < len(b):
+        order = np.argsort(first)
+        return distinct[order], counts[order].astype(float)
+    return b, np.ones(len(b))
 
 
 def _bromwich(cols: _Columns, theta: float, t: float, p: float) -> tuple[float, float]:
@@ -455,10 +467,11 @@ def _bromwich(cols: _Columns, theta: float, t: float, p: float) -> tuple[float, 
 
     # Half-line trapezoid sum (the integrand is conjugate-symmetric in u).
     # 64 nodes is a typical walk's length: a walk of few scales does not
-    # evaluate every node below _U_MAX
+    # evaluate every node below _U_MAX.  A wide sum, whose blocks hold fewer
+    # nodes, still takes 32 a call: four or five calls cost more than it saves
     h = 0.125
     span = 4 * max(1, rows // 4)
-    chunk = min(span, 64)
+    chunk = min(max(span, 32), 64)
     last = 4 * int(_U_MAX / h / 4)  # nodes below u = _U_MAX, in fours
     nodes, walked = 0, 0.0
     evens, odds = [], []

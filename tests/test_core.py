@@ -4,10 +4,13 @@ import dataclasses
 import json
 import math
 import sys
+import types
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from verifiers import json_dumps_by_tokens
 
 import exptails.core as core
@@ -72,6 +75,71 @@ class TestDistribution:
             Distribution(kind=LawKind.LAPLACE, shape=0.5)
 
 
+def _fsum_outcome(fsum, x: np.ndarray) -> str:
+    """The sum's hex, or the exception it raised."""
+    try:
+        return fsum(x).hex()
+    except (OverflowError, ValueError) as exc:
+        return repr(exc)
+
+
+class TestArrayFsum:
+    """core._array_fsum returns what math.fsum(memoryview(x)) returns, or raises what it raises."""
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=400)
+    @given(n=st.one_of(st.integers(0, 4096), st.integers(505, 520)), seed=st.integers(0, 2**32 - 1),
+           top=st.integers(-1074, 1024), spread=st.integers(0, 2100),
+           signed=st.booleans(), cancel=st.booleans(), zeros=st.booleans())
+    @example(n=511, seed=1, top=0, spread=10, signed=False, cancel=False, zeros=False)
+    @example(n=512, seed=2, top=0, spread=10, signed=True, cancel=True, zeros=False)
+    @example(n=513, seed=3, top=-1060, spread=20, signed=False, cancel=False, zeros=True)
+    @example(n=4096, seed=4, top=1024, spread=0, signed=False, cancel=False, zeros=False)
+    @example(n=4096, seed=5, top=1010, spread=2100, signed=True, cancel=True, zeros=True)
+    @example(n=4096, seed=6, top=1011, spread=0, signed=False, cancel=False, zeros=False)
+    def test_has_the_bits_of_fsum(self, n, seed, top, spread, signed, cancel, zeros):
+        # mantissas in [0.5, 1), of one sign or either, times 2^e, e in
+        # [top - spread, top]: ldexp rounds those below 2^-1074 to subnormals or +-0
+        rng = np.random.default_rng(seed)
+        mantissa = rng.uniform(0.5, 1.0, n) * (rng.choice([1.0, -1.0], n) if signed else 1.0)
+        x = np.ldexp(mantissa, rng.integers(max(top - spread, -1100), top + 1, n))
+        if cancel:  # +-x pairs, spread through the array
+            x = np.concatenate([x[: n - n // 2], -x[: n // 2]])
+            rng.shuffle(x)
+        if zeros:
+            x[rng.random(n) < 0.2] = rng.choice([0.0, -0.0])
+        assert _fsum_outcome(core._array_fsum, x) == _fsum_outcome(lambda v: math.fsum(memoryview(v)), x)
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_second_level_sums_stay_exact(self, seed):
+        # +-1.5 set sigma and cancel; the other 4,094 entries, of one sign and
+        # 53 bits each, fall below the first level's grid, so the whole sum
+        # rests on the second level's partial sums, as wide as sigma allows
+        rng = np.random.default_rng(seed)
+        x = np.concatenate([[1.5, -1.5], np.ldexp(rng.uniform(0.5, 1.0, 4094), -40)])
+        assert core._array_fsum(x).hex() == math.fsum(memoryview(x)).hex()
+
+    @pytest.mark.parametrize("n", [3, 600])
+    @pytest.mark.parametrize("special", [
+        [math.inf], [-math.inf], [math.nan], [math.inf, -math.inf], [math.nan, math.inf],
+        [1e308, 1e308], [1e308, 1e308, -1e308], [-0.0], [0.0, -0.0],
+    ])
+    def test_specials_behave_as_in_fsum(self, n, special):
+        x = np.zeros(n) if special in ([-0.0], [0.0, -0.0]) else np.linspace(-1.0, 2.0, n)
+        x[: len(special)] = special
+        assert _fsum_outcome(core._array_fsum, x) == _fsum_outcome(lambda v: math.fsum(memoryview(v)), x)
+
+    def test_wide_arrays_skip_the_buffer_walk(self, monkeypatch):
+        # from _ARRAY_FSUM_MIN entries on, fsum sees only the level sums
+        seen = []
+        shim = types.SimpleNamespace(**vars(math))
+        shim.fsum = lambda terms: seen.append(type(terms)) or math.fsum(terms)
+        monkeypatch.setattr(core, "math", shim)
+        x = np.exp(np.linspace(-30.0, 30.0, core._ARRAY_FSUM_MIN))
+        core._array_fsum(x[:-1])
+        core._array_fsum(x)
+        assert seen == [memoryview, list]
+
+
 class TestWeightVector:
     def test_norms(self):
         w = WeightVector((2.0, 1.0))
@@ -80,6 +148,14 @@ class TestWeightVector:
         assert w.l2 == math.sqrt(5.0)
         assert len(w) == 2
         assert list(w) == [2.0, 1.0]
+
+    @pytest.mark.parametrize("n", [511, 512, 10_000])
+    def test_wide_l2_keeps_the_bits_of_the_term_walk(self, n):
+        for values in ([3.0] * n, np.exp(np.linspace(-40.0, 40.0, n)).tolist()):
+            w = WeightVector(tuple(values))
+            u = w.unit
+            want = math.sqrt(math.fsum((v / u) * (v / u) for v in values)) * u
+            assert w.l2.hex() == want.hex()
 
     def test_validation(self):
         with pytest.raises(InvalidInputError):

@@ -18,7 +18,7 @@ from verifiers import (
 
 import exptails.oracle as oracle
 from exptails.core import Distribution, InvalidInputError, NumericFailureError, WeightVector, as_weights
-from exptails.legendre import NARROW
+from exptails.legendre import NARROW, chernoff_tilt
 from exptails.oracle import (
     ExpMixture,
     MixtureTerm,
@@ -600,11 +600,11 @@ class TestExactTail:
     def test_columns_in_order_of_first_occurrence(self, n):
         rng = np.random.default_rng(n)
         for b in (rng.choice([0.5, 2.0, -1.0, 0.75, -3.0], n), rng.uniform(-2.0, 2.0, n)):
-            counted = oracle._columns(b)
+            values, counts = oracle._columns(b)
             seen = {}
             for v in b.tolist():
                 seen[v] = seen.get(v, 0) + 1
-            assert list(counted.items()) == list(seen.items())
+            assert list(zip(values.tolist(), counts.tolist())) == list(seen.items())
 
     def test_thousand_equal_weights_are_one_column(self):
         # the contour takes the equal weights as one gamma(1000) column
@@ -1040,3 +1040,41 @@ class TestPGeMean:
         for _ in range(10):
             w = random_weights(rng, max_n=6)
             assert 0.0 < p_ge_mean(EXP, w) < 1.0
+
+
+class TestWideSumBits:
+    """The bits of wide sums, recorded at 6f4fd3e, before their array sums ran through core._array_fsum.
+
+    ``spread`` has 1,000 distinct weights, so every cumulant sums 1,000 or
+    2,000 terms; ``repeats`` has 100 weights, each 10 times, which the contour
+    merges into 100 columns.  Near and deep are mean + 0.3 and + 8 sigma; the
+    tilt aims at mean + 3 sigma.
+    """
+
+    SPREAD = [0.5 + 1.5 * ((i * 0.6180339887498949) % 1.0) for i in range(1000)]
+    REPEATS = [1.0 + (i % 100) / 64 for i in range(1000)]
+    # weights: (l2, laplace_abs_norm(w, 3)) and, per law, (near, deep, tilt)
+    BITS = {
+        "spread": (("0x1.4ea8d94e29b11p+5", "0x1.14946d7740c1dp+6"), {
+            "exponential": ("0x1.82f687a441ecfp-2", "0x1.dddd586b4e202p-44", "0x1.08bf99a4b0a59p-4"),
+            "laplace": ("0x1.87330a04acb7cp-2", "0x1.5950109b18e63p-50", "0x1.9cd7d7c9c4dc5p-5"),
+            "gamma(0.5)": ("0x1.812f846e98779p-2", "0x1.38d842459731ep-41", "0x1.6795eccd371adp-4"),
+        }),
+        "repeats": (("0x1.ceee380e54864p+5", "0x1.7e94f234e7c27p+6"), {
+            "exponential": ("0x1.8330d851799b5p-2", "0x1.788bc587a95d2p-44", "0x1.80d97ced00a8fp-5"),
+            "laplace": ("0x1.8734cac217e2fp-2", "0x1.411126f1c9908p-50", "0x1.2aa9da327da97p-5"),
+            "gamma(0.5)": ("0x1.81821f299d00ep-2", "0x1.cf4ea442cdd8ap-42", "0x1.05e3c5bec3eb2p-4"),
+        }),
+    }
+
+    @pytest.mark.parametrize("name", ["spread", "repeats"])
+    def test_wide_sums_keep_their_bits(self, name):
+        w = as_weights(getattr(self, name.upper()))
+        (l2, norm3), laws = self.BITS[name]
+        assert [w.l2.hex(), laplace_abs_norm(w, 3.0).hex()] == [l2, norm3]
+        for d in (EXP, LAP, GAMMA05):
+            mean, sigma = d.mean * w.l1, math.sqrt(d.variance) * w.l2
+            tails = [exact_tail(d, w, mean + z * sigma) for z in (0.3, 8.0)]
+            assert all(route == "cf_inversion" for _, route in tails)
+            got = [v.hex() for v, _ in tails] + [chernoff_tilt(d, w, mean + 3.0 * sigma).hex()]
+            assert got == list(laws[d.label()])

@@ -64,6 +64,22 @@ def test_only_core_names_the_laws():
     assert found == []
 
 
+def test_array_sums_go_through_the_kernel():
+    # core._array_fsum returns fsum's bits by array operations from a few
+    # hundred entries on, so fsum walks an array's buffer only in the
+    # kernel's own fallback, for short or non-finite arrays
+    found, kernel = [], range(0)
+    for path in sorted(Path(exptails.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.FunctionDef) and (path.name, node.name) == ("core.py", "_array_fsum"):
+                kernel = range(node.lineno, node.end_lineno + 1)
+            elif (isinstance(node, ast.Call) and ast.unparse(node.func).endswith("fsum") and node.args
+                  and isinstance(node.args[0], ast.Call) and ast.unparse(node.args[0].func) == "memoryview"):
+                found.append((path.name, node.lineno))
+    assert found, "the scan finds the kernel's fallback"
+    assert [(name, line) for name, line in found if name != "core.py" or line not in kernel] == []
+
+
 # What the closed-form runs must not load: numpy arrives with the contour, the
 # samplers and the harness, and the thread pool with sampling over workers.
 ARRAY_MODULES = ("numpy", "exptails.montecarlo", "exptails.harness", "concurrent.futures")
