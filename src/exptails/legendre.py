@@ -46,18 +46,20 @@ NARROW = 16
 
 def cumulant(b: np.ndarray | list[float], shape, theta: float) -> float:
     """K(theta) = log E exp(theta S); +inf outside the domain max_j b_j theta < 1."""
-    listed = isinstance(b, list)
-    x = [v * theta for v in b] if listed else (b * theta).tolist()
-    if max(x) >= 1.0:
-        return math.inf
-    # libm's log1p term by term: numpy's differs from it in the last bit, and
-    # K reaches the printed tails and importance-sampling estimates
-    logs = [math.log1p(-v) for v in x]
-    if listed:
-        return math.fsum([-s * v for s, v in zip(shape, logs)])
+    # -b_j theta is -(b_j theta) bit for bit: IEEE negation and multiplication
+    # commute.  libm's log1p term by term: numpy's differs from it in the last
+    # bit, and K reaches the printed tails and importance-sampling estimates
+    if isinstance(b, list):
+        x = [v * -theta for v in b]
+        if min(x) <= -1.0:
+            return math.inf
+        return math.fsum([-s * v for s, v in zip(shape, map(math.log1p, x))])
     import numpy as np
 
-    return _array_fsum(-shape * np.array(logs))
+    x = b * -theta
+    if x.min() <= -1.0:
+        return math.inf
+    return _array_fsum(-shape * np.fromiter(map(math.log1p, x.tolist()), float, len(x)))
 
 
 def cumulant_slopes(b: np.ndarray | list[float], shape, theta: float) -> tuple[float, float]:

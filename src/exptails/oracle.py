@@ -50,7 +50,7 @@ if TYPE_CHECKING:
 _COEF_ABS_CAP = 1e12
 _COEF_DRIFT_TOL = 1e-10
 _MAX_DISTINCT_SCALES = 64
-# Contour inversion: relative agreement of successive trapezoid sums, the
+# Contour inversion: the relative error a trapezoid sum is accepted at, the
 # largest u walked out to, the number of step halvings from h = 1/8, and the
 # entries per array of a node block (64 KB of floats).
 _INV_RTOL = 1e-12
@@ -402,16 +402,19 @@ def _bromwich(cols: _Columns, theta: float, t: float, p: float) -> tuple[float, 
     at 1/max_j b_j; a negative scale's branch point lies beyond the pole),
     and c = w/2: the integrand decays double exponentially in u and is
     analytic in a strip of half-width about pi/4 around the real u axis, so
-    the trapezoid rule converges geometrically.  The step halves from 1/8 until
-    two successive sums agree to _INV_RTOL relative, or _INV_RTOL p for an
-    order p > 1, whose p-th root (the norm) divides the error by p; that
-    difference, or the sum's rounding error if larger, is the error estimate.
-    The first sum walks out, no further than _U_MAX, and stops at the first
-    four nodes whose last two terms are negligible; each call of the walk takes
-    up to 64 nodes and the midpoints between them, which the first halving
-    sums, so an inversion that halves once makes one call.  The sums over the
-    columns run in blocks of nodes of at most _BLOCK entries per array, so
-    memory stays bounded for any n.
+    the trapezoid rule converges geometrically: each halving of the step
+    squares its relative error.  The step halves from 1/8 until the finer
+    sum's predicted error, diff^2 / |sum| for the difference diff of the last
+    two sums, is at most _INV_RTOL relative, or _INV_RTOL p for an order
+    p > 1, whose p-th root (the norm) divides the error by p; that prediction,
+    or the sum's rounding error if larger, is the error estimate.  It leaves
+    out the rounding of the integrand itself, which grows with the summed
+    shape.  The first sum walks out, no further than _U_MAX, and stops at the
+    first four nodes whose last two terms are negligible; each call of the
+    walk takes up to 64 nodes and the midpoints between them, which the first
+    halving sums, so an inversion that halves once makes only the walk's
+    calls.  The sums over the columns run in blocks of nodes of at most
+    _BLOCK entries per array, so memory stays bounded for any n.
     """
     import numpy as np
 
@@ -512,14 +515,18 @@ def _bromwich(cols: _Columns, theta: float, t: float, p: float) -> tuple[float, 
         total += f.sum()
         mass += np.abs(f).sum()
         h, nodes = 0.5 * h, 2 * nodes
-        err = abs(h * total - estimate)
+        diff = abs(h * total - estimate)
         estimate = h * total
+        # the error of the trapezoid sum of an analytic integrand squares as h
+        # halves, so the finer sum is off by about (diff / estimate)^2 relative
+        # (a zero sum keeps the difference itself)
+        err = diff * diff / abs(estimate) if estimate else diff
         if err <= _INV_RTOL * max(1.0, p) * abs(estimate):
-            # successive sums can agree bit for bit; the sum's own rounding
-            # is then the error
+            # the prediction can fall below the sum's own rounding, which is
+            # then the error
             return estimate / math.pi, max(err, _ROUNDING * h * mass) / math.pi
     raise NumericFailureError(
-        f"contour inversion did not converge: successive sums differ by {err:.3e}"
+        f"contour inversion did not converge: successive sums differ by {diff:.3e}"
     )
 
 
