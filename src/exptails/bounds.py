@@ -210,13 +210,6 @@ def law_bounds(
     return [_EVALUATE[kind](d, w, t, p_ge_mean) for kind in d.bounds]
 
 
-def sandwich_pair(
-    d: Distribution, w: "WeightVector | Sequence[float]", t: float, p_ge_mean: "float | None"
-) -> tuple[BoundValue, BoundValue]:
-    """The law's (lower, upper) pair, the first two of ``law_bounds``."""
-    return tuple(_EVALUATE[kind](d, w, t, p_ge_mean) for kind in d.bounds[:2])
-
-
 def moment_bounds(
     p: float,
     w: "WeightVector | Sequence[float]",

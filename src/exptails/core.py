@@ -46,7 +46,8 @@ class LawKind(str, enum.Enum):
 
 # One row per law, read once by ``Distribution``: the unit scales u (a unit
 # summand is sum_u u G_u, G_u i.i.d. gamma(shape), so a standard Laplace one is
-# a difference of two exponentials), then its top, mixture, moments and bounds.
+# a difference of two exponentials), then its top, mixture, moments and bounds;
+# each bound's name ends in its side, _lower or _upper, which ``verify`` reads.
 _GENERIC = ("generic_lower", "generic_upper", "s_ineq_upper")
 _LAWS = {
     LawKind.EXPONENTIAL: ((1.0,), 1.0, True, False, ("janson_lower", "janson_upper", *_GENERIC)),
@@ -65,7 +66,7 @@ class Distribution:
     tail ``top`` of a sum at 0+ (1, or 1/2 for a symmetric law), whether sums
     of distinct weights have a partial-fraction ``mixture``, whether the
     ``moments`` norms apply, and the ``bounds`` that ``exptails bounds``
-    prints, in order, the (lower, upper) pair ``verify`` certifies first.
+    prints, in order, every valid one of which ``verify`` certifies.
     """
 
     kind: LawKind

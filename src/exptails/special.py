@@ -1,5 +1,5 @@
-"""Scalar special functions: the Erlang tail Q(k+1, x), the Laplace rate
-shape h of the bounds, and the standard normal tail with its lower bound.
+"""Scalar special functions: the Erlang tail Q(k+1, x) and the Laplace rate
+shape h of the bounds.
 
 Each is elementary float arithmetic; nothing here imports scipy.  No package
 route calls the Erlang tail; it stays while the benchmark's trace counts it.
@@ -76,15 +76,3 @@ def h_closed(u: float) -> float:
     d = u * u / (1.0 + math.hypot(1.0, u))
     return d - math.log1p(0.5 * d)
 
-
-def gaussian_tail(u: float) -> float:
-    """Exact standard normal tail P(G > u) via erfc."""
-    return 0.5 * math.erfc(float(u) / math.sqrt(2.0))
-
-
-def gaussian_tail_lower(u: float) -> float:
-    """Lower bound (1/sqrt(2*pi)) * u/(u^2+1) * exp(-u^2/2) on the normal tail, u > 0."""
-    u = float(u)
-    if not math.isfinite(u) or u <= 0.0:
-        raise InvalidInputError(f"gaussian_tail_lower needs u > 0, got {u!r}")
-    return u / (u * u + 1.0) * math.exp(-0.5 * u * u) / math.sqrt(2.0 * math.pi)

@@ -196,13 +196,6 @@ emit("h_at_1em4", h(mp.mpf("1e-4")))
 emit("h_at_3", h(3))
 emit("theta_star_at_3", (mp.sqrt(10) - 1) / 3)  # argmax of theta*3 + log(1-theta^2)
 
-emit("gauss_tail_lower_at_1", mp.exp(-mp.mpf(1) / 2) / (2 * mp.sqrt(2 * mp.pi)))
-emit("gauss_tail_exact_at_1", mp.erfc(1 / mp.sqrt(2)) / 2)
-emit(
-    "gauss_tail_lower_at_2",
-    mp.mpf(2) / 5 * mp.exp(-2) / mp.sqrt(2 * mp.pi),
-)
-
 # ---------------------------------------------------------------------------
 # Legendre/rate-function values
 # ---------------------------------------------------------------------------

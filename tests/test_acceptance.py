@@ -14,6 +14,7 @@ from scipy.stats import ks_2samp
 from verifiers import h_sup, mp_partial_fraction_tail, sample_sum
 
 from exptails.bounds import janson_lower, janson_upper, moment_bounds, pz_bound, s_inequality_upper
+from exptails.cli import _bound_rows
 from exptails.core import Distribution, WeightVector, threshold_unit
 from exptails.harness import SandwichConfig, random_instances, sandwich_report
 from exptails.montecarlo import is_tail, mc_tail
@@ -228,6 +229,56 @@ def test_paley_zygmund_floor():
         f"all inside (1/24, 23/24): {interval_ok}",
     )
     assert ok
+
+
+def test_gamma_mean_floor_holds():
+    # the Paley-Zygmund floor on P(S >= E S) from the fourth-moment ratio of a
+    # gamma sum, at most 3 (1 + 2/shape); generic_lower may take it for p
+    worst = math.inf
+    for shape in (1e-3, 1e-2, 0.1, 0.5, 1.0, 2.0, 10.0, 100.0, 1e3, 1e4):
+        floor = pz_bound(3.0 * (1.0 + 2.0 / shape))
+        d = Distribution.gamma(shape)
+        for w in random_instances(0, 60):
+            worst = min(worst, p_ge_mean(d, w) / floor)
+    ok = worst >= 1.0
+    _report(
+        "gamma_mean_floor", ok,
+        f"min P(S >= E S) / floor = {worst:.4f} over 10 gamma shapes x 60 instances",
+    )
+    assert ok
+
+
+def test_printed_bounds_hold():
+    # every valid row that `exptails bounds` prints is on its side of the
+    # exact tail, at verify's relative slack; a tail that underflows to 0
+    # cannot check its rows, and they are counted, not hidden
+    laws = [EXP, LAP] + [Distribution.gamma(s) for s in (1e-3, 0.5, 1.0, 2.0, 100.0, 1e4)]
+    grid = (*SandwichConfig(distribution=EXP).t_grid, 50.0, 200.0)
+    slack = 1.0 + 1e-9
+    wrong, checked, uncheckable = [], 0, 0
+    for d in laws:
+        for w in random_instances(0, 20):
+            unit = threshold_unit(d, w)
+            for row in _bound_rows(d, w, [(t, t * unit) for t in grid]):
+                if not row["valid"]:
+                    continue
+                exact = exact_tail(d, w, row["threshold"])[0]
+                if exact == 0.0:
+                    uncheckable += 1
+                    continue
+                checked += 1
+                if row["kind"].endswith("_lower"):
+                    low, high = row["value"], exact
+                else:
+                    low, high = exact, row["value"]
+                if low > high * slack:
+                    wrong.append((d.label(), w.values, row["t"], row["kind"]))
+    detail = (
+        f"{len(wrong)} of {checked} valid rows on the wrong side; {uncheckable} more "
+        "uncheckable, their exact tail 0, over 8 laws x 20 instances x 8 thresholds"
+    )
+    _report("printed_bounds", not wrong, detail)
+    assert not wrong, (detail, wrong[:5])
 
 
 def test_s_inequality_domination():

@@ -1,4 +1,4 @@
-"""Tail bounds: the two-sided sandwich pairs, floors, and moment brackets.
+"""Tail bounds: the two-sided bound families, floors, and moment brackets.
 
 Frozen reference values come from tests/oracles/closed_forms.py.
 """
@@ -26,11 +26,11 @@ from exptails.bounds import (
     moment_bounds,
     pz_bound,
     s_inequality_upper,
-    sandwich_pair,
 )
 from exptails.core import (
     Distribution,
     InvalidInputError,
+    LawKind,
     UnsupportedLawError,
     WeightVector,
     threshold_unit,
@@ -189,9 +189,9 @@ class TestWeightSignatures:
                     assert got[0].log_value == log_value, (bound.__name__, values, t)
                     assert got[0] == got[1] == got[2], (bound.__name__, values, t)
 
-    def test_sandwich_pair_is_the_family_pair(self):
+    def test_law_bounds_is_the_printed_family(self):
         # law_bounds gives the law's kinds in the order the bounds goldens
-        # print them, and sandwich_pair is its first two
+        # print them, each the family's own value
         gamma = Distribution.gamma(0.5)
         floor = pz_bound(3.0 * (1.0 + 2.0 / 0.5))
         printed = {
@@ -204,16 +204,24 @@ class TestWeightSignatures:
         for values in _seeded_weights():
             for t in PIN_T:
                 want = {
-                    EXP: (janson_lower(t, values), janson_upper(t, values)),
-                    LAP: (laplace_lower(t, values), laplace_upper(t, values)),
-                    gamma: (generic_lower(gamma, values, t, floor), generic_upper(gamma, values, t)),
+                    EXP: [janson_lower(t, values), janson_upper(t, values),
+                          generic_lower(EXP, values, t, floor), generic_upper(EXP, values, t),
+                          s_inequality_upper(EXP, t, floor)],
+                    LAP: [laplace_lower(t, values), laplace_upper(t, values)],
+                    gamma: [generic_lower(gamma, values, t, floor), generic_upper(gamma, values, t),
+                            s_inequality_upper(gamma, t, floor)],
                 }
-                for d, pair in want.items():
+                for d, every in want.items():
                     for form in _forms(values):
-                        every = law_bounds(d, form, t, floor)
-                        assert [b.kind.value for b in every] == printed[d], (d.label(), values, t)
-                        assert tuple(every[:2]) == pair, (d.label(), values, t)
-                        assert sandwich_pair(d, form, t, floor) == pair, (d.label(), values, t)
+                        assert law_bounds(d, form, t, floor) == every, (d.label(), values, t)
+
+    def test_every_kind_names_its_side(self):
+        # verify reads a bound's side from its name: each law prints both sides
+        sides = {kind: kind.value.rpartition("_")[2] for kind in BoundKind}
+        assert set(sides.values()) == {"lower", "upper"}, sides
+        for law in LawKind:
+            kinds = Distribution(law).bounds
+            assert {sides[BoundKind(kind)] for kind in kinds} == {"lower", "upper"}, law
 
     def test_threshold_unit_is_the_mean_or_sigma(self):
         laws = (EXP, LAP, Distribution.gamma(0.5), Distribution.gamma(2.0))

@@ -1,5 +1,6 @@
 """Command-line interface: exit codes, output formats, determinism."""
 
+import dataclasses
 import json
 import math
 import os
@@ -13,6 +14,7 @@ import mpmath as mp
 import pytest
 from scipy.special import gammaincc
 
+import exptails.bounds as bounds
 import exptails.cli as cli
 import exptails.harness as harness
 import exptails.montecarlo as montecarlo
@@ -584,8 +586,8 @@ class TestVerifyCommand:
         payload = json.loads(captured.out)
         assert payload["pass"] is True
         assert len(payload["sandwich"]) == 6
-        assert len(payload["properties"]) == 6
-        assert "verify: 6 rows (0 failing), 6 properties (0 failing)" in captured.err
+        assert len(payload["properties"]) == 4
+        assert "verify: 6 rows (0 failing), 4 properties (0 failing)" in captured.err
 
     def test_csv_carries_property_lines(self, capsys):
         argv = ["verify", "--dist", "exponential", "--instances", "2", "--t", "2",
@@ -611,6 +613,23 @@ class TestVerifyCommand:
         captured = capsys.readouterr()
         assert code == 2
         assert json.loads(captured.out)["pass"] is False
+
+    def test_power_bound_valid_below_shape_1_fails(self, capsys, monkeypatch):
+        # verify certifies every bound that bounds prints: with the power
+        # bound's shape threshold moved from 1 to 0.5, its gamma(0.5) rows
+        # are valid and fall below the exact tail
+        power = bounds.s_inequality_upper
+
+        def loosened(d, t, p):
+            valid = t >= 1.0 and d.shape >= 0.5 and 1.0 / 24.0 < p < 23.0 / 24.0
+            return dataclasses.replace(power(d, t, p), valid=valid)
+
+        monkeypatch.setattr(bounds, "s_inequality_upper", loosened)
+        assert run(["verify", "--dist", "gamma", "--shape", "0.5"]) == 2
+        captured = capsys.readouterr()
+        assert json.loads(captured.out)["pass"] is False
+        failing = int(re.search(r"300 rows \((\d+) failing\)", captured.err).group(1))
+        assert failing > 0
 
     def test_bad_t_grid(self, capsys):
         argv = ["verify", "--dist", "laplace", "--instances", "1", "--t", "0.5"]

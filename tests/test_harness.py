@@ -8,7 +8,8 @@ import math
 
 import pytest
 
-from exptails import harness
+from exptails import bounds
+from exptails.bounds import BoundKind
 from exptails.cli import _COLUMNS, _table_csv
 from exptails.core import Distribution, InvalidInputError, json_dumps, threshold_unit
 from exptails.harness import (
@@ -89,17 +90,32 @@ class TestSandwichReport:
     def test_lower_bound_above_a_deep_tail_fails(self, monkeypatch):
         # at 50 sigma the Laplace tails are far below 1e-12, where an absolute
         # tolerance would pass any lower bound
-        sandwich_pair = harness.sandwich_pair
+        law_bounds = bounds.law_bounds
 
-        def raised_lower(d, w, t, floor):
-            lower, upper = sandwich_pair(d, w, t, floor)
+        def raised_lower(d, w, t, p):
             exact = exact_tail(d, w, t * threshold_unit(d, w))[0]
-            return dataclasses.replace(lower, value=1.1 * exact), upper
+            return [dataclasses.replace(b, value=1.1 * exact) if b.kind is BoundKind.LAPLACE_LOWER
+                    else b for b in law_bounds(d, w, t, p)]
 
-        monkeypatch.setattr(harness, "sandwich_pair", raised_lower)
+        monkeypatch.setattr(bounds, "law_bounds", raised_lower)
         rows = sandwich_report(small_config(LAP, instances=3, t_grid=(50.0,)))
         assert all(0.0 < r.exact < 1e-12 for r in rows)
         assert not any(r.passed for r in rows)
+
+    def test_power_bound_below_the_tail_fails(self, monkeypatch):
+        # the power bound is the third printed exponential bound: a row fails
+        # when it alone is on the wrong side
+        law_bounds = bounds.law_bounds
+
+        def lowered_power(d, w, t, p):
+            exact = exact_tail(d, w, t * threshold_unit(d, w))[0]
+            return [dataclasses.replace(b, value=0.9 * exact) if b.kind is BoundKind.S_INEQ_UPPER
+                    else b for b in law_bounds(d, w, t, p)]
+
+        monkeypatch.setattr(bounds, "law_bounds", lowered_power)
+        rows = sandwich_report(small_config(EXP, instances=3))
+        assert not any(r.passed for r in rows)
+        assert all(r.upper < r.exact for r in rows)
 
 
 @pytest.fixture(scope="module")
@@ -158,8 +174,6 @@ class TestPropertySuite:
         names = [r.name for r in property_suite(0)]
         assert names == [
             "squared_weight_floor",
-            "gaussian_tail_lower",
-            "h_regimes",
             "decay_propagation",
             "p_ge_mean_interval",
             "asymptotic_order",

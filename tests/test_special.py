@@ -1,4 +1,4 @@
-"""Special functions: Erlang tails, the h rate shape and Gaussian tails.
+"""Special functions: Erlang tails and the h rate shape.
 
 Frozen reference values come from tests/oracles/closed_forms.py (mpmath at
 50 significant digits); Erlang tails are checked against mpmath directly.
@@ -13,12 +13,7 @@ import pytest
 from verifiers import h_sup
 
 from exptails.core import InvalidInputError
-from exptails.special import (
-    gamma_upper_tail,
-    gaussian_tail,
-    gaussian_tail_lower,
-    h_closed,
-)
+from exptails.special import gamma_upper_tail, h_closed
 
 EPS = sys.float_info.epsilon
 
@@ -157,23 +152,3 @@ class TestHSup:
         _, theta = h_sup(3.0)
         assert math.isclose(theta, 0.720759220056126444, rel_tol=1e-6)
 
-
-class TestGaussianTail:
-    def test_frozen_values(self):
-        # closed_forms.py: gauss_tail_exact_at_1, gauss_tail_lower_at_{1,2}
-        assert math.isclose(gaussian_tail(1.0), 0.158655253931457051415, rel_tol=1e-14)
-        assert math.isclose(gaussian_tail_lower(1.0), 0.120985362259571674899, rel_tol=1e-14)
-        assert math.isclose(gaussian_tail_lower(2.0), 0.0215963866052752207802, rel_tol=1e-14)
-
-    def test_lower_bound_holds_on_grid(self):
-        for u in map(float, np.geomspace(1e-2, 10.0, 200)):
-            assert gaussian_tail_lower(u) <= gaussian_tail(u)
-
-    def test_lower_bound_domain(self):
-        with pytest.raises(InvalidInputError):
-            gaussian_tail_lower(0.0)
-        with pytest.raises(InvalidInputError):
-            gaussian_tail_lower(-1.0)
-
-    def test_tail_at_zero(self):
-        assert gaussian_tail(0.0) == 0.5
