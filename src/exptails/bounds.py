@@ -49,7 +49,7 @@ class BoundValue:
 
 
 def _make(log_value: float, kind: BoundKind, valid: bool) -> BoundValue:
-    value = math.exp(log_value) if log_value > -745.0 else 0.0
+    value = math.exp(log_value)
     return BoundValue(value=value, log_value=log_value, kind=kind, valid=valid)
 
 

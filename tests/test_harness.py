@@ -84,7 +84,9 @@ class TestSandwichReport:
     @pytest.mark.parametrize("d", [LAP, EXP, Distribution.gamma(0.5), Distribution.gamma(2.0)],
                              ids=lambda d: d.label())
     def test_deep_thresholds_pass(self, d):
-        rows = sandwich_report(small_config(d, instances=5, t_grid=(50.0, 200.0)))
+        # at t = 745 the n = 1 exponential tail is e^-745, the smallest
+        # subnormal, and so is its power bound: neither may flush to 0
+        rows = sandwich_report(small_config(d, instances=5, t_grid=(50.0, 200.0, 745.0)))
         assert all(r.passed for r in rows)
 
     def test_lower_bound_above_a_deep_tail_fails(self, monkeypatch):
