@@ -4,12 +4,11 @@ Every bound is computed in log space first and exponentiated at the end, so
 far-tail evaluations (exponents up to ~1e4) stay finite and comparable.
 Bounds evaluated outside their theorem range (t at or below 1) return the
 formula value with ``valid=False`` instead of raising, so curves can be
-plotted through the trivial region.
+plotted through the trivial region; past e^709 that value is inf.
 """
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -20,7 +19,6 @@ from .core import (
     WeightVector,
     as_weights,
 )
-from .legendre import rate_function
 from .special import h_closed
 
 _SQRT2E = math.sqrt(2.0 * math.e)
@@ -28,28 +26,21 @@ MOMENT_CONSTANT_PAPER = _SQRT2E / (_SQRT2E + 1.0)
 MOMENT_CONSTANT_PROOF = math.sqrt(2.0 / math.e) / (_SQRT2E + 1.0)
 
 
-class BoundKind(str, enum.Enum):
-    JANSON_UPPER = "janson_upper"
-    JANSON_LOWER = "janson_lower"
-    LAPLACE_UPPER = "laplace_upper"
-    LAPLACE_LOWER = "laplace_lower"
-    GENERIC_UPPER = "generic_upper"
-    GENERIC_LOWER = "generic_lower"
-    S_INEQ_UPPER = "s_ineq_upper"
-
-
 @dataclass(frozen=True)
 class BoundValue:
-    """A bound evaluation: exp(log_value) with provenance and validity."""
+    """A bound evaluation: exp(log_value), the bound's name in ``core._LAWS``, and validity."""
 
     value: float
     log_value: float
-    kind: BoundKind
+    kind: str
     valid: bool
 
 
-def _make(log_value: float, kind: BoundKind, valid: bool) -> BoundValue:
-    value = math.exp(log_value)
+def _make(log_value: float, kind: str, valid: bool) -> BoundValue:
+    try:
+        value = math.exp(log_value)
+    except OverflowError:  # only a formula value outside the theorem range passes e^709
+        value = math.inf
     return BoundValue(value=value, log_value=log_value, kind=kind, valid=valid)
 
 
@@ -72,12 +63,17 @@ def _alpha_sym(w: "WeightVector | Sequence[float]") -> float:
     return math.sqrt(2.0) * w.l2 / w.a_max
 
 
+def _rate(t: float) -> float:
+    """Cramer rate of one exponential(1) summand at t, in units of its mean."""
+    return t - 1.0 - math.log(t)
+
+
 def janson_upper(t: float, w: "WeightVector | Sequence[float]") -> BoundValue:
     """Upper tail bound (1/t) exp(-alpha (t-1-log t)) for P(S >= t E S), exponential sums."""
     t = _check_t(t)
     alpha = _alpha_exp(w)
-    log_value = -math.log(t) - alpha * (t - 1.0 - math.log(t))
-    return _make(log_value, BoundKind.JANSON_UPPER, valid=t > 1.0)
+    log_value = -math.log(t) - alpha * _rate(t)
+    return _make(log_value, "janson_upper", valid=t > 1.0)
 
 
 def janson_lower(t: float, w: "WeightVector | Sequence[float]") -> BoundValue:
@@ -85,15 +81,15 @@ def janson_lower(t: float, w: "WeightVector | Sequence[float]") -> BoundValue:
     t = _check_t(t)
     alpha = _alpha_exp(w)
     log_value = -math.log(2.0 * math.e * alpha) - alpha * (t - 1.0)
-    return _make(log_value, BoundKind.JANSON_LOWER, valid=t > 1.0)
+    return _make(log_value, "janson_lower", valid=t > 1.0)
 
 
 def laplace_upper(t: float, w: "WeightVector | Sequence[float]") -> BoundValue:
     """Upper bound exp(-(alpha^2/2) h(2t/alpha)) for P(S > t sqrt(Var S)), Laplace sums."""
     t = _check_t(t)
     alpha = _alpha_sym(w)
-    log_value = -0.5 * alpha * alpha * h_closed(2.0 * t / alpha)
-    return _make(log_value, BoundKind.LAPLACE_UPPER, valid=True)
+    log_value = -0.5 * alpha * alpha * h_closed(2.0 * (t / alpha))
+    return _make(log_value, "laplace_upper", valid=True)
 
 
 def laplace_lower(t: float, w: "WeightVector | Sequence[float]") -> BoundValue:
@@ -101,20 +97,21 @@ def laplace_lower(t: float, w: "WeightVector | Sequence[float]") -> BoundValue:
     t = _check_t(t)
     at = _alpha_sym(w) * t
     log_value = -math.log(57.0) - 0.5 * math.log(at) - at
-    return _make(log_value, BoundKind.LAPLACE_LOWER, valid=t >= 1.0)
+    return _make(log_value, "laplace_lower", valid=t >= 1.0)
 
 
 def generic_upper(d: Distribution, w: "WeightVector | Sequence[float]", t: float) -> BoundValue:
-    """Chernoff-type bound exp(-alpha I(mu t)) for P(S >= t E S), nonnegative laws.
+    """Chernoff-type bound exp(-alpha g (t-1-log t)) for P(S >= t E S), gamma(g) summands.
 
-    For t <= 1 the rate is 0 (the supremum over positive tilts collapses) and
+    g (t-1-log t) is one summand's Cramer rate at t times its mean g.  For
+    t <= 1 the rate is 0 (the supremum over positive tilts collapses) and
     the bound degenerates to 1 with valid=False.
     """
     d.require_nonnegative("generic_upper")
     alpha = _alpha_exp(w)
     t = _check_t(t)
-    rate = rate_function(d, d.mean * t) if t > 1.0 else 0.0
-    return _make(-alpha * rate, BoundKind.GENERIC_UPPER, valid=t > 1.0)
+    rate = d.shape * _rate(t) if t > 1.0 else 0.0
+    return _make(-alpha * rate, "generic_upper", valid=t > 1.0)
 
 
 def _log_r_function(d: Distribution, v: float) -> float:
@@ -148,7 +145,7 @@ def generic_lower(
         raise InvalidInputError(f"p_ge_mean must be in (0, 1], got {p_ge_mean!r}")
     v = (t - 1.0) * alpha * d.mean
     log_r = _log_r_function(d, v) if v > 0.0 else 0.0
-    return _make(math.log(p_ge_mean) + log_r, BoundKind.GENERIC_LOWER, valid=t > 1.0)
+    return _make(math.log(p_ge_mean) + log_r, "generic_lower", valid=t > 1.0)
 
 
 def pz_bound(c: float) -> float:
@@ -184,18 +181,18 @@ def s_inequality_upper(d: Distribution, t: float, p_ge_mean: float) -> BoundValu
     if not 0.0 < p_ge_mean < 1.0:
         raise InvalidInputError(f"p_ge_mean must be in (0, 1), got {p_ge_mean!r}")
     valid = t >= 1.0 and d.shape >= 1.0 and 1.0 / 24.0 < p_ge_mean < 23.0 / 24.0
-    return _make(t * math.log(p_ge_mean), BoundKind.S_INEQ_UPPER, valid=valid)
+    return _make(t * math.log(p_ge_mean), "s_ineq_upper", valid=valid)
 
 
-# each bound is looked up by name at call time: a wrapper put on the module sees it
+# keyed by core._LAWS' bound names, each looked up at call time: a wrapper put on the module sees it
 _EVALUATE = {
-    BoundKind.JANSON_LOWER: lambda d, w, t, p: janson_lower(t, w),
-    BoundKind.JANSON_UPPER: lambda d, w, t, p: janson_upper(t, w),
-    BoundKind.LAPLACE_LOWER: lambda d, w, t, p: laplace_lower(t, w),
-    BoundKind.LAPLACE_UPPER: lambda d, w, t, p: laplace_upper(t, w),
-    BoundKind.GENERIC_LOWER: lambda d, w, t, p: generic_lower(d, w, t, p),
-    BoundKind.GENERIC_UPPER: lambda d, w, t, p: generic_upper(d, w, t),
-    BoundKind.S_INEQ_UPPER: lambda d, w, t, p: s_inequality_upper(d, t, p),
+    "janson_lower": lambda d, w, t, p: janson_lower(t, w),
+    "janson_upper": lambda d, w, t, p: janson_upper(t, w),
+    "laplace_lower": lambda d, w, t, p: laplace_lower(t, w),
+    "laplace_upper": lambda d, w, t, p: laplace_upper(t, w),
+    "generic_lower": lambda d, w, t, p: generic_lower(d, w, t, p),
+    "generic_upper": lambda d, w, t, p: generic_upper(d, w, t),
+    "s_ineq_upper": lambda d, w, t, p: s_inequality_upper(d, t, p),
 }
 
 

@@ -39,16 +39,8 @@ from .core import (
 
 _DISTS = ("exponential", "gamma", "laplace")
 
-_COLUMNS = {
-    "bounds": ("t", "threshold", "kind", "value", "log_value", "valid"),
-    "exact": ("t", "threshold", "tail", "source"),
-    "simulate": (
-        "t", "threshold", "p_hat", "stderr", "ci_low", "ci_high",
-        "n", "method", "seed", "tilt_theta",
-    ),
-    "moments": ("p", "lower", "exact", "upper", "mode"),
-    "verify": ("instance", "dist", "n", "t", "lower", "exact", "upper", "pass", "source"),
-}
+# the sandwich rows' CSV columns: every field but the weights and the two slacks
+_VERIFY_COLUMNS = ("instance", "dist", "n", "t", "lower", "exact", "upper", "pass", "source")
 
 
 @dataclass(frozen=True)
@@ -175,7 +167,7 @@ def _bound_rows(d: Distribution, w: WeightVector, pairs: list[tuple[float, float
 
     p_mean = p_ge_mean(d, w)
     return [
-        {"t": t, "threshold": threshold, "kind": b.kind.value, "value": b.value,
+        {"t": t, "threshold": threshold, "kind": b.kind, "value": b.value,
          "log_value": b.log_value, "valid": b.valid}
         for t, threshold in pairs for b in law_bounds(d, w, t, p_mean)
     ]
@@ -238,17 +230,19 @@ def _csv_cell(value) -> str:
 
 
 def _emit(
-    config: RunConfig, body: dict, rows: list[dict], header: "tuple[str, ...] | list[str]" = ()
+    config: RunConfig, body: dict, rows: list[dict], header: "tuple[str, ...] | list[str]" = (),
+    columns: "tuple[str, ...] | None" = None,
 ) -> None:
     """Write a run's output: JSON ``{"meta", **body}`` or CSV, the meta and
-    ``header`` as comment lines above the ``rows`` table."""
+    ``header`` as comment lines above the ``rows`` table, whose columns are
+    ``columns`` or else the first row's keys."""
     stamp = datetime.now(timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
     meta = {"config": asdict(config), "generated_at": stamp}
     if config.format == "json":
         text = json_dumps({"meta": meta, **body}, indent=2) + "\n"
     else:
         meta_lines = [f"generated_at={stamp}", f"config={json_dumps(meta['config'])}"]
-        text = _table_csv(_COLUMNS[config.subcommand], rows, [*meta_lines, *header])
+        text = _table_csv(columns or tuple(rows[0]), rows, [*meta_lines, *header])
     if config.out is None:
         sys.stdout.write(text)
         return
@@ -304,7 +298,7 @@ def _run_verify(config: RunConfig) -> int:
     header = [f"property {r['name']} pass={_csv_cell(r['pass'])}" for r in properties]
     header.append(f"suite_pass={_csv_cell(all_pass)}")
     _emit(config, {"sandwich": sandwich, "properties": properties, "pass": all_pass},
-          sandwich, header)
+          sandwich, header, _VERIFY_COLUMNS)
     failing = sum(1 for r in rows if not r.passed)
     prop_fail = sum(1 for r in results if not r.passed)
     print(

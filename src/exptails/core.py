@@ -47,7 +47,7 @@ class LawKind(str, enum.Enum):
 # One row per law, read once by ``Distribution``: the unit scales u (a unit
 # summand is sum_u u G_u, G_u i.i.d. gamma(shape), so a standard Laplace one is
 # a difference of two exponentials), then its top, mixture, moments and bounds;
-# each bound's name ends in its side, _lower or _upper, which ``verify`` reads.
+# bound names key ``bounds._EVALUATE`` and end in _lower or _upper, as ``verify`` reads.
 _GENERIC = ("generic_lower", "generic_upper", "s_ineq_upper")
 _LAWS = {
     LawKind.EXPONENTIAL: ((1.0,), 1.0, True, False, ("janson_lower", "janson_upper", *_GENERIC)),

@@ -1,4 +1,4 @@
-"""Cumulants over signed scales, the Chernoff tilt, and the Cramer rate function.
+"""Cumulants over signed scales and the Chernoff tilt.
 
 Every law is gamma(shape) on signed scales b (``Distribution.scales``), so
 the cumulant generating function of S = sum_j b_j G_j is
@@ -144,17 +144,3 @@ def chernoff_tilt(d: Distribution, w: "WeightVector | Sequence[float]", target: 
     u = w.unit
     return _solve_cumulant_prime(d.scales(w) / u, d.shape, target / u) / u
 
-
-def rate_function(d: Distribution, t: float) -> float:
-    """Cramer rate I(t) = sup_{theta>0} (t*theta - psi(theta)) for one summand.
-
-    Closed form t - g - g log(t/g), attained at theta* = 1 - g/t, for
-    gamma(g); exponential is g = 1.  ``t`` is in absolute units (t > mean
-    of the summand).  Laplace summands raise UnsupportedLawError.
-    """
-    d.require_nonnegative("rate_function")
-    t = float(t)
-    g = d.shape
-    if not t > g:
-        raise InvalidInputError(f"rate_function needs t > {g} (the summand mean), got {t}")
-    return t - g - g * math.log(t / g)

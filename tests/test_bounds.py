@@ -8,14 +8,15 @@ import json
 import math
 from pathlib import Path
 
+import mpmath as mp
 import numpy as np
 import pytest
 from verifiers import r_function, r_infimum_numeric
 
+from exptails import bounds
 from exptails.bounds import (
     MOMENT_CONSTANT_PAPER,
     MOMENT_CONSTANT_PROOF,
-    BoundKind,
     generic_lower,
     generic_upper,
     janson_lower,
@@ -64,8 +65,15 @@ class TestJansonPair:
         hi = janson_upper(2.0, W21)
         assert math.isclose(lo.value, 0.0273616662079662650565, rel_tol=1e-14)
         assert math.isclose(hi.value, 0.315553698656390155072, rel_tol=1e-14)
-        assert lo.kind is BoundKind.JANSON_LOWER
+        assert lo.kind == "janson_lower"
         assert lo.valid and hi.valid
+
+    def test_formula_value_past_float_range_is_inf(self):
+        # below t = 1 the lower formula grows as e^(alpha (1 - t)): at 800 unit
+        # weights and t = 0.01 it is e^784, an invalid row of value inf
+        b = janson_lower(0.01, [1.0] * 800)
+        assert b.log_value == -math.log(2.0 * math.e * 800.0) + 800.0 * 0.99
+        assert (b.value, b.valid) == (math.inf, False)
 
     def test_degenerate_below_t1(self):
         assert not janson_upper(1.0, W21).valid
@@ -113,6 +121,19 @@ class TestGenericPair:
             rel_tol=1e-14,
         )
 
+    @pytest.mark.parametrize("shape", [1e-3, 0.1, 0.5, 1.0, 3.5, 1e3, 1e4])
+    def test_upper_log_value_against_mpmath(self, shape):
+        # the rate is taken relative to the mean: neither g t, which overflows
+        # past t = 1.8e308 / g, nor its cancellation against g costs digits
+        d = Distribution.gamma(shape)
+        for w in ([1.0], [2.0, 1.0], [0.3, 0.7, 0.11]):
+            alpha = WeightVector(w).l1 / max(w)
+            for t in (1 + 1e-6, 1 + 1e-3, 1.5, 2.0, 10.0, 1e4, 1e16, 1e100, 1e300):
+                with mp.workdps(50):
+                    want = -mp.mpf(alpha) * shape * (mp.mpf(t) - 1 - mp.log(t))
+                got = generic_upper(d, w, t).log_value
+                assert abs(got - want) <= 1e-10 * abs(want), (w, t, got, want)
+
     def test_exponential_upper_is_t_times_janson(self):
         """Chernoff route drops Janson's 1/t prefactor and nothing else."""
         rng = np.random.default_rng(9)
@@ -148,6 +169,25 @@ class TestGenericPair:
             hi = generic_upper(d, [3, 1], t).value
             assert lo < hi
 
+
+class TestExtremeThresholds:
+    LAWS = (EXP, LAP, *(Distribution.gamma(g) for g in (1e-3, 0.5, 3.5, 1e4)))
+    T_GRID = (*(10.0 ** k for k in range(-300, 308, 7)), 1.34e154, 1.35e154, 1e308)
+
+    @pytest.mark.parametrize("d", LAWS, ids=lambda d: d.label())
+    def test_no_bound_is_nan_at_a_finite_threshold(self, d):
+        # a log value past float range is -inf with value 0, or, outside the
+        # theorem range only, +inf with value inf; a valid bound is at most 1
+        for w in ([1.0], [2.0, 1.0], [1.0] * 800):
+            for t in self.T_GRID:
+                for b in law_bounds(d, w, t, 0.4):
+                    got = (d.label(), len(w), t, b)
+                    assert not (math.isnan(b.value) or math.isnan(b.log_value)), got
+                    if b.log_value > 709.0:
+                        assert not b.valid and b.value > 1e307, got
+                    else:  # e^-inf is 0
+                        assert b.value == math.exp(b.log_value), got
+                    assert not b.valid or b.value <= 1.0, got
 
 
 def _seeded_weights():
@@ -216,12 +256,12 @@ class TestWeightSignatures:
                         assert law_bounds(d, form, t, floor) == every, (d.label(), values, t)
 
     def test_every_kind_names_its_side(self):
-        # verify reads a bound's side from its name: each law prints both sides
-        sides = {kind: kind.value.rpartition("_")[2] for kind in BoundKind}
-        assert set(sides.values()) == {"lower", "upper"}, sides
-        for law in LawKind:
-            kinds = Distribution(law).bounds
-            assert {sides[BoundKind(kind)] for kind in kinds} == {"lower", "upper"}, law
+        # the bounds are keyed by the names core._LAWS lists, and verify reads
+        # a bound's side from its name: each law prints both sides
+        laws = [Distribution(law) for law in LawKind]
+        assert set(bounds._EVALUATE) == {kind for d in laws for kind in d.bounds}
+        for d in laws:
+            assert {kind.rpartition("_")[2] for kind in d.bounds} == {"lower", "upper"}, d.label()
 
     def test_threshold_unit_is_the_mean_or_sigma(self):
         laws = (EXP, LAP, Distribution.gamma(0.5), Distribution.gamma(2.0))

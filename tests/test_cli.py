@@ -206,6 +206,28 @@ class TestBoundsCommand:
         assert captured.out == ""
         assert captured.err == f"exptails: error: {message}\n"
 
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_formula_value_past_float_range_is_a_one_line_error(self, capsys, fmt):
+        # janson_lower's formula at 800 unit weights and t = 0.01 is e^784: an
+        # invalid row of value inf, which neither format can print
+        argv = ["bounds", "--dist", "exponential", "--weights", ",".join(["1"] * 800),
+                "--t", "0.01", "--format", fmt]
+        assert run(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "exptails: error: cannot serialize non-finite value inf\n"
+
+    def test_laplace_upper_far_past_squared_overflow(self, capsys):
+        # 2t/alpha = 1.4e160, whose square overflows; the bound is a valid 0
+        payload = run_json(capsys, ["bounds", "--dist", "laplace", "--weights", "1", "--t", "1e160"])
+        upper = payload["rows"][1]
+        assert (upper["kind"], upper["value"], upper["valid"]) == ("laplace_upper", 0.0, True)
+        alpha = mp.mpf(math.sqrt(2.0))
+        with mp.workdps(40):
+            root = mp.sqrt(1 + (2 * mp.mpf(1e160) / alpha) ** 2)
+            want = -alpha**2 / 2 * (root - 1 - mp.log((1 + root) / 2))
+        assert math.isclose(upper["log_value"], want, rel_tol=1e-15)
+
     def test_csv_format(self, capsys):
         code = run(
             ["bounds", "--dist", "laplace", "--weights", "2,1", "--t", "2", "--format", "csv"]
@@ -533,6 +555,30 @@ class TestDeterminism:
             return [ln for ln in out.splitlines() if not ln.startswith("# generated_at=")]
 
         assert stripped() == stripped()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["bounds", "--dist", "exponential", "--weights", "2,1", "--t", "0.5,2"],
+            ["exact", "--dist", "laplace", "--weights", "2,1", "--t", "2"],
+            ["simulate", "--dist", "exponential", "--weights", "2,1", "--t", "2",
+             "--samples", "1000", "--method", "tilted"],
+            ["moments", "--dist", "laplace", "--weights", "2,1", "--p", "2,3"],
+            ["verify", "--dist", "exponential", "--instances", "2", "--t", "2"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_csv_header_is_the_json_row_keys(self, capsys, argv):
+        # every table names its columns by its rows; verify's CSV leaves out
+        # the weight tuple and the two slacks
+        payload = run_json(capsys, argv)
+        assert run(argv + ["--format", "csv"]) == 0
+        lines = [ln for ln in capsys.readouterr().out.splitlines() if not ln.startswith("#")]
+        if argv[0] == "verify":
+            keys = [k for k in payload["sandwich"][0] if k not in ("weights", "slack_low", "slack_high")]
+        else:
+            keys = list(payload["rows"][0])
+        assert lines[0].split(",") == keys
 
     def test_csv_and_json_carry_identical_values(self, capsys):
         base = ["exact", "--dist", "laplace", "--weights", "2,1", "--t", "1.5,2"]

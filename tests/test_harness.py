@@ -9,8 +9,7 @@ import math
 import pytest
 
 from exptails import bounds
-from exptails.bounds import BoundKind
-from exptails.cli import _COLUMNS, _table_csv
+from exptails.cli import _VERIFY_COLUMNS, _table_csv
 from exptails.core import Distribution, InvalidInputError, json_dumps, threshold_unit
 from exptails.harness import (
     PropertyResult,
@@ -96,7 +95,7 @@ class TestSandwichReport:
 
         def raised_lower(d, w, t, p):
             exact = exact_tail(d, w, t * threshold_unit(d, w))[0]
-            return [dataclasses.replace(b, value=1.1 * exact) if b.kind is BoundKind.LAPLACE_LOWER
+            return [dataclasses.replace(b, value=1.1 * exact) if b.kind == "laplace_lower"
                     else b for b in law_bounds(d, w, t, p)]
 
         monkeypatch.setattr(bounds, "law_bounds", raised_lower)
@@ -111,7 +110,7 @@ class TestSandwichReport:
 
         def lowered_power(d, w, t, p):
             exact = exact_tail(d, w, t * threshold_unit(d, w))[0]
-            return [dataclasses.replace(b, value=0.9 * exact) if b.kind is BoundKind.S_INEQ_UPPER
+            return [dataclasses.replace(b, value=0.9 * exact) if b.kind == "s_ineq_upper"
                     else b for b in law_bounds(d, w, t, p)]
 
         monkeypatch.setattr(bounds, "law_bounds", lowered_power)
@@ -129,9 +128,9 @@ class TestRowSerialization:
     """Rows reach the verify output through as_dict and the CLI's writers."""
 
     def test_csv_round_trip(self, rows):
-        text = _table_csv(_COLUMNS["verify"], [r.as_dict() for r in rows], [])
+        text = _table_csv(_VERIFY_COLUMNS, [r.as_dict() for r in rows], [])
         parsed = list(csv.reader(io.StringIO(text)))
-        assert tuple(parsed[0]) == _COLUMNS["verify"]
+        assert tuple(parsed[0]) == _VERIFY_COLUMNS
         assert len(parsed) == len(rows) + 1
         first = dict(zip(parsed[0], parsed[1]))
         assert float(first["exact"]) == rows[0].exact

@@ -1,4 +1,4 @@
-"""Cumulants over signed scales, the Chernoff tilt solver, and the Cramer rate function."""
+"""Cumulants over signed scales, the Chernoff tilt solver, and the Cramer rate in generic_upper."""
 
 import math
 
@@ -10,12 +10,12 @@ from hypothesis import strategies as st
 from verifiers import cumulant_sums_by_list, h_sup, rate_argmax
 
 from exptails import legendre
+from exptails.bounds import generic_upper
 from exptails.core import Distribution, InvalidInputError, UnsupportedLawError, _array_fsum
 from exptails.legendre import (
     chernoff_tilt,
     cumulant,
     cumulant_slopes,
-    rate_function,
 )
 from exptails.special import h_closed
 
@@ -33,6 +33,11 @@ def log_mgf(d, theta):
 
 def log_mgf_prime(d, theta):
     return cumulant_slopes(d.scales([1.0]), d.shape, theta)[0]
+
+
+def rate_function(d, t):
+    """One summand's Cramer rate at t in absolute units: generic_upper's exponent at weight [1]."""
+    return -generic_upper(d, [1.0], t / d.mean).log_value
 
 
 class TestLogMgf:
@@ -257,20 +262,23 @@ class TestRateFunction:
                 assert t * (theta + off) - log_mgf(d, theta + off) < rate
 
     def test_laplace_equals_h(self):
-        """The Laplace rate t theta* - psi(theta*) is h(t); rate_function has no Laplace form."""
+        """The Laplace rate t theta* - psi(theta*) is h(t); generic_upper has no Laplace form."""
         for t in (0.5, 1.0, 3.0, 10.0):
             _, theta = h_sup(t)
             assert math.isclose(t * theta - log_mgf(LAP, theta), h_closed(t), rel_tol=1e-10)
             with pytest.raises(UnsupportedLawError):
-                rate_function(LAP, t)
+                generic_upper(LAP, [1.0], t)
 
     def test_domain(self):
-        with pytest.raises(InvalidInputError):
-            rate_function(EXP, 1.0)
-        with pytest.raises(InvalidInputError):
-            rate_function(GAMMA2, 2.0)
-        with pytest.raises(InvalidInputError):
-            rate_function(LAP, 0.0)
+        # at or below the mean the supremum over positive tilts is 0: the bound is 1, invalid
+        for d in (EXP, GAMMA2):
+            for t in (0.5 * d.mean, d.mean):
+                b = generic_upper(d, [1.0], t / d.mean)
+                assert (b.value, b.log_value, b.valid) == (1.0, 0.0, False)
+            assert generic_upper(d, [1.0], math.nextafter(1.0, 2.0)).valid
+        for bad in (0.0, -1.0, math.inf, math.nan):
+            with pytest.raises(InvalidInputError):
+                generic_upper(EXP, [1.0], bad)
 
     def test_rate_is_convex_increasing_beyond_mean(self):
         values = [rate_function(EXP, t) for t in np.linspace(1.1, 8.0, 40)]

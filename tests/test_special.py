@@ -120,6 +120,18 @@ class TestHClosed:
         # h(1e-4) = 2.49999999687500001042e-9
         assert math.isclose(h_closed(1e-4), 2.49999999687500001042e-9, rel_tol=1e-12)
 
+    def test_huge_arguments_against_mpmath(self):
+        # past u = 1.34e154 u^2 overflows; below it the value keeps its bits
+        for u in (*map(float, np.geomspace(1e3, 1e308, 60)), 1.3407807929942596e154,
+                  1.3407807929942597e154, sys.float_info.max):
+            with mp.workdps(40):
+                root = mp.sqrt(1 + mp.mpf(u) ** 2)
+                want = root - 1 - mp.log((1 + root) / 2)
+            assert abs(h_closed(u) - want) <= 4 * EPS * want, u
+        u = 1e150
+        d = u * u / (1.0 + math.hypot(1.0, u))
+        assert h_closed(u) == d - math.log1p(0.5 * d)
+
     def test_zero_and_negative(self):
         assert h_closed(0.0) == 0.0
         with pytest.raises(InvalidInputError):
