@@ -176,8 +176,8 @@ class TestExtremeThresholds:
 
     @pytest.mark.parametrize("d", LAWS, ids=lambda d: d.label())
     def test_no_bound_is_nan_at_a_finite_threshold(self, d):
-        # a log value past float range is -inf with value 0, or, outside the
-        # theorem range only, +inf with value inf; a valid bound is at most 1
+        # a log value below float range is -inf with value 0; past e^709, which
+        # only invalid rows reach, the value may be inf; a valid bound is at most 1
         for w in ([1.0], [2.0, 1.0], [1.0] * 800):
             for t in self.T_GRID:
                 for b in law_bounds(d, w, t, 0.4):
