@@ -95,7 +95,6 @@ def build_parser() -> argparse.ArgumentParser:
         if with_weights:
             p.add_argument("--weights", required=True,
                            help="comma-separated positive weights, e.g. 2,1")
-        p.add_argument("--seed", type=int, default=0)
         p.add_argument("--format", choices=("json", "csv"), default="json")
         p.add_argument("--out", default=None, help="output path (default: stdout)")
 
@@ -115,6 +114,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim = sub.add_parser("simulate", help="Monte Carlo tail estimates")
     add_common(p_sim)
     add_threshold_group(p_sim)
+    p_sim.add_argument("--seed", type=int, default=0)
     p_sim.add_argument("--samples", type=int, default=100_000)
     p_sim.add_argument("--method", choices=("plain", "tilted"), default="plain")
 
@@ -125,6 +125,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", help="sandwich certification + property suite")
     add_common(p_verify, with_weights=False)
+    p_verify.add_argument("--seed", type=int, default=0)
     p_verify.add_argument("--instances", type=int, default=50)
     p_verify.add_argument("--t", default=None,
                           help="override the sandwich t grid (must lie in (1, inf))")
@@ -254,9 +255,9 @@ def _emit(
 
 
 def _config_from_args(args: argparse.Namespace) -> "tuple[RunConfig, WeightVector | None]":
-    """The run's one description (options a subcommand does not define are
-    None) and its validated weights, None for ``verify``."""
-    values = {f.name: getattr(args, f.name, None) for f in fields(RunConfig)}
+    """The run's one description (an option a subcommand does not define
+    takes its RunConfig default) and its validated weights, None for ``verify``."""
+    values = {f.name: getattr(args, f.name, f.default) for f in fields(RunConfig)}
     w = None
     if values["weights"] is not None:
         w = parse_weights(values["weights"])

@@ -148,8 +148,8 @@ def _fmt_weights(w: WeightVector) -> str:
     return "(" + ", ".join(format_float(v) for v in w) + ")"
 
 
-def _prop_squared_weight_floor(seed: int) -> PropertyResult:
-    """P(sum a_i^2 Y_i >= sum a_i^2) >= 1/(16^(1/3) * 9) via the exact oracle."""
+def _prop_squared_weight_floor(seed: int) -> tuple[str, list[str]]:
+    """min over instances of P(sum a_i^2 Y_i >= sum a_i^2) >= 1/(16^(1/3) * 9), by the exact oracle."""
     floor = bounds.pz_bound(9.0)
     worst = math.inf
     witness = ""
@@ -159,77 +159,48 @@ def _prop_squared_weight_floor(seed: int) -> PropertyResult:
         if p < worst:
             worst = p
             witness = _fmt_weights(w)
-    passed = worst >= floor
-    return PropertyResult(
-        name="squared_weight_floor",
-        passed=passed,
-        detail=f"min P = {worst:.6f} over 50 instances, floor {floor:.6f}",
-        witness="" if passed else witness,
-    )
+    detail = f"min P = {worst:.6f} over 50 instances, floor {floor:.6f}"
+    return detail, [] if worst >= floor else [witness]
 
 
-def _prop_decay_propagation(seed: int) -> PropertyResult:
+def _prop_decay_propagation(seed: int) -> tuple[str, list[str]]:
     """P(S > u + v) >= exp(-v/a_max) P(S > u) for exponential sums."""
     d = Distribution.exponential()
-    failures = []
-    instances = random_instances(seed, 10)
-    for w in instances:
-        mean_s = w.l1
+    witnesses = []
+    for w in random_instances(seed, 10):
         for u_mult in (0.5, 1.0, 2.0):
             for v_mult in (0.5, 1.0):
-                u = u_mult * mean_s
+                u = u_mult * w.l1
                 v = v_mult * w.a_max
                 lhs = exact_tail(d, w, u + v)[0]
                 rhs = math.exp(-v / w.a_max) * exact_tail(d, w, u)[0]
                 if lhs < rhs * (1.0 - 1e-9):
-                    failures.append((w, u, v))
-    passed = not failures
-    witness = ""
-    if failures:
-        w, u, v = failures[0]
-        witness = f"weights {_fmt_weights(w)}, u = {u!r}, v = {v!r}"
-    return PropertyResult(
-        name="decay_propagation",
-        passed=passed,
-        detail=f"{len(instances)} instances x 6 (u, v) pairs",
-        witness=witness,
-    )
+                    witnesses.append(f"weights {_fmt_weights(w)}, u = {u!r}, v = {v!r}")
+    return "10 instances x 6 (u, v) pairs", witnesses
 
 
-def _prop_p_ge_mean_interval(seed: int) -> PropertyResult:
+def _prop_p_ge_mean_interval(seed: int) -> tuple[str, list[str]]:
     lo, hi = 1.0 / 24.0, 23.0 / 24.0
-    bad = []
-    instances = random_instances(seed, 50)
-    for w in instances:
+    witnesses = []
+    for w in random_instances(seed, 50):
         p = p_ge_mean(Distribution.exponential(), w)
         if not (lo < p < hi):
-            bad.append((w, p))
-    return PropertyResult(
-        name="p_ge_mean_interval",
-        passed=not bad,
-        detail=f"P(S >= E S) in (1/24, 23/24) on {len(instances)} exponential instances",
-        witness="" if not bad else f"weights {_fmt_weights(bad[0][0])}, p = {bad[0][1]!r}",
-    )
+            witnesses.append(f"weights {_fmt_weights(w)}, p = {p!r}")
+    return "P(S >= E S) in (1/24, 23/24) on 50 exponential instances", witnesses
 
 
-def _prop_asymptotic_order(seed: int) -> PropertyResult:
+def _prop_asymptotic_order(seed: int) -> tuple[str, list[str]]:
     """-log P(S > t sigma) / (alpha t) stays within [0.9, 1.1] at t = 50."""
     t = 50.0
-    bad = []
-    instances = random_instances(seed, 10)
+    witnesses = []
     d = Distribution.laplace()
-    for w in instances:
+    for w in random_instances(seed, 10):
         sigma = threshold_unit(d, w)
         tail = exact_tail(d, w, t * sigma)[0]
         ratio = -math.log(tail) / (sigma / w.a_max * t)  # alpha = sigma/a_max for Laplace sums
         if not (0.9 <= ratio <= 1.1):
-            bad.append((w, ratio))
-    return PropertyResult(
-        name="asymptotic_order",
-        passed=not bad,
-        detail=f"{len(instances)} Laplace instances at t = 50",
-        witness="" if not bad else f"weights {_fmt_weights(bad[0][0])}, ratio = {bad[0][1]!r}",
-    )
+            witnesses.append(f"weights {_fmt_weights(w)}, ratio = {ratio!r}")
+    return "10 Laplace instances at t = 50", witnesses
 
 
 _PROPERTY_CHECKS = (
@@ -241,5 +212,15 @@ _PROPERTY_CHECKS = (
 
 
 def property_suite(seed: int) -> tuple[PropertyResult, ...]:
-    """Re-run the library's mathematical invariants on seeded random instances."""
-    return tuple(check(seed) for check in _PROPERTY_CHECKS)
+    """Re-run the library's mathematical invariants on seeded random instances:
+    a check passes when it collects no witness, and a failure reports the first."""
+    results = []
+    for check in _PROPERTY_CHECKS:
+        detail, witnesses = check(seed)
+        results.append(PropertyResult(
+            name=check.__name__.removeprefix("_prop_"),
+            passed=not witnesses,
+            detail=detail,
+            witness=witnesses[0] if witnesses else "",
+        ))
+    return tuple(results)

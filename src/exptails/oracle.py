@@ -367,22 +367,15 @@ def _columns(b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
     gamma(shape) taken m times on one scale is gamma(m shape) on it, so the
     contour takes one column per distinct scale, of shape count * shape.
-    Distinct entries come back as b itself.  Up to NARROW entries a dict
-    counts them; wider, np.unique does, and its first indices give the order.
+    Distinct entries come back as b itself.  A Counter counts them, in order
+    of first occurrence, at every width: microseconds beside the contour's ms.
     """
     import numpy as np
 
-    if len(b) <= NARROW:
-        values = b.tolist()
-        counts = dict.fromkeys(values, 1)
-        if len(counts) < len(values):
-            counts = collections.Counter(values)
-            return np.array(list(counts)), np.array(list(counts.values()), dtype=float)
-        return b, np.ones(len(b))
-    distinct, first, counts = np.unique(b, return_index=True, return_counts=True)
-    if len(distinct) < len(b):
-        order = np.argsort(first)
-        return distinct[order], counts[order].astype(float)
+    values = b.tolist()
+    counts = collections.Counter(values)
+    if len(counts) < len(values):
+        return np.array(list(counts)), np.array(list(counts.values()), dtype=float)
     return b, np.ones(len(b))
 
 

@@ -70,10 +70,13 @@ def h_closed(u: float) -> float:
     Evaluated as d - log1p(d/2) with d = u^2/(1+sqrt(1+u^2)), which stays
     accurate down to the h(u) ~ u^2/4 regime for tiny u; where u^2 overflows
     (u past 1.3e154), d is u times u/(1+sqrt(1+u^2)), which rounds to 1.
+    h(inf) is inf, the limit, so that a bound whose argument overflows is 0.
     """
     u = float(u)
-    if not math.isfinite(u) or u < 0.0:
+    if not u >= 0.0:
         raise InvalidInputError(f"h is defined for u >= 0, got {u!r}")
+    if u == math.inf:
+        return u
     s = 1.0 + math.hypot(1.0, u)
     d = u * u / s if u * u < math.inf else u * (u / s)
     return d - math.log1p(0.5 * d)

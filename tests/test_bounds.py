@@ -108,6 +108,13 @@ class TestLaplacePair:
         assert b.log_value < -745.0
         assert math.isfinite(b.log_value)
 
+    def test_upper_where_its_h_argument_overflows(self):
+        # 2 (t / alpha) is inf at t = 1.5e308 on one weight; h(inf) = inf, so
+        # the bound is a valid 0 of log value -inf, as janson_upper's is there
+        b = laplace_upper(1.5e308, [1e-10])
+        assert (b.value, b.log_value, b.valid) == (0.0, -math.inf, True)
+        assert janson_upper(1e308, [1e-300, 1e-300]).log_value == -math.inf
+
 
 class TestGenericPair:
     def test_upper_frozen_values(self):

@@ -1,5 +1,6 @@
 """Command-line interface: exit codes, output formats, determinism."""
 
+import argparse
 import dataclasses
 import json
 import math
@@ -78,6 +79,18 @@ class TestUsageErrors:
     def test_exit_code_one(self, capsys, argv):
         assert run(argv) == 1
         capsys.readouterr()
+
+    @pytest.mark.parametrize("argv", [
+        ["bounds", "--dist", "laplace", "--weights", "2,1", "--t", "2"],
+        ["exact", "--dist", "laplace", "--weights", "2,1", "--t", "2"],
+        ["moments", "--dist", "laplace", "--weights", "2,1"],
+    ], ids=lambda argv: argv[0])
+    def test_seed_only_where_a_run_draws(self, capsys, argv):
+        # bounds, exact and moments draw nothing, so they take no --seed;
+        # their meta header still reads the RunConfig default 0
+        assert run([*argv, "--seed", "1"]) == 1
+        assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
+        assert run_json(capsys, argv)["meta"]["config"]["seed"] == 0
 
     @pytest.mark.parametrize(
         "weights, thresholds",
@@ -227,6 +240,15 @@ class TestBoundsCommand:
             root = mp.sqrt(1 + (2 * mp.mpf(1e160) / alpha) ** 2)
             want = -alpha**2 / 2 * (root - 1 - mp.log((1 + root) / 2))
         assert math.isclose(upper["log_value"], want, rel_tol=1e-15)
+
+    def test_laplace_upper_where_its_h_argument_overflows(self, capsys):
+        # 2 (t / alpha) is inf: the bound is a valid 0 of log value -inf, which
+        # neither format prints yet (as janson_upper's there); the error names
+        # that value, not h's argument
+        assert run(["bounds", "--dist", "laplace", "--weights", "1e-10", "--t", "1.5e308"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "exptails: error: cannot serialize non-finite value -inf\n"
 
     def test_csv_format(self, capsys):
         code = run(
@@ -621,6 +643,17 @@ class TestOutFile:
         assert captured.out == ""
         assert captured.err.startswith(f"exptails: error: cannot write {str(target)!r}: ")
         assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+
+
+def test_parser_options_are_the_run_config_fields():
+    # _config_from_args reads each RunConfig field off the parsed options, and
+    # gives one a subcommand lacks its default: an option that is not a field
+    # would never reach the meta header
+    parser = cli.build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    assert set(sub.choices) == {"bounds", "exact", "simulate", "moments", "verify"}
+    dests = {a.dest for p in sub.choices.values() for a in p._actions if a.dest != "help"}
+    assert {sub.dest, *dests} == {f.name for f in dataclasses.fields(cli.RunConfig)}
 
 
 class TestVerifyCommand:

@@ -8,7 +8,7 @@ import math
 
 import pytest
 
-from exptails import bounds
+from exptails import bounds, harness
 from exptails.cli import _VERIFY_COLUMNS, _table_csv
 from exptails.core import Distribution, InvalidInputError, json_dumps, threshold_unit
 from exptails.harness import (
@@ -170,6 +170,7 @@ class TestPropertySuite:
         assert all(isinstance(result, PropertyResult) for result in results)
         for result in results:
             assert result.passed, (result.name, result.detail, result.witness)
+            assert result.witness == ""
 
     def test_expected_check_names(self):
         names = [r.name for r in property_suite(0)]
@@ -190,3 +191,47 @@ class TestPropertySuite:
         for result in property_suite(0):
             entry = json.loads(json.dumps(result.as_dict()))
             assert set(entry) == {"name", "pass", "detail", "witness"}
+
+
+def _exponential_tail(rate_on_four, rate_elsewhere):
+    """A fake exact_tail, exp(-c x / a_max), with c = rate_on_four on the
+    four-weight instances: at c > 1 decay_propagation fails, and
+    asymptotic_order reads ratio c."""
+
+    def tail(d, w, x):
+        c = rate_on_four if len(w) == 4 else rate_elsewhere
+        return math.exp(-c * x / w.a_max), "fake"
+
+    return tail
+
+
+def _scaled_exact_tail(d, w, x):
+    return exact_tail(d, w, x)[0] * 1e-3, "fake"
+
+
+class TestFailingProperties:
+    """Each property fails on a faked oracle, and its witness is the worst
+    instance (squared_weight_floor) or the first failure (the other three):
+    at seed 0 the instances have n = 2, 1, 2, 8, 4, ..."""
+
+    W4 = "weights (2.789238112726077, 0.38597542967199383, 0.16830525059013218, 0.12062215682871358)"
+
+    @pytest.mark.parametrize("index, name, patch, detail, witness", [
+        (0, "squared_weight_floor", ("exact_tail", _scaled_exact_tail),
+         "min P = 0.000368 over 50 instances, floor 0.044094",
+         # the n = 1 instances tie at e^-1; the first of them is the witness
+         "(0.1523489067940812)"),
+        (1, "decay_propagation", ("exact_tail", _exponential_tail(2.0, 0.5)),
+         "10 instances x 6 (u, v) pairs",
+         W4 + ", u = 1.7320704749084583, v = 1.3946190563630385"),
+        (2, "p_ge_mean_interval", ("p_ge_mean", lambda d, w: 0.98 if len(w) == 1 else 0.5),
+         "P(S >= E S) in (1/24, 23/24) on 50 exponential instances",
+         "weights (0.1523489067940812), p = 0.98"),
+        (3, "asymptotic_order", ("exact_tail", _exponential_tail(3.0, 1.0)),
+         "10 Laplace instances at t = 50",
+         W4 + ", ratio = 3.0"),
+    ])
+    def test_witness_text(self, monkeypatch, index, name, patch, detail, witness):
+        monkeypatch.setattr(harness, *patch)
+        result = property_suite(0)[index]
+        assert result == PropertyResult(name=name, passed=False, detail=detail, witness=witness)

@@ -137,6 +137,12 @@ class TestHClosed:
         with pytest.raises(InvalidInputError):
             h_closed(-0.5)
 
+    def test_infinity_is_inf_and_nan_raises(self):
+        assert h_closed(math.inf) == math.inf
+        for u in (-math.inf, math.nan):
+            with pytest.raises(InvalidInputError):
+                h_closed(u)
+
     def test_monotone_increasing(self):
         grid = np.geomspace(1e-3, 1e3, 400)
         values = [h_closed(float(u)) for u in grid]
