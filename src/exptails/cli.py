@@ -285,13 +285,11 @@ def _run_table_subcommand(config: RunConfig, w: WeightVector) -> int:
 
 
 def _run_verify(config: RunConfig) -> int:
-    from .harness import SandwichConfig, property_suite, sandwich_report
+    from .harness import property_suite, sandwich_report
 
     d = _make_distribution(config)
     grid = {} if config.t is None else {"t_grid": config.t}
-    rows = sandwich_report(
-        SandwichConfig(distribution=d, instances=config.instances, seed=config.seed, **grid)
-    )
+    rows = sandwich_report(d, config.instances, seed=config.seed, **grid)
     results = property_suite(config.seed)
     all_pass = all(r.passed for r in (*rows, *results))
     sandwich = [r.as_dict() for r in rows]

@@ -37,23 +37,6 @@ _N_RANGE = (1, 8)
 _WEIGHT_RANGE = (0.1, 10.0)
 
 
-@dataclass(frozen=True)
-class SandwichConfig:
-    """Campaign parameters; every row is a pure function of these."""
-
-    distribution: Distribution
-    instances: int = 50
-    t_grid: tuple[float, ...] = (1.1, 1.5, 2.0, 3.0, 5.0, 10.0)
-    seed: int = 0
-
-    def __post_init__(self) -> None:
-        if self.instances < 0:
-            raise InvalidInputError(f"instance count must be >= 0, got {self.instances}")
-        for t in self.t_grid:
-            if not (math.isfinite(t) and t > 1.0):
-                raise InvalidInputError(f"t grid must lie in (1, inf), got {t!r}")
-
-
 class _Record:
     """A record whose output form is its fields in order, ``passed`` printed as ``pass``."""
 
@@ -100,20 +83,30 @@ def random_instances(seed: int, count: int) -> list[WeightVector]:
     return out
 
 
-def sandwich_report(config: SandwichConfig) -> list[SandwichRow]:
+def sandwich_report(
+    d: Distribution,
+    instances: int = 50,
+    t_grid: tuple[float, ...] = (1.1, 1.5, 2.0, 3.0, 5.0, 10.0),
+    seed: int = 0,
+) -> list[SandwichRow]:
     """One row per (instance, t): tightest valid lower bound, exact tail,
     tightest valid upper bound, of the bounds ``exptails bounds`` prints.
 
-    Thresholds are t * sigma for Laplace sums and t * E S otherwise.  A row
-    passes when lower <= exact (1 + 1e-9) and exact <= upper (1 + 1e-9): the
-    tolerance is relative, so that it still tests tails far below 1e-9.
+    Every row is a pure function of the arguments.  Thresholds are t * sigma
+    for Laplace sums and t * E S otherwise.  A row passes when
+    lower <= exact (1 + 1e-9) and exact <= upper (1 + 1e-9): the tolerance
+    is relative, so that it still tests tails far below 1e-9.
     """
-    d = config.distribution
+    if instances < 0:
+        raise InvalidInputError(f"instance count must be >= 0, got {instances}")
+    for t in t_grid:
+        if not (math.isfinite(t) and t > 1.0):
+            raise InvalidInputError(f"t grid must lie in (1, inf), got {t!r}")
     rows: list[SandwichRow] = []
-    for idx, w in enumerate(random_instances(config.seed, config.instances)):
+    for idx, w in enumerate(random_instances(seed, instances)):
         unit = threshold_unit(d, w)
         p = p_ge_mean(d, w)
-        for t in config.t_grid:
+        for t in t_grid:
             printed = zip(d.bounds, bounds.law_bounds(d, w, t, p))
             valid = [(kind, b.value) for kind, b in printed if b.valid]
             # each kind's name ends in its side; at t > 1 each side has a valid bound

@@ -99,21 +99,16 @@ class ExpMixture:
             split.append((coef, e, m, m_hi, m - m_hi))
         # with sum |coef| finite, no partial sum of the terms in ``tail`` overflows
         try:
-            math.fsum(abs(coef) for coef, _ in self.terms)
+            abs_sum = math.fsum(abs(coef) for coef, _ in self.terms)
         except OverflowError:
             raise InvalidInputError("the mixture's absolute coefficient sum leaves float range") from None
-        drift = abs(self.coef_sum - 1.0)
+        drift = abs(math.fsum(coef for coef, _ in self.terms) - 1.0)
         if drift > _COEF_DRIFT_TOL:
             raise InvalidInputError(f"partial-fraction coefficients do not sum to 1 (off by {drift:.3e})")
         object.__setattr__(self, "_split", tuple(split))
-
-    @property
-    def coef_sum(self) -> float:
-        return math.fsum(t.coef for t in self.terms)
-
-    @property
-    def coef_abs_sum(self) -> float:
-        return math.fsum(abs(t.coef) for t in self.terms)
+        object.__setattr__(self, "_abs_sum", abs_sum)
+        # the error bound of ``tail``'s value, as the range gate reads it
+        object.__setattr__(self, "_range_err", drift + _ROUNDING * abs_sum)
 
     def tail(self, t: float) -> float:
         """P(S > t) for finite t > 0; ``exact_tail`` answers the other thresholds.
@@ -158,12 +153,12 @@ class ExpMixture:
             # and the signed sum may cancel into them; it is bounded by
             # sum |coef| times the tail at the largest scale
             x = t / max(term.scale for term in self.terms)
-            if math.log(self.coef_abs_sum) - x >= _LOG_TINIEST:
+            if math.log(self._abs_sum) - x >= _LOG_TINIEST:
                 raise MixtureUnavailableError(
                     f"mixture tail {value!r} is below the normal range, where it loses accuracy"
                 )
         if not 0.0 <= value <= self.top:
-            err = abs(self.coef_sum - 1.0) + _ROUNDING * self.coef_abs_sum
+            err = self._range_err
             if not -err <= value <= self.top + err:
                 raise MixtureUnavailableError(
                     f"mixture tail {value!r} leaves [0, {self.top}] by more than {err:.3e}"
@@ -242,8 +237,8 @@ class _Sum:
     ``mixture`` is the law's partial-fraction mixture, the reason it was
     refused, or None (gamma).  The contour's part loads numpy, which a sum
     the mixture answers never needs, so the rest is computed when first
-    asked: the ``columns``, the hold on each side of the mean with K' there
-    (``hold``), and ``small_t``, the weights' logs and sum_i 1/a_i.
+    asked: the ``columns``, and the hold on each side of the mean with K'
+    there (``hold``).
     """
 
     def __init__(self, d: Distribution, w: WeightVector):
@@ -278,10 +273,6 @@ class _Sum:
             h = min(h, 0.5 * cols.pole) if above else -h
             holds[above] = (h, cumulant_slopes(*cols.k, h)[0])
         return holds[above]
-
-    @functools.cached_property
-    def small_t(self) -> tuple[tuple[float, ...], float]:
-        return tuple(math.log(a) for a in self.w), math.fsum(1.0 / a for a in self.w)
 
 
 # A caller asks one weight vector at a grid of thresholds (or moment orders):
@@ -560,11 +551,10 @@ def cf_tail_inversion(d: Distribution, w: "WeightVector | Sequence[float]", t: f
         # logs are taken apart: t/a_i may be subnormal or 0
         n_shape = len(w) * d.shape
         log_t = math.log(t)
-        log_a, inv_sum = prepared.small_t
-        log_lead = d.shape * math.fsum(log_t - v for v in log_a) - math.lgamma(n_shape + 1.0)
+        log_lead = d.shape * math.fsum(log_t - math.log(a) for a in w) - math.lgamma(n_shape + 1.0)
         if log_lead < 0.0:
             tail = -math.expm1(log_lead)
-            c = t * d.shape * inv_sum / (n_shape + 1.0)
+            c = t * d.shape * math.fsum(1.0 / a for a in w) / (n_shape + 1.0)
             if math.exp(log_lead) * min(c, 1.0) <= 0.25 * sys.float_info.epsilon * tail:
                 return tail
     # in units of the power of two w.unit no weight scale over- or underflows,

@@ -6,6 +6,7 @@ campaigns, sampler cross-checks, and the library's headline constants, each
 at its stated tolerance.
 """
 
+import inspect
 import math
 import time
 
@@ -16,7 +17,7 @@ from verifiers import h_sup, mp_partial_fraction_tail, sample_sum
 from exptails.bounds import janson_lower, janson_upper, moment_bounds, pz_bound, s_inequality_upper
 from exptails.cli import _bound_rows
 from exptails.core import Distribution, WeightVector, threshold_unit
-from exptails.harness import SandwichConfig, random_instances, sandwich_report
+from exptails.harness import random_instances, sandwich_report
 from exptails.montecarlo import is_tail, mc_tail
 from exptails.oracle import (
     cf_tail_inversion,
@@ -47,7 +48,7 @@ def random_weights(rng, max_n=8):
 
 def test_laplace_sandwich_certifies():
     start = time.perf_counter()
-    rows = sandwich_report(SandwichConfig(distribution=LAP))
+    rows = sandwich_report(LAP)
     elapsed = time.perf_counter() - start
     failing = [r for r in rows if r.slack_low < -1e-12 or r.slack_high < -1e-12]
     ok = not failing and elapsed < 10.0
@@ -59,7 +60,7 @@ def test_laplace_sandwich_certifies():
 
 
 def test_exponential_sandwich_and_fixed_point():
-    rows = sandwich_report(SandwichConfig(distribution=EXP))
+    rows = sandwich_report(EXP)
     failing = [r for r in rows if not r.passed]
 
     triple = (
@@ -83,9 +84,7 @@ def test_gamma_sandwich_via_inversion():
     start = time.perf_counter()
     all_rows = []
     for shape in (0.5, 1.0, 2.0):
-        all_rows += sandwich_report(
-            SandwichConfig(distribution=Distribution.gamma(shape), instances=10)
-        )
+        all_rows += sandwich_report(Distribution.gamma(shape), instances=10)
     elapsed = time.perf_counter() - start
     failing = [r for r in all_rows if not r.passed]
     sources = {r.source for r in all_rows}
@@ -253,7 +252,7 @@ def test_printed_bounds_hold():
     # exact tail, at verify's relative slack; a tail that underflows to 0
     # cannot check its rows, and they are counted, not hidden
     laws = [EXP, LAP] + [Distribution.gamma(s) for s in (1e-3, 0.5, 1.0, 2.0, 100.0, 1e4)]
-    grid = (*SandwichConfig(distribution=EXP).t_grid, 50.0, 200.0)
+    grid = (*inspect.signature(sandwich_report).parameters["t_grid"].default, 50.0, 200.0)
     slack = 1.0 + 1e-9
     wrong, checked, uncheckable = [], 0, 0
     for d in laws:

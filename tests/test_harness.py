@@ -13,7 +13,6 @@ from exptails.cli import _VERIFY_COLUMNS, _table_csv
 from exptails.core import Distribution, InvalidInputError, json_dumps, threshold_unit
 from exptails.harness import (
     PropertyResult,
-    SandwichConfig,
     SandwichRow,
     property_suite,
     random_instances,
@@ -25,30 +24,39 @@ EXP = Distribution.exponential()
 LAP = Distribution.laplace()
 
 
-def small_config(d, **overrides):
-    kwargs = dict(distribution=d, instances=10, seed=0)
+def small_report(d, **overrides):
+    kwargs = dict(instances=10, seed=0)
     kwargs.update(overrides)
-    return SandwichConfig(**kwargs)
+    return sandwich_report(d, **kwargs)
 
 
 class TestSandwichConfig:
-    def test_defaults(self):
-        cfg = SandwichConfig(distribution=LAP)
-        assert cfg.instances == 50
-        assert cfg.t_grid == (1.1, 1.5, 2.0, 3.0, 5.0, 10.0)
+    """The campaign's parameters, as ``sandwich_report`` takes them."""
 
-    def test_rejects_bad_parameters(self):
-        with pytest.raises(InvalidInputError):
-            SandwichConfig(distribution=LAP, instances=-1)
-        with pytest.raises(InvalidInputError):
-            SandwichConfig(distribution=LAP, t_grid=(0.5,))
-        with pytest.raises(InvalidInputError):
-            SandwichConfig(distribution=LAP, t_grid=(1.0,))
+    def test_defaults(self):
+        rows = sandwich_report(LAP)
+        grid = (1.1, 1.5, 2.0, 3.0, 5.0, 10.0)
+        assert len(rows) == 50 * len(grid)
+        assert [r.instance for r in rows] == [i for i in range(50) for _ in grid]
+        assert [r.t for r in rows] == list(grid) * 50
+        assert rows == sandwich_report(LAP, 50, grid, 0)
+
+    def test_rejects_bad_parameters(self, monkeypatch):
+        # refused before any instance is drawn
+        def no_draws(seed, count):
+            raise AssertionError("an instance was drawn")
+
+        monkeypatch.setattr(harness, "random_instances", no_draws)
+        with pytest.raises(InvalidInputError, match="instance count must be >= 0, got -1"):
+            sandwich_report(LAP, instances=-1)
+        for grid, shown in (((0.5,), "0.5"), ((1.0,), "1.0"), ((math.nan,), "nan")):
+            with pytest.raises(InvalidInputError, match=rf"t grid must lie in \(1, inf\), got {shown}$"):
+                sandwich_report(LAP, t_grid=grid)
 
 
 class TestSandwichReport:
     def test_laplace_campaign_passes(self):
-        rows = sandwich_report(small_config(LAP))
+        rows = small_report(LAP)
         assert len(rows) == 10 * 6
         assert all(r.passed for r in rows)
         assert all(r.lower <= r.exact <= r.upper for r in rows)
@@ -56,36 +64,34 @@ class TestSandwichReport:
         assert {r.source for r in rows} == {"mixture"}
 
     def test_exponential_campaign_passes(self):
-        rows = sandwich_report(small_config(EXP))
+        rows = small_report(EXP)
         assert len(rows) == 60
         assert all(r.passed for r in rows)
 
     def test_gamma_campaigns_pass_via_inversion(self):
         for shape in (0.5, 2.0):
-            rows = sandwich_report(small_config(Distribution.gamma(shape), instances=5))
+            rows = small_report(Distribution.gamma(shape), instances=5)
             assert all(r.passed for r in rows)
             assert {r.source for r in rows} == {"cf_inversion"}
 
     def test_threshold_units(self):
         # Laplace thresholds are t * sigma of the sum
-        cfg = small_config(LAP, instances=3, t_grid=(2.0,))
-        for row in sandwich_report(cfg):
+        for row in small_report(LAP, instances=3, t_grid=(2.0,)):
             sigma = math.sqrt(2.0 * sum(v * v for v in row.weights))
             assert math.isclose(row.exact, exact_tail(LAP, row.weights, 2.0 * sigma)[0], rel_tol=1e-12)
 
     def test_deterministic(self):
-        cfg = small_config(EXP, instances=5)
-        assert sandwich_report(cfg) == sandwich_report(cfg)
+        assert small_report(EXP, instances=5) == small_report(EXP, instances=5)
 
     def test_zero_instances(self):
-        assert sandwich_report(small_config(LAP, instances=0)) == []
+        assert small_report(LAP, instances=0) == []
 
     @pytest.mark.parametrize("d", [LAP, EXP, Distribution.gamma(0.5), Distribution.gamma(2.0)],
                              ids=lambda d: d.label())
     def test_deep_thresholds_pass(self, d):
         # at t = 745 the n = 1 exponential tail is e^-745, the smallest
         # subnormal, and so is its power bound: neither may flush to 0
-        rows = sandwich_report(small_config(d, instances=5, t_grid=(50.0, 200.0, 745.0)))
+        rows = small_report(d, instances=5, t_grid=(50.0, 200.0, 745.0))
         assert all(r.passed for r in rows)
 
     def test_lower_bound_above_a_deep_tail_fails(self, monkeypatch):
@@ -99,7 +105,7 @@ class TestSandwichReport:
                     else b for b in law_bounds(d, w, t, p)]
 
         monkeypatch.setattr(bounds, "law_bounds", raised_lower)
-        rows = sandwich_report(small_config(LAP, instances=3, t_grid=(50.0,)))
+        rows = small_report(LAP, instances=3, t_grid=(50.0,))
         assert all(0.0 < r.exact < 1e-12 for r in rows)
         assert not any(r.passed for r in rows)
 
@@ -114,14 +120,14 @@ class TestSandwichReport:
                     else b for b in law_bounds(d, w, t, p)]
 
         monkeypatch.setattr(bounds, "law_bounds", lowered_power)
-        rows = sandwich_report(small_config(EXP, instances=3))
+        rows = small_report(EXP, instances=3)
         assert not any(r.passed for r in rows)
         assert all(r.upper < r.exact for r in rows)
 
 
 @pytest.fixture(scope="module")
 def rows():
-    return sandwich_report(small_config(LAP, instances=4))
+    return small_report(LAP, instances=4)
 
 
 class TestRowSerialization:
